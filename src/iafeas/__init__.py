@@ -24,7 +24,6 @@ from .allocation import (
     verify_allocation,
 )
 from .channels import ChannelSet, sample_channels
-from .cli import main
 from .conditions import (
     ClosedForm,
     NecessaryReport,
@@ -130,7 +129,6 @@ __all__ = [
     "gf_rank",
     "init_allocation",
     "load_config_file",
-    "main",
     "necessary_verdict",
     "numeric_rank",
     "parse_dump",

@@ -15,19 +15,33 @@ DEFAULT_PRIME = (1 << 31) - 1
 _PRIME_CEILING = 1 << 31
 
 
+#: the Miller-Rabin bases 2, 3, 5, 7 decide primality exactly below this
+#: bound (Jaeschke 1993), which covers every modulus below 2**31
+_MILLER_RABIN_EXACT = 3_215_031_751
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test for moduli below 2**31."""
+    """Deterministic Miller-Rabin primality test for n below 3,215,031,751."""
+    if n >= _MILLER_RABIN_EXACT:
+        raise ValueError(f"is_prime is exact only below {_MILLER_RABIN_EXACT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

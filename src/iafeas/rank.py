@@ -11,6 +11,24 @@ at a random channel draw:
   wrong with probability at most C/p. The prime-field verdict is treated
   as authoritative whenever the two engines disagree.
 
+The prime-field kernel halves the column range recursively. Leaves of at
+most 16 columns eliminate column by column in int64, where every product
+of two residues is below 2**62. Above a leaf, the trailing update
+``A22 -= L21 @ U12 (mod p)`` and the triangular solve that gives U12 run
+as float64 matrix products (BLAS). These are exact because the operands
+are split into 16-bit halves before they reach the float unit: a residue
+below p < 2**31 is ``hi * 2**16 + lo`` with ``lo < 2**16`` and
+``hi < 2**15``. With an inner dimension k <= 64 only the left operand is
+split, and each of the two products sums k terms below 2**16 * 2**31, so
+every partial sum stays below 2**53, where float64 represents integers
+exactly. Above 64 both operands are split; each of the four products sums
+k terms below 2**32, exact while k <= 2**21, and k counts pivots, so it
+never exceeds min(C, V). The partial products are reduced modulo p in
+int64. The solve and the updates write into the matrix in place, and each
+update works through its columns in slices of at most 256, reusing one
+slice's work arrays, so that a large update does not page in a dozen
+temporaries of its full size.
+
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization; the converse does not hold in
 general, so a deficient verdict alone never proves infeasibility.
@@ -63,12 +81,170 @@ def _svd_rank(matrix, rel_factor: float | None) -> tuple[int, float]:
     return int(np.count_nonzero(sigma > tol)), tol
 
 
+#: widest column range that the elimination handles column by column
+_LEAF_COLUMNS = 16
+
+#: largest inner dimension at which splitting one operand keeps a float64
+#: product exact: 64 * 2**16 * 2**31 = 2**53
+_ONE_SIDED_INNER = 64
+
+
+#: widest column slice of a product update; its work arrays are reused
+_SLICE_COLUMNS = 256
+
+
+def _halves(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residues below 2**31 as float64 low and high 16-bit halves."""
+    lo = np.empty(X.shape)
+    hi = np.empty(X.shape)
+    np.bitwise_and(X, 0xFFFF, out=lo, casting="unsafe")
+    np.right_shift(X, 16, out=hi, casting="unsafe")
+    return lo, hi
+
+
+def _add_product(acc, x, y, f, t) -> None:
+    """``acc += x @ y``, formed in the float64 array ``f`` and converted
+    through the int64 array ``t``; the product must be an exact integer."""
+    np.matmul(x, y, out=f)
+    np.copyto(t, f, casting="unsafe")
+    acc += t
+
+
+def _sub_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
+    """``C <- (C - A @ B) mod p`` in place, exact through float64 BLAS.
+
+    C, A and B hold residues. C is worked through in slices of columns,
+    and each slice's product is complete before the slice is written, so
+    C may be B itself.
+    """
+    a_lo, a_hi = _halves(A)
+    one_sided = A.shape[1] <= _ONE_SIDED_INNER
+    rows, n = C.shape
+    w = min(n, _SLICE_COLUMNS)
+    f_work = np.empty((rows, w))
+    p_work = np.empty((rows, w), dtype=np.int64)
+    t_work = np.empty((rows, w), dtype=np.int64)
+    for j in range(0, n, w):
+        Cj = C[:, j : j + w]
+        f, prod, t = (X[:, : Cj.shape[1]] for X in (f_work, p_work, t_work))
+        if one_sided:
+            b = B[:, j : j + w].astype(np.float64)
+            np.matmul(a_hi, b, out=f)
+            np.copyto(prod, f, casting="unsafe")
+            np.remainder(prod, p, out=prod)
+            prod <<= 16
+            _add_product(prod, a_lo, b, f, t)
+        else:
+            b_lo, b_hi = _halves(B[:, j : j + w])
+            np.matmul(a_hi, b_hi, out=f)
+            np.copyto(prod, f, casting="unsafe")
+            np.remainder(prod, p, out=prod)
+            prod <<= 16
+            _add_product(prod, a_lo, b_hi, f, t)
+            _add_product(prod, a_hi, b_lo, f, t)
+            np.remainder(prod, p, out=prod)
+            prod <<= 16
+            _add_product(prod, a_lo, b_lo, f, t)
+        np.subtract(Cj, prod, out=prod)
+        np.remainder(prod, p, out=Cj)
+
+
+def _solve_unit_lower(tree, L: np.ndarray, B: np.ndarray, p: int) -> None:
+    """``B <- L^-1 @ B mod p`` in place, for the unit lower triangular
+    factor of ``tree``.
+
+    ``L`` holds the multipliers below its diagonal; entries on and above it
+    are ignored. ``tree`` mirrors the elimination that produced L: a leaf
+    is the matrix ``I - L^-1`` of its at most 16 pivots, an inner node is
+    ``(k, left, right)`` with k pivots on the left.
+    """
+    if len(B) == 0:
+        return
+    if isinstance(tree, np.ndarray):
+        _sub_product(B, tree, B, p)
+        return
+    k, left, right = tree
+    _solve_unit_lower(left, L[:k, :k], B[:k], p)
+    _sub_product(B[k:], L[k:, :k], B[:k], p)
+    _solve_unit_lower(right, L[k:, k:], B[k:], p)
+
+
+def _eliminate_leaf(A, r, c0, c1, p, pivots):
+    """Column-by-column elimination of ``A[r:, c0:c1]``.
+
+    Only rows with a nonzero entry in the pivot column are updated, and
+    only within the leaf's later columns; their multipliers are stored in
+    place of the eliminated entries. Returns the next free pivot row and
+    ``I - L^-1`` for the leaf's pivots.
+    """
+    m = A.shape[0]
+    r0, first = r, len(pivots)
+    for c in range(c0, c1):
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + nz[0]
+            A[[r, i]] = A[[i, r]]
+        below = r + nz[1:]
+        if below.size:
+            mult = A[below, c] * pow(int(A[r, c]), p - 2, p) % p
+            A[below, c] = mult
+            if c + 1 < c1:
+                A[below, c + 1 : c1] = (
+                    A[below, c + 1 : c1] - mult[:, None] * A[r, c + 1 : c1]
+                ) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    L = A[r0:r, pivots[first:]]
+    inv = np.eye(r - r0, dtype=np.int64)
+    for j in range(r - r0 - 1):
+        inv[j + 1 :] = (inv[j + 1 :] - L[j + 1 :, j, None] * inv[j]) % p
+    return r, (np.eye(r - r0, dtype=np.int64) - inv) % p
+
+
+def _eliminate(A, r, c0, c1, p, pivots):
+    """Eliminate columns ``c0:c1`` of ``A`` below row ``r`` in place.
+
+    Rows are swapped whole, so the stored multipliers of earlier columns
+    follow their rows. Appends the pivot columns to ``pivots`` and returns
+    the next free pivot row with the solve tree of the pivots found.
+    """
+    if c1 - c0 <= _LEAF_COLUMNS:
+        return _eliminate_leaf(A, r, c0, c1, p, pivots)
+    cm = (c0 + c1) // 2
+    first = len(pivots)
+    r1, left = _eliminate(A, r, c0, cm, p, pivots)
+    if r1 == A.shape[0]:
+        return r1, None
+    if r1 > r:
+        L = A[r:, pivots[first:]]
+        k = r1 - r
+        U12 = A[r:r1, cm:c1]
+        _solve_unit_lower(left, L[:k], U12, p)
+        nz = np.flatnonzero(L[k:].any(axis=1))
+        if nz.size == A.shape[0] - r1:
+            _sub_product(A[r1:, cm:c1], L[k:], U12, p)
+        elif nz.size:
+            rows = r1 + nz
+            A22 = A[rows, cm:c1]
+            _sub_product(A22, L[rows - r], U12, p)
+            A[rows, cm:c1] = A22
+    r2, right = _eliminate(A, r1, cm, c1, p, pivots)
+    return r2, (r1 - r, left, right)
+
+
 def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     """Exact rank over the prime field GF(p).
 
-    Plain Gaussian elimination with vectorized row updates. All residues
-    stay below p < 2**31, so every intermediate product fits in int64 and
-    the result is exact.
+    Recursive column-halving elimination: leaves of at most 16 columns
+    eliminate column by column in int64; above them, the unit lower
+    triangular solve for U12 and the trailing update
+    ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on operands
+    split into 16-bit halves. Every partial sum stays below 2**53 (see the
+    module docstring), so the result is exact for every accepted prime.
     """
     p = validate_field(p)
     if p == COMPLEX:
@@ -82,24 +258,7 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
-    r = 0
-    for c in range(n):
-        pivots = np.nonzero(A[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        i = r + int(pivots[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        below = np.nonzero(A[r + 1 :, c])[0]
-        if below.size:
-            rows = below + r + 1
-            A[rows] = (A[rows] - A[rows, c][:, None] * A[r][None, :]) % p
-        r += 1
-        if r == m:
-            break
-    return r
+    return _eliminate(A, 0, 0, n, p, [])[0]
 
 
 @dataclass(frozen=True)
@@ -174,7 +333,9 @@ def generic_full_row_rank(
     that deficiency is bad luck rather than structure.
 
     Shortcuts: C > V is deficient without sampling (more constraints than
-    variables), and C == 0 is trivially full.
+    variables); so is a pair with d_k > min(M_k, N_k), whose transceivers
+    cannot carry d_k streams, so the matrix is not defined; otherwise
+    C == 0 is trivially full.
     """
     if mode not in ("numeric", "gf"):
         raise ValueError(f"mode must be 'numeric' or 'gf', got {mode!r}")
@@ -183,17 +344,23 @@ def generic_full_row_rank(
     C, V = system_shape(cfg)
     modulus = validate_field(p) if mode == "gf" else None
 
-    if C == 0:
-        return RankVerdict(
-            mode=mode, C=C, V=V, full_row_rank=True, rank=0, trials=0,
-            trial_seeds=(), trial_ranks=(), modulus=modulus,
-            note="no cross constraints",
-        )
     if C > V:
         return RankVerdict(
             mode=mode, C=C, V=V, full_row_rank=False, rank=None, trials=0,
             trial_seeds=(), trial_ranks=(), modulus=modulus,
             note="more constraints than variables",
+        )
+    if any(cfg.d(k) > min(cfg.M(k), cfg.N(k)) for k in range(1, cfg.K + 1)):
+        return RankVerdict(
+            mode=mode, C=C, V=V, full_row_rank=False, rank=None, trials=0,
+            trial_seeds=(), trial_ranks=(), modulus=modulus,
+            note="stream support fails: some d_k > min(M_k, N_k)",
+        )
+    if C == 0:
+        return RankVerdict(
+            mode=mode, C=C, V=V, full_row_rank=True, rank=0, trials=0,
+            trial_seeds=(), trial_ranks=(), modulus=modulus,
+            note="no cross constraints",
         )
 
     seeds = _trial_seeds(seed, trials)

@@ -51,3 +51,40 @@ def fd_jacobian(cfg, channels, tilde, h=1e-4):
         fm = residuals(cfg, channels, ReducedTransceivers.from_vector(cfg, x0 - e))
         J[:, i] = (fp - fm) / (2 * h)
     return J
+
+
+def gf_rank_reference(matrix, p):
+    """Rank over GF(p) by plain column-by-column Gaussian elimination.
+
+    Independent of the blocked kernel: whole-row int64 updates, no float
+    arithmetic, no recursion. Residues stay below p < 2**31, so every
+    product fits in int64.
+    """
+    A = np.mod(np.asarray(matrix), p).astype(np.int64)
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivots = np.nonzero(A[r:, c])[0]
+        if pivots.size == 0:
+            continue
+        i = r + int(pivots[0])
+        A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        rows = r + 1 + np.nonzero(A[r + 1 :, c])[0]
+        A[rows] = (A[rows] - A[rows, c][:, None] * A[r][None, :]) % p
+        r += 1
+    return r
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division, the slow and obvious oracle."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True

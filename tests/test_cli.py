@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iafeas
 from iafeas import (
     NetworkConfig,
     allocation_from_json_dict,
@@ -76,6 +81,36 @@ def test_check_square_deficient_pair_is_caught_by_link_budget(tmp_path, capsys):
     assert rep["rule"] == "necessary:antenna_budget"
     assert (rep["witness"]["lhs"], rep["witness"]["rhs"]) == (3, 4)
     assert rep["rank"]["full_row_rank"] is False
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 3, 2), (4, 4, 1)],  # C <= V: the rank test must not build a matrix
+        [(1, 3, 2)],  # C = 0: no constraints, still not a full-rank certificate
+    ],
+)
+def test_check_stream_support_failure_exits_one(tmp_path, capsys, pairs):
+    cfg = write_cfg(tmp_path, "stream.json", pairs)
+    code, out, err = run(capsys, "check", cfg)
+    assert err == ""
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["rule"] == "necessary:stream_support"
+    assert rep["sound"] is True
+    assert rep["rank"]["trials"] == 0 and rep["rank"]["rank"] is None
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg = write_cfg(tmp_path, "ring.json", [(2, 2, 1)] * 3)
+    env = dict(os.environ, PYTHONPATH=str(Path(iafeas.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "iafeas", "check", cfg],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "FEASIBLE"
 
 
 def test_check_malformed_exit_three(tmp_path, capsys):

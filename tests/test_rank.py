@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from iafeas import NetworkConfig, generic_full_row_rank, gf_rank, numeric_rank
+from iafeas import (
+    NetworkConfig,
+    build_jacobian,
+    generic_full_row_rank,
+    gf_rank,
+    numeric_rank,
+    sample_channels,
+)
+from iafeas.rank import _SLICE_COLUMNS
 
-from helpers import random_config
+from helpers import gf_rank_reference, random_config
 
 PRIME = (1 << 31) - 1
 
@@ -62,6 +71,60 @@ def test_gf_rank_matches_numeric_on_structured_products():
         assert gf_rank(A % PRIME, PRIME) == expect
 
 
+def _test_matrix(kind, m, n, p, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return rng.integers(0, p, size=(m, n))
+    if kind == "product":
+        # rank-deficient product; its inner dimension crosses 64 for larger shapes
+        r = int(rng.integers(0, min(m, n) + 1))
+        return rng.integers(0, 1000, size=(m, r)) @ rng.integers(0, 1000, size=(r, n))
+    if kind == "sparse":
+        A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.1)
+        A[:, rng.random(n) < 0.2] = 0
+        return A
+    return np.full((m, n), p - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["dense", "product", "sparse", "all p-1"]),
+    st.integers(1, 200),
+    st.integers(1, 200),
+    st.sampled_from([1048583, 2147483629, PRIME]),
+    st.integers(0, 2**32 - 1),
+)
+# pinned large draws: inner ranks 153 and 85, both above 64
+@example("product", 200, 180, PRIME, 0)
+@example("product", 180, 200, 1048583, 1)
+@example("sparse", 200, 120, 2147483629, 0)
+@example("all p-1", 90, 200, PRIME, 0)
+def test_gf_rank_matches_reference(kind, m, n, p, seed):
+    A = _test_matrix(kind, m, n, p, seed)
+    assert gf_rank(A, p) == gf_rank_reference(A, p)
+
+
+@pytest.mark.parametrize("inner, density", [(280, 1.0), (40, 1.0), (300, 0.1)])
+def test_gf_rank_matches_reference_across_slices(inner, density):
+    # 600 columns: the top-level updates are 300 columns wide, so they run
+    # in more than one slice; inner rank 40 keeps the first update one-sided
+    assert 300 > _SLICE_COLUMNS
+    rng = np.random.default_rng(inner)
+    A = rng.integers(0, PRIME, size=(300, inner)) @ rng.integers(0, 1000, size=(inner, 600))
+    A = A * (rng.random(A.shape) < density)
+    assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME)
+
+
+def test_gf_rank_matches_reference_on_ladder_jacobian():
+    cfg = NetworkConfig.symmetric(9, 10, 10, 2)  # C = V = 288
+    A = build_jacobian(cfg, sample_channels(cfg, seed=4, field=PRIME)).matrix
+    assert A.shape == (288, 288)
+    assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME) == 288
+    # the same rows twice over: rank-deficient, tall
+    B = np.vstack([A[:200], A[100:]])
+    assert gf_rank(B, PRIME) == gf_rank_reference(B, PRIME) == 288
+
+
 def test_generic_rank_feasible_case_both_modes():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     for mode in ("gf", "numeric"):
@@ -80,6 +143,15 @@ def test_generic_rank_shortcut_more_constraints_than_variables():
     assert v.status == "rank-deficient"
     assert v.trial_ranks == ()
     assert "more constraints" in v.note
+
+
+def test_generic_rank_shortcut_stream_support():
+    # d_1 > min(M_1, N_1): the matrix is not defined, so nothing is built
+    cfg = NetworkConfig.from_tuples([(1, 3, 2), (4, 4, 1)])
+    v = generic_full_row_rank(cfg)
+    assert not v.full_row_rank
+    assert (v.trials, v.rank, v.trial_ranks) == (0, None, ())
+    assert "stream support" in v.note
 
 
 def test_generic_rank_trivial_no_constraints():
