@@ -2,7 +2,7 @@
 Numerical solvers as a cross check
 ==================================
 
-The verdict pipeline never needs a solver: counting, flow, and rank
+The verdict pipeline never needs a solver: counting, allocation and rank
 settle everything it claims. But actually constructing aligning
 transceivers is the most convincing corroboration there is, so this
 script runs both iterations on a feasible ring and watches them fail

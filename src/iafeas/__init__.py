@@ -3,8 +3,8 @@
 Decides whether a K-pair network configuration {(M_k, N_k, d_k)} admits
 aligning transceivers for generic channels: counting-based necessary
 conditions with violation witnesses, closed forms for symmetric and
-divisible families, constraint-allocation certificates (max-flow and
-pressure transfers), a randomized rank test on the alignment system's
+divisible families, constraint-allocation certificates from the
+pressure-transfer engine, a randomized rank test on the alignment system's
 coefficient matrix, and numerical solvers for corroboration.
 """
 

@@ -9,18 +9,18 @@ properness counting condition holds. If additionally the assignment is
 uniform across transmit streams (or uniform across receive streams), the
 allocation certifies almost-sure solvability of the alignment system.
 
-Two engines find allocations:
+One engine finds allocations: it rebalances a starting allocation by
+moving constraints along pressure-transfer trees, one unit at a time,
+either reaching a balanced state or getting stuck in a tree whose node
+set yields a witness.
 
-* :func:`flow_feasible` reduces the caps to a bipartite max-flow, with a
-  minimum cut turned into an infeasibility witness on failure;
-* :func:`run_ptt` rebalances an arbitrary starting allocation by moving
-  constraints along pressure-transfer trees, one unit at a time, either
-  reaching a balanced state or getting stuck in a tree whose node set
-  yields a witness.
-
-``run_ptt_symmetric`` runs the same tree engine on bundles of d constraints
-at once, preserving stream uniformity for equal-stream networks whose
-antenna counts divide evenly.
+* :func:`flow_feasibility` and :func:`flow_feasible` run it from the
+  all-receive start, deterministically, to decide whether the caps can be
+  met at all;
+* :func:`run_ptt` runs it from a given allocation;
+* :func:`run_ptt_symmetric` runs it on bundles of d constraints at once,
+  preserving stream uniformity for equal-stream networks whose antenna
+  counts divide evenly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .config import NetworkConfig, validate_config
@@ -304,12 +303,12 @@ def _run_transfer_engine(inst: _Instance, assign: dict, rng):
             # detach everything below the flipped path
             drained = False
             while pressure[root] < 0:
-                candidates = sorted(
-                    c for c in parent if c != root and pressure[c] > 0
+                target = min(
+                    (c for c in parent if c != root and pressure[c] > 0),
+                    default=None,
                 )
-                if not candidates:
+                if target is None:
                     break
-                target = candidates[0]
                 path = []
                 cur = target
                 while cur != root:
@@ -350,11 +349,15 @@ def _run_transfer_engine(inst: _Instance, assign: dict, rng):
 
 def _detach(node, parent: dict, via: dict) -> None:
     """Remove ``node`` and its whole subtree from the tree maps."""
-    children = [c for c, par in parent.items() if par == node]
-    for child in children:
-        _detach(child, parent, via)
-    del parent[node]
-    del via[node]
+    children = defaultdict(list)
+    for child, par in parent.items():
+        children[par].append(child)
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        stack.extend(children[cur])
+        del parent[cur]
+        del via[cur]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +382,15 @@ class PttResult:
     witness: SubsetWitness | None = None
 
 
+def _require_admissible(cfg: NetworkConfig) -> None:
+    # A stream with d_k > min(M_k, N_k) has a negative cap, which no
+    # allocation meets and no link subset need expose.
+    if not validate_config(cfg).admissible:
+        raise ValueError("allocation needs a stream-admissible network")
+
+
 def _plain_instance(cfg: NetworkConfig) -> _Instance:
+    _require_admissible(cfg)
     items = tuple(cfg.quads())
     ends = {}
     caps = {}
@@ -448,6 +459,56 @@ def _witness_from_tree(cfg: NetworkConfig, nodes) -> SubsetWitness:
     return witness
 
 
+def _common_stream_count(cfg: NetworkConfig) -> int:
+    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
+    if len(ds) != 1:
+        raise ValueError("bundled allocation needs a common stream count")
+    return ds.pop()
+
+
+def _bundled_instance(cfg: NetworkConfig, d: int, over_q: bool) -> _Instance:
+    """Instance whose items are bundles of d constraints on one stream.
+
+    With ``over_q`` item (k, j, p) stands for the constraints (k, j, p, q)
+    of every transmit stream q: it loads receive cell ("r", k, p), of
+    capacity (N_k - d) / d, or the whole transmitter ("t", j, 0), of
+    capacity M_j - d. Otherwise item (k, j, q) is the mirror image between
+    ("r", k, 0) and ("t", j, q). The caller makes sure d divides the
+    antenna counts of the split side.
+    """
+    _require_admissible(cfg)
+    items = []
+    ends = {}
+    caps = {}
+    for k in range(1, cfg.K + 1):
+        if over_q:
+            for p in range(1, d + 1):
+                caps[("r", k, p)] = (cfg.N(k) - d) // d
+            caps[("t", k, 0)] = cfg.M(k) - d
+        else:
+            caps[("r", k, 0)] = cfg.N(k) - d
+            for q in range(1, d + 1):
+                caps[("t", k, q)] = (cfg.M(k) - d) // d
+    for k, j in cfg.cross_pairs():
+        for s in range(1, d + 1):
+            item = (k, j, s)
+            items.append(item)
+            if over_q:
+                ends[item] = (("r", k, s), ("t", j, 0))
+            else:
+                ends[item] = (("r", k, 0), ("t", j, s))
+    return _Instance(items=tuple(items), ends=ends, caps=caps)
+
+
+def _unbundle(cfg: NetworkConfig, d: int, over_q: bool, assign: dict) -> AllocationPolicy:
+    sides = {}
+    for k, j in cfg.cross_pairs():
+        for p in range(1, d + 1):
+            for q in range(1, d + 1):
+                sides[(k, j, p, q)] = assign[(k, j, p if over_q else q)]
+    return AllocationPolicy.from_sides(cfg, sides)
+
+
 def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     """Transfer run that preserves stream uniformity.
 
@@ -460,57 +521,21 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     once, which certifies solvability. For d = 1 this reduces exactly to
     :func:`run_ptt` from the same seed.
     """
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        raise ValueError("symmetric transfers need a common stream count")
-    d = ds.pop()
-    if not validate_config(cfg).admissible:
-        raise ValueError("symmetric transfers need a stream-admissible network")
-
+    d = _common_stream_count(cfg)
     q_uniform = all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1))
     p_uniform = all(cfg.M(j) % d == 0 for j in range(1, cfg.K + 1))
     if not q_uniform and not p_uniform:
         raise ValueError(
             "symmetric transfers need d to divide every N_k or every M_j"
         )
-
-    items = []
-    ends = {}
-    caps = {}
-    if q_uniform:
-        for k in range(1, cfg.K + 1):
-            for p in range(1, d + 1):
-                caps[("r", k, p)] = (cfg.N(k) - d) // d
-            caps[("t", k, 0)] = cfg.M(k) - d
-        for k, j in cfg.cross_pairs():
-            for p in range(1, d + 1):
-                item = (k, j, p)
-                items.append(item)
-                ends[item] = (("r", k, p), ("t", j, 0))
-    else:
-        for k in range(1, cfg.K + 1):
-            caps[("r", k, 0)] = cfg.N(k) - d
-            for q in range(1, d + 1):
-                caps[("t", k, q)] = (cfg.M(k) - d) // d
-        for k, j in cfg.cross_pairs():
-            for q in range(1, d + 1):
-                item = (k, j, q)
-                items.append(item)
-                ends[item] = (("r", k, 0), ("t", j, q))
-    inst = _Instance(items=tuple(items), ends=ends, caps=caps)
+    inst = _bundled_instance(cfg, d, over_q=q_uniform)
 
     rng_init = np.random.default_rng(seed)
     assign = {it: ("r" if int(rng_init.integers(0, 2)) else "t") for it in inst.items}
 
     balanced, tree, transfers = _run_transfer_engine(inst, assign, None)
 
-    sides = {}
-    for k, j in cfg.cross_pairs():
-        for p in range(1, d + 1):
-            for q in range(1, d + 1):
-                key = (k, j, p) if q_uniform else (k, j, q)
-                sides[(k, j, p, q)] = assign[key]
-    out = AllocationPolicy.from_sides(cfg, sides)
+    out = _unbundle(cfg, d, over_q=q_uniform, assign=assign)
     if balanced:
         return PttResult(balanced=True, alloc=out, transfers=transfers)
     witness = _witness_from_tree(cfg, tree.nodes)
@@ -520,41 +545,30 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
 
 
 # ---------------------------------------------------------------------------
-# max-flow allocation
+# deciding the caps
 # ---------------------------------------------------------------------------
 
 
 def _flow_solve(inst: _Instance):
-    """Max-flow over an instance. Returns (assign or None, cut_cells or None)."""
-    if not inst.items:
-        return {}, None
-    G = nx.DiGraph()
-    for item in inst.items:
-        r_cell, t_cell = inst.ends[item]
-        G.add_edge("s", ("item", item), capacity=1)
-        G.add_edge(("item", item), r_cell)
-        G.add_edge(("item", item), t_cell)
-    for cell, cap in inst.caps.items():
-        if cell in G:
-            G.add_edge(cell, "t", capacity=cap)
-    value, flow = nx.maximum_flow(G, "s", "t")
-    if value >= len(inst.items):
-        assign = {}
-        for item in inst.items:
-            r_cell, _ = inst.ends[item]
-            sent = flow[("item", item)].get(r_cell, 0)
-            assign[item] = "r" if sent >= 0.5 else "t"
+    """Decide an instance by transfers from the all-receive start.
+
+    Returns (assign, None) with a capacity-respecting assignment, or
+    (None, cells) with the node set of the stuck tree, whose capacity falls
+    short of the items trapped among its cells. The start and every choice
+    of the engine are fixed, so the answer is the same in every process.
+    """
+    assign = dict.fromkeys(inst.items, "r")
+    balanced, tree, _ = _run_transfer_engine(inst, assign, None)
+    if balanced:
         return assign, None
-    _, (source_side, _) = nx.minimum_cut(G, "s", "t")
-    cells = [c for c in source_side if isinstance(c, tuple) and c and c[0] in ("r", "t")]
-    return None, tuple(sorted(cells))
+    return None, tree.nodes
 
 
 def flow_feasibility(cfg: NetworkConfig):
     """Decide whether a capacity-respecting allocation exists.
 
     Returns (policy, None) when one exists, else (None, witness) where the
-    witness is the properness violation extracted from a minimum cut.
+    witness is the properness violation extracted from the stuck tree.
     """
     inst = _plain_instance(cfg)
     assign, cut_cells = _flow_solve(inst)
@@ -567,7 +581,7 @@ def flow_feasibility(cfg: NetworkConfig):
 def flow_feasible(
     cfg: NetworkConfig, enforce_q_symmetry: bool = False
 ) -> AllocationPolicy | None:
-    """Allocation via max-flow, or None when the caps cannot be met.
+    """Capacity-respecting allocation, or None when the caps cannot be met.
 
     With ``enforce_q_symmetry`` constraints are bundled across transmit
     streams (needs a common d dividing every N_k), so a returned policy is
@@ -577,34 +591,13 @@ def flow_feasible(
         alloc, _ = flow_feasibility(cfg)
         return alloc
 
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        raise ValueError("bundled flow needs a common stream count")
-    d = ds.pop()
+    d = _common_stream_count(cfg)
     if any(cfg.N(k) % d for k in range(1, cfg.K + 1)):
-        raise ValueError("bundled flow needs d to divide every N_k")
-
-    items = []
-    ends = {}
-    caps = {}
-    for k in range(1, cfg.K + 1):
-        for p in range(1, d + 1):
-            caps[("r", k, p)] = (cfg.N(k) - d) // d
-        caps[("t", k, 0)] = cfg.M(k) - d
-    for k, j in cfg.cross_pairs():
-        for p in range(1, d + 1):
-            item = (k, j, p)
-            items.append(item)
-            ends[item] = (("r", k, p), ("t", j, 0))
-    assign, _ = _flow_solve(_Instance(tuple(items), ends, caps))
+        raise ValueError("bundled allocation needs d to divide every N_k")
+    assign, _ = _flow_solve(_bundled_instance(cfg, d, over_q=True))
     if assign is None:
         return None
-    sides = {}
-    for k, j in cfg.cross_pairs():
-        for p in range(1, d + 1):
-            for q in range(1, d + 1):
-                sides[(k, j, p, q)] = assign[(k, j, p)]
-    return AllocationPolicy.from_sides(cfg, sides)
+    return _unbundle(cfg, d, over_q=True, assign=assign)
 
 
 # ---------------------------------------------------------------------------

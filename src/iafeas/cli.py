@@ -4,7 +4,8 @@ Four subcommands:
 
 * ``check CONFIG.json``: full verdict pipeline on one configuration,
   report as indented JSON on stdout. Exit code 0 feasible, 1 infeasible,
-  2 undetermined, 3 malformed input, 4 internal error.
+  2 undetermined, 3 malformed input, 4 internal error, which includes a
+  report whose soundness bit is false (the JSON is still printed).
 * ``sweep``: verdicts over a grid of symmetric configurations (or a JSON
   list of explicit ones), one compact JSON line per configuration plus a
   footer with counts. Exit 0 once the sweep ran, 3 for an empty grid or
@@ -105,6 +106,8 @@ def _cmd_check(ns) -> int:
         tol=ns.tol,
     )
     print(json.dumps(rep.to_dict(), indent=2))
+    if not rep.sound:
+        return 4
     return _EXIT_BY_VERDICT[rep.verdict]
 
 
@@ -172,8 +175,12 @@ def _cmd_sweep(ns) -> int:
     validate_field(prime)
     args = [(pairs, seed, ns.mode, ns.trials, prime) for pairs in jobs]
     if ns.workers > 1:
+        # A report takes milliseconds, so single-task round trips to the
+        # pool would cost as much as the work; about four chunks per worker
+        # still balance the load.
+        chunksize = max(1, len(args) // (4 * ns.workers))
         with ProcessPoolExecutor(max_workers=ns.workers) as ex:
-            lines = list(ex.map(_sweep_worker, args))
+            lines = list(ex.map(_sweep_worker, args, chunksize=chunksize))
     else:
         lines = [_sweep_worker(a) for a in args]
 

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import _Instance, _flow_solve, _witness_from_tree, flow_feasibility
+from .allocation import (
+    _bundled_instance,
+    _flow_solve,
+    _witness_from_tree,
+    flow_feasibility,
+)
 from .config import NetworkConfig, scale_config, system_shape, validate_config
 from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
 from .witnesses import (
@@ -146,7 +151,7 @@ def check_antenna_budget(cfg: NetworkConfig, collect_all: bool = False):
 def enumerate_properness_violation(cfg: NetworkConfig, collect_all: bool = False):
     """Exhaustive properness scan over all link subsets. K <= 4 only.
 
-    Ground truth for cross-checking the flow and transfer engines: walks
+    Ground truth for cross-checking the transfer engine: walks
     all 2^(K(K-1)) subsets with bitmask lookup tables. Returns None when
     every subset is proper, else the first violating subset's witness.
     """
@@ -196,12 +201,12 @@ def enumerate_properness_violation(cfg: NetworkConfig, collect_all: bool = False
 
 
 def check_properness(cfg: NetworkConfig):
-    """Properness over all link subsets, decided by one max-flow.
+    """Properness over all link subsets, decided by one transfer run.
 
     A capacity-respecting constraint allocation exists exactly when every
-    link subset is proper, so the flow engine decides properness in
-    polynomial time; a minimum cut is unwound into a concrete violated
-    subset. Returns None when proper, else the witness.
+    link subset is proper, so the transfer engine decides properness in
+    polynomial time; the node set of a stuck tree is unwound into a
+    concrete violated subset. Returns None when proper, else the witness.
     """
     _, witness = flow_feasibility(cfg)
     return witness
@@ -218,7 +223,7 @@ class NecessaryReport:
 
     ``witness`` carries the first violation (None when all pass);
     ``witnesses`` is filled by ``collect_all``. ``skipped`` lists checks
-    not run, e.g. the antenna budget beyond K = 12 or the properness flow
+    not run, e.g. the antenna budget beyond K = 12 or the properness check
     on a configuration that already fails stream support.
     """
 
@@ -241,7 +246,7 @@ def necessary_verdict(cfg: NetworkConfig, collect_all: bool = False) -> Necessar
     """Run stream support, antenna budget, then properness, in that order.
 
     Stops at the first violation unless ``collect_all``. The properness
-    flow is skipped for configurations that fail stream support (its
+    check is skipped for configurations that fail stream support (its
     capacities would be negative).
     """
     checks = []
@@ -345,29 +350,15 @@ def symmetric_feasible(cfg: NetworkConfig) -> ClosedForm:
     return ClosedForm("symmetric", True, feasible=False, margin=margin, witness=witness)
 
 
-def _divisible_instance(cfg: NetworkConfig, d: int) -> _Instance:
-    # one aggregated cell per index side, d unit items per cross link
-    items = []
-    ends = {}
-    caps = {}
-    for k in range(1, cfg.K + 1):
-        caps[("r", k, 0)] = cfg.N(k) - d
-        caps[("t", k, 0)] = cfg.M(k) - d
-    for k, j in cfg.cross_pairs():
-        for c in range(1, d + 1):
-            item = (k, j, c)
-            items.append(item)
-            ends[item] = (("r", k, 0), ("t", j, 0))
-    return _Instance(items=tuple(items), ends=ends, caps=caps)
-
-
 def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
     """Closed form for equal-stream networks with divisible antennas.
 
     Applies when every pair carries the same stream count d and d divides
     every N_k (or every M_k). Properness is then sufficient as well as
-    necessary, and one aggregated max-flow (d units per cross link into
-    per-index capacities N_k - d and M_j - d) decides it.
+    necessary, and one bundled transfer run decides it: bundles of d
+    constraints, each pinned to one stream on the divisible side, against
+    per-stream capacities (N_k - d) / d there and per-index capacities on
+    the other side.
     """
     ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
     if len(ds) != 1:
@@ -381,8 +372,7 @@ def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
         return ClosedForm(
             "divisible", False, reason="d divides neither all N_k nor all M_k"
         )
-    inst = _divisible_instance(cfg, d)
-    assign, cut_cells = _flow_solve(inst)
+    assign, cut_cells = _flow_solve(_bundled_instance(cfg, d, over_q=div_n))
     if assign is not None:
         return ClosedForm("divisible", True, feasible=True)
     witness = _witness_from_tree(cfg, cut_cells)

@@ -3,11 +3,11 @@
 ``feasibility_report`` chains every decision layer on one configuration:
 
 1. necessary counting checks (stream support, antenna budget, properness
-   via max-flow), stopping at the first violation;
+   decided by the transfer engine), stopping at the first violation;
 2. closed-form families (symmetric, divisible) that settle feasibility
    exactly on their domains;
 3. an allocation certificate: a capacity-respecting, stream-uniform
-   constraint allocation, taken from the flow solution or rebuilt by the
+   constraint allocation, taken from the properness run or rebuilt by the
    bundled transfer engine;
 4. the randomized rank test on the alignment system's coefficient matrix,
    which certifies generic feasibility when any trial has full row rank.
@@ -107,7 +107,7 @@ class VerdictReport:
 
 
 def _necessary_with_policy(cfg: NetworkConfig):
-    """Necessary chain that also hands back the flow policy when it ran."""
+    """Necessary chain that also hands back the properness run's policy."""
     checks = []
     skipped = []
     policy = None
@@ -203,7 +203,7 @@ def feasibility_report(
         closed = _closed_forms(cfg)
         if policy is not None:
             alloc = policy
-            alloc_source = "flow"
+            alloc_source = "transfer"
             alloc_report = verify_allocation(cfg, alloc)
             if not alloc_report.certificate and _symmetric_variant_applies(cfg):
                 ptt = run_ptt_symmetric(cfg, seed=seed)

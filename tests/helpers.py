@@ -1,5 +1,7 @@
 """Shared test utilities: random configurations and brute-force oracles."""
 
+from collections import deque
+
 import numpy as np
 
 from iafeas import NetworkConfig, ReducedTransceivers, residuals, system_shape
@@ -88,3 +90,51 @@ def trial_division_is_prime(n):
             return False
         f += 1
     return True
+
+
+def max_allocation(cfg):
+    """Most constraints that fit within the stream caps, by augmenting paths.
+
+    Max-flow from a source through each constraint (k, j, p, q) to its
+    receive stream ("r", k, p) or transmit stream ("t", j, q), then to a
+    sink with the stream's cap. Each constraint is placed by a breadth-first
+    search over streams that may pass a placed constraint on to its other
+    stream; standard library only, independent of the package's engine.
+    A capacity-respecting allocation exists when this equals the number of
+    constraints.
+    """
+    cap = {}
+    for k in range(1, cfg.K + 1):
+        for s in range(1, cfg.d(k) + 1):
+            cap[("r", k, s)] = cfg.N(k) - cfg.d(k)
+            cap[("t", k, s)] = cfg.M(k) - cfg.d(k)
+    held = {cell: [] for cell in cap}
+
+    def ends(c):
+        return ("r", c[0], c[2]), ("t", c[1], c[3])
+
+    placed = 0
+    for k, j in cfg.cross_pairs():
+        for p in range(1, cfg.d(k) + 1):
+            for q in range(1, cfg.d(j) + 1):
+                new = (k, j, p, q)
+                came = {cell: (new, None) for cell in ends(new)}
+                queue = deque(came)
+                while queue:
+                    cell = queue.popleft()
+                    if len(held[cell]) < cap[cell]:
+                        while cell is not None:
+                            c, prev = came[cell]
+                            held[cell].append(c)
+                            if prev is not None:
+                                held[prev].remove(c)
+                            cell = prev
+                        placed += 1
+                        break
+                    for c in held[cell]:
+                        r_cell, t_cell = ends(c)
+                        other = t_cell if cell == r_cell else r_cell
+                        if other not in came:
+                            came[other] = (c, cell)
+                            queue.append(other)
+    return placed

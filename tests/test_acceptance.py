@@ -33,7 +33,7 @@ from iafeas import (
 )
 from iafeas.cli import main as cli_main
 
-from helpers import fd_jacobian, random_config
+from helpers import fd_jacobian, max_allocation, random_config
 
 
 @functools.lru_cache(maxsize=1)
@@ -98,12 +98,19 @@ def test_criterion_3_overloaded_ring_infeasible():
 
 
 def test_criterion_4_transfer_flow_enumeration_equivalence():
-    """200 random configs: balanced transfers == flow success == counting."""
+    """200 random configs: balanced transfers == max flow == counting.
+
+    The three independent methods are the transfer engine from a random
+    start, the augmenting-path max-flow oracle of the tests and the
+    exhaustive link-subset scan; ``flow_feasible``, the package's own
+    properness decision, rides along as a fourth column.
+    """
     for i, cfg in enumerate(shared_random_grid()):
         balanced = run_ptt(cfg, init_allocation(cfg, seed=i)).balanced
-        by_flow = flow_feasible(cfg) is not None
+        by_oracle = max_allocation(cfg) == len(list(cfg.quads()))
         by_enum = enumerate_properness_violation(cfg) is None
-        assert balanced == by_flow == by_enum, cfg.describe()
+        by_package = flow_feasible(cfg) is not None
+        assert balanced == by_oracle == by_enum == by_package, cfg.describe()
 
 
 def test_criterion_5_certificates_imply_full_rank():

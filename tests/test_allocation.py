@@ -19,7 +19,7 @@ from iafeas import (
     verify_allocation,
 )
 
-from helpers import random_config
+from helpers import max_allocation, random_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,9 +206,10 @@ def test_run_ptt_agrees_with_flow_and_enumeration():
         deficit = total_deficit(cfg, start)
         res = run_ptt(cfg, start)
 
+        assert res.balanced == (max_allocation(cfg) == len(list(cfg.quads())))
+        assert res.balanced == (enumerate_properness_violation(cfg) is None)
         alloc_flow, wit_flow = flow_feasibility(cfg)
         assert res.balanced == (alloc_flow is not None)
-        assert res.balanced == (enumerate_properness_violation(cfg) is None)
 
         if res.balanced:
             assert res.transfers == deficit

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -111,6 +112,42 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.stderr == ""
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "FEASIBLE"
+
+
+def test_check_output_does_not_depend_on_hash_seed(tmp_path):
+    # string hashing is salted per process; nothing in a report may follow it
+    cfg = write_cfg(tmp_path, "c442.json", [(4, 4, 2)] * 3)
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(iafeas.__file__).parents[1]),
+            PYTHONHASHSEED=hash_seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "iafeas", "check", cfg, "--seed", "5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_check_exits_four_on_unsound_report(tmp_path, capsys, monkeypatch):
+    import iafeas.report
+
+    real = iafeas.report.generic_full_row_rank
+
+    def claims_full_rank(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), full_row_rank=True)
+
+    monkeypatch.setattr(iafeas.report, "generic_full_row_rank", claims_full_rank)
+    cfg = write_cfg(tmp_path, "ring4.json", [(2, 2, 1)] * 4)
+    code, out, _ = run(capsys, "check", cfg)
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["verdict"] == "INFEASIBLE"
+    assert rep["sound"] is False
 
 
 def test_check_malformed_exit_three(tmp_path, capsys):
@@ -251,6 +288,8 @@ def test_sweep_grid(capsys):
 
 
 def test_sweep_configs_file_and_workers(tmp_path, capsys):
+    # 19 configs, so two workers take their tasks in chunks of two
+    grid = [[[m, m, 1]] * k for k in (3, 4, 5, 6) for m in (2, 3, 4, 5)]
     lst = tmp_path / "list.json"
     lst.write_text(
         json.dumps(
@@ -259,12 +298,13 @@ def test_sweep_configs_file_and_workers(tmp_path, capsys):
                 [[1, 1, 1], [4, 4, 2], [4, 4, 2]],
                 [[7, 8, 3], [7, 8, 3], [7, 8, 3], [7, 8, 3]],
             ]
+            + grid
         )
     )
     code1, out1, _ = run(capsys, "sweep", "--configs", str(lst))
     assert code1 == 0
     footer = json.loads(out1.splitlines()[-1])["footer"]
-    assert footer["configs"] == 3
+    assert footer["configs"] == 19
     assert footer["undetermined"] == 1
     assert footer["soundness_violations"] == 0
 

@@ -128,7 +128,7 @@ def test_necessary_verdict_order_and_skips():
     assert rep.passed and rep.witness is None
     assert rep.checks == ("stream_support", "antenna_budget", "properness")
 
-    # stream violation wins and the flow is skipped
+    # stream violation wins and the properness check is skipped
     rep = necessary_verdict(NetworkConfig.from_tuples([(1, 1, 2), (3, 3, 1)]))
     assert not rep.passed
     assert rep.witness.kind == "stream_support"
@@ -192,8 +192,8 @@ def test_divisible_closed_form():
     # d = 1 always qualifies
     assert divisible_feasible(NetworkConfig.from_tuples([(2, 3, 1), (3, 2, 1)])).applicable
 
-    # 2 divides neither 3 nor 3: outside the family (and the aggregated
-    # flow would wrongly pass the proper-but-infeasible (3x3,2)^2)
+    # 2 divides neither 3 nor 3: outside the family (and properness alone
+    # would wrongly pass the proper-but-infeasible (3x3,2)^2)
     cf = divisible_feasible(NetworkConfig.symmetric(2, 3, 3, 2))
     assert not cf.applicable
 
@@ -219,6 +219,15 @@ def test_divisible_closed_form_matches_rank_spot_checks():
 def test_flow_feasible_wrapper():
     assert flow_feasible(NetworkConfig.symmetric(3, 2, 2, 1)) is not None
     assert flow_feasible(NetworkConfig.symmetric(4, 2, 2, 1)) is None
+
+
+def test_properness_needs_stream_support():
+    # N_1 - d_1 = -1: no allocation meets a negative cap
+    cfg = NetworkConfig.from_tuples([(3, 1, 2), (3, 3, 1), (3, 3, 1)])
+    with pytest.raises(ValueError, match="admissible"):
+        check_properness(cfg)
+    with pytest.raises(ValueError, match="admissible"):
+        flow_feasible(cfg)
 
 
 def test_scaling_check():

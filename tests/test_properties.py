@@ -3,22 +3,29 @@
 from hypothesis import given, settings, strategies as st
 
 from iafeas import (
+    AllocationPolicy,
     NetworkConfig,
     col_index,
     config_from_dict,
     config_to_dict,
+    flow_feasibility,
     init_allocation,
     pressures,
     row_index,
+    run_ptt,
     scale_config,
     system_shape,
+    verify_allocation,
 )
+
+from helpers import max_allocation
 
 pairs = st.tuples(
     st.integers(1, 8), st.integers(1, 8), st.integers(1, 3)
 ).filter(lambda t: t[2] <= min(t[0], t[1]))
 
 networks = st.lists(pairs, min_size=1, max_size=4).map(NetworkConfig.from_tuples)
+wide_networks = st.lists(pairs, min_size=1, max_size=6).map(NetworkConfig.from_tuples)
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,3 +72,21 @@ def test_row_and_column_indexing_are_bijections(cfg):
             for q in range(1, cfg.d(k) + 1):
                 cols.append(col_index(cfg, ("v", k, comp, q)))
     assert sorted(cols) == list(range(1, V + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_networks)
+def test_all_receive_transfer_run_matches_max_flow_oracle(cfg):
+    res = run_ptt(cfg, AllocationPolicy.all_rx(cfg))
+    assert res.balanced == (max_allocation(cfg) == len(list(cfg.quads())))
+    if res.balanced:
+        assert verify_allocation(cfg, res.alloc).capacities_ok
+    else:
+        assert res.witness.holds(cfg)
+
+    # the properness decision is this very run
+    alloc, witness = flow_feasibility(cfg)
+    if res.balanced:
+        assert witness is None and alloc.sides() == res.alloc.sides()
+    else:
+        assert alloc is None and witness == res.witness
