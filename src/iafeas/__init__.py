@@ -16,7 +16,6 @@ from .allocation import (
     PttResult,
     allocation_from_json_dict,
     flow_feasibility,
-    flow_feasible,
     init_allocation,
     pressures,
     run_ptt,
@@ -26,14 +25,11 @@ from .allocation import (
 from .channels import ChannelSet, sample_channels
 from .conditions import (
     ClosedForm,
-    NecessaryReport,
     ScalingReport,
     check_antenna_budget,
-    check_properness,
     check_stream_support,
     divisible_feasible,
     enumerate_properness_violation,
-    necessary_verdict,
     scaling_check,
     symmetric_feasible,
 )
@@ -63,8 +59,10 @@ from .report import (
     FEASIBLE,
     INFEASIBLE,
     UNDETERMINED,
+    NecessaryReport,
     VerdictReport,
     feasibility_report,
+    necessary_verdict,
 )
 from .solver import (
     AlignmentCheck,
@@ -113,7 +111,6 @@ __all__ = [
     "alt_min",
     "build_jacobian",
     "check_antenna_budget",
-    "check_properness",
     "check_stream_support",
     "col_index",
     "config_from_dict",
@@ -122,7 +119,6 @@ __all__ = [
     "enumerate_properness_violation",
     "feasibility_report",
     "flow_feasibility",
-    "flow_feasible",
     "gauss_newton",
     "gauss_newton_multistart",
     "generic_full_row_rank",

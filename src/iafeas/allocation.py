@@ -14,13 +14,13 @@ moving constraints along pressure-transfer trees, one unit at a time,
 either reaching a balanced state or getting stuck in a tree whose node
 set yields a witness.
 
-* :func:`flow_feasibility` and :func:`flow_feasible` run it from the
-  all-receive start, deterministically, to decide whether the caps can be
-  met at all;
+* :func:`flow_feasibility` runs it from the all-receive start,
+  deterministically, to decide whether the caps can be met at all, which
+  is the properness decision;
 * :func:`run_ptt` runs it from a given allocation;
 * :func:`run_ptt_symmetric` runs it on bundles of d constraints at once,
   preserving stream uniformity for equal-stream networks whose antenna
-  counts divide evenly.
+  counts divide evenly; with ``seed=None`` it starts all-receive too.
 """
 
 from __future__ import annotations
@@ -459,13 +459,6 @@ def _witness_from_tree(cfg: NetworkConfig, nodes) -> SubsetWitness:
     return witness
 
 
-def _common_stream_count(cfg: NetworkConfig) -> int:
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        raise ValueError("bundled allocation needs a common stream count")
-    return ds.pop()
-
-
 def _bundled_instance(cfg: NetworkConfig, d: int, over_q: bool) -> _Instance:
     """Instance whose items are bundles of d constraints on one stream.
 
@@ -509,7 +502,7 @@ def _unbundle(cfg: NetworkConfig, d: int, over_q: bool, assign: dict) -> Allocat
     return AllocationPolicy.from_sides(cfg, sides)
 
 
-def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
+def run_ptt_symmetric(cfg: NetworkConfig, seed: int | None = 0) -> PttResult:
     """Transfer run that preserves stream uniformity.
 
     Needs every pair to carry the same stream count d. Constraints are
@@ -520,8 +513,15 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     outcomes therefore satisfy the capacity caps and stream uniformity at
     once, which certifies solvability. For d = 1 this reduces exactly to
     :func:`run_ptt` from the same seed.
+
+    An integer seed draws the starting bundle sides at random; ``seed=None``
+    starts with every bundle on the receive side. Either way the engine's
+    choices are deterministic.
     """
-    d = _common_stream_count(cfg)
+    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
+    if len(ds) != 1:
+        raise ValueError("bundled allocation needs a common stream count")
+    d = ds.pop()
     q_uniform = all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1))
     p_uniform = all(cfg.M(j) % d == 0 for j in range(1, cfg.K + 1))
     if not q_uniform and not p_uniform:
@@ -530,8 +530,11 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
         )
     inst = _bundled_instance(cfg, d, over_q=q_uniform)
 
-    rng_init = np.random.default_rng(seed)
-    assign = {it: ("r" if int(rng_init.integers(0, 2)) else "t") for it in inst.items}
+    if seed is None:
+        assign = dict.fromkeys(inst.items, "r")
+    else:
+        rng_init = np.random.default_rng(seed)
+        assign = {it: ("r" if int(rng_init.integers(0, 2)) else "t") for it in inst.items}
 
     balanced, tree, transfers = _run_transfer_engine(inst, assign, None)
 
@@ -549,55 +552,21 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
 # ---------------------------------------------------------------------------
 
 
-def _flow_solve(inst: _Instance):
-    """Decide an instance by transfers from the all-receive start.
-
-    Returns (assign, None) with a capacity-respecting assignment, or
-    (None, cells) with the node set of the stuck tree, whose capacity falls
-    short of the items trapped among its cells. The start and every choice
-    of the engine are fixed, so the answer is the same in every process.
-    """
-    assign = dict.fromkeys(inst.items, "r")
-    balanced, tree, _ = _run_transfer_engine(inst, assign, None)
-    if balanced:
-        return assign, None
-    return None, tree.nodes
-
-
 def flow_feasibility(cfg: NetworkConfig):
     """Decide whether a capacity-respecting allocation exists.
 
-    Returns (policy, None) when one exists, else (None, witness) where the
-    witness is the properness violation extracted from the stuck tree.
+    Runs the transfer engine from the all-receive start. Returns
+    (policy, None) when it balances, else (None, witness) where the witness
+    is the properness violation extracted from the stuck tree. The start
+    and every choice of the engine are fixed, so the answer is the same in
+    every process.
     """
     inst = _plain_instance(cfg)
-    assign, cut_cells = _flow_solve(inst)
-    if assign is not None:
+    assign = dict.fromkeys(inst.items, "r")
+    balanced, tree, _ = _run_transfer_engine(inst, assign, None)
+    if balanced:
         return AllocationPolicy.from_sides(cfg, assign), None
-    witness = _witness_from_tree(cfg, cut_cells)
-    return None, witness
-
-
-def flow_feasible(
-    cfg: NetworkConfig, enforce_q_symmetry: bool = False
-) -> AllocationPolicy | None:
-    """Capacity-respecting allocation, or None when the caps cannot be met.
-
-    With ``enforce_q_symmetry`` constraints are bundled across transmit
-    streams (needs a common d dividing every N_k), so a returned policy is
-    uniform over q.
-    """
-    if not enforce_q_symmetry:
-        alloc, _ = flow_feasibility(cfg)
-        return alloc
-
-    d = _common_stream_count(cfg)
-    if any(cfg.N(k) % d for k in range(1, cfg.K + 1)):
-        raise ValueError("bundled allocation needs d to divide every N_k")
-    assign, _ = _flow_solve(_bundled_instance(cfg, d, over_q=True))
-    if assign is None:
-        return None
-    return _unbundle(cfg, d, over_q=True, assign=assign)
+    return None, _witness_from_tree(cfg, tree.nodes)
 
 
 # ---------------------------------------------------------------------------

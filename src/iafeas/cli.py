@@ -8,8 +8,10 @@ Four subcommands:
   report whose soundness bit is false (the JSON is still printed).
 * ``sweep``: verdicts over a grid of symmetric configurations (or a JSON
   list of explicit ones), one compact JSON line per configuration plus a
-  footer with counts. Exit 0 once the sweep ran, 3 for an empty grid or
-  malformed input.
+  footer with counts. ``--workers N`` runs the reports in a process pool
+  of at most N workers, no more than the cores or the chunks of work.
+  Exit 0 once the sweep ran, 3 for an empty grid, ``--workers`` below 1
+  or malformed input.
 * ``hall CONFIG.json``: sample channels and print the alignment
   coefficient matrix in the text dump format.
 * ``alloc CONFIG.json``: run the pressure-transfer allocator; balanced
@@ -36,13 +38,7 @@ from .config import NetworkConfig, load_config_file, system_shape
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
 from .rank import DEFAULT_TRIALS
-from .report import (
-    FEASIBLE,
-    INFEASIBLE,
-    UNDETERMINED,
-    _symmetric_variant_applies,
-    feasibility_report,
-)
+from .report import FEASIBLE, INFEASIBLE, UNDETERMINED, feasibility_report
 
 _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1, UNDETERMINED: 2}
 
@@ -167,6 +163,8 @@ def _sweep_jobs(ns) -> list:
 
 
 def _cmd_sweep(ns) -> int:
+    if ns.workers < 1:
+        raise CliError("--workers must be at least 1")
     jobs = _sweep_jobs(ns)
     if not jobs:
         raise CliError("sweep grid is empty")
@@ -174,12 +172,15 @@ def _cmd_sweep(ns) -> int:
     prime = ns.prime if ns.prime is not None else DEFAULT_PRIME
     validate_field(prime)
     args = [(pairs, seed, ns.mode, ns.trials, prime) for pairs in jobs]
-    if ns.workers > 1:
-        # A report takes milliseconds, so single-task round trips to the
-        # pool would cost as much as the work; about four chunks per worker
-        # still balance the load.
-        chunksize = max(1, len(args) // (4 * ns.workers))
-        with ProcessPoolExecutor(max_workers=ns.workers) as ex:
+    # The pool starts every worker up front, so it gets no more of them
+    # than there are cores or chunks. A report takes milliseconds, so
+    # single-task round trips to the pool would cost as much as the work;
+    # about four chunks per worker still balance the load.
+    workers = min(ns.workers, os.cpu_count() or 1)
+    chunksize = max(1, len(args) // (4 * workers))
+    workers = min(workers, -(-len(args) // chunksize))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             lines = list(ex.map(_sweep_worker, args, chunksize=chunksize))
     else:
         lines = [_sweep_worker(a) for a in args]
@@ -224,14 +225,13 @@ def _cmd_hall(ns) -> int:
 def _cmd_alloc(ns) -> int:
     cfg, file_seed, _ = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
-    variant = "plain"
-    if _symmetric_variant_applies(cfg) and not ns.plain:
+    res, variant = None, "plain"
+    if not ns.plain:
         try:
-            res = run_ptt_symmetric(cfg, seed=seed)
-            variant = "bundled"
+            res, variant = run_ptt_symmetric(cfg, seed=seed), "bundled"
         except ValueError:
-            res = run_ptt(cfg, init_allocation(cfg, seed=seed))
-    else:
+            pass  # the bundled variant does not apply here
+    if res is None:
         res = run_ptt(cfg, init_allocation(cfg, seed=seed))
     if res.balanced:
         report = verify_allocation(cfg, res.alloc)

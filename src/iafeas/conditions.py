@@ -10,12 +10,15 @@ Three counting conditions are necessary for alignment feasibility:
   involved transceivers must outnumber the scalar constraints the links
   impose.
 
-Each check returns ``None`` when it passes, otherwise a
-:class:`~iafeas.witnesses.SubsetWitness` pinpointing a violated instance.
-``necessary_verdict`` chains them in that order. The module also houses
-two closed-form feasibility families (fully symmetric networks and
-equal-stream networks with divisible antenna counts) and a scaling probe
-that compares a configuration's rank verdict against its c-fold copy.
+The first two checks live here and return ``None`` when they pass,
+otherwise a :class:`~iafeas.witnesses.SubsetWitness` pinpointing a
+violated instance. Properness is decided by the transfer engine
+(:func:`~iafeas.allocation.flow_feasibility`); the exhaustive link-subset
+scan here is its small-K oracle. :func:`~iafeas.report.necessary_verdict`
+chains the three. The module also houses two closed-form feasibility
+families (fully symmetric networks and equal-stream networks with
+divisible antenna counts) and a scaling probe that compares a
+configuration's rank verdict against its c-fold copy.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (
-    _bundled_instance,
-    _flow_solve,
-    _witness_from_tree,
-    flow_feasibility,
-)
+from .allocation import run_ptt_symmetric
 from .config import NetworkConfig, scale_config, system_shape, validate_config
 from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
 from .witnesses import (
@@ -43,23 +41,19 @@ MAX_BUDGET_PAIRS = 12
 MAX_ENUM_PAIRS = 4
 
 
-def check_stream_support(cfg: NetworkConfig, collect_all: bool = False):
+def check_stream_support(cfg: NetworkConfig):
     """Per-pair check min(M_k, N_k) >= d_k.
 
     Returns None when every pair passes, else the first violating pair's
-    witness (or all of them as a tuple with ``collect_all``).
+    witness.
     """
-    found = []
     for k in range(1, cfg.K + 1):
         support = min(cfg.M(k), cfg.N(k))
         if support < cfg.d(k):
-            w = SubsetWitness(
+            return SubsetWitness(
                 kind=STREAM_SUPPORT, lhs=support, rhs=cfg.d(k), pair=k
             )
-            if not collect_all:
-                return w
-            found.append(w)
-    return tuple(found) if collect_all else None
+    return None
 
 
 def _subset_tables(cfg: NetworkConfig):
@@ -89,15 +83,16 @@ def _bits(mask: int) -> tuple:
     return tuple(out)
 
 
-def check_antenna_budget(cfg: NetworkConfig, collect_all: bool = False):
+def check_antenna_budget(cfg: NetworkConfig):
     """Antenna budget over every realizable (transmit, receive) group pair.
 
     A group pair (T, R) is realizable when some nonempty set of cross
     links has transmitter projection exactly T and receiver projection
     exactly R: both nonempty, R not a singleton contained in T, and T not
     a singleton contained in R. Only projections enter the inequality, so
-    scanning group pairs instead of link subsets loses nothing. The scan
-    is 4^K and refuses K > 12.
+    scanning group pairs instead of link subsets loses nothing. Returns
+    None when every group pair passes, else the first violation's witness.
+    The scan is 4^K and refuses K > 12.
     """
     K = cfg.K
     if K > MAX_BUDGET_PAIRS:
@@ -113,7 +108,6 @@ def check_antenna_budget(cfg: NetworkConfig, collect_all: bool = False):
         singleton[1 << i] = i + 1  # 1-based index, 0 means "not a singleton"
     r_sing = singleton[r_all]
 
-    found = []
     for t_mask in range(1, size):
         ok = np.ones(r_all.shape, dtype=bool)
         # exclude R = {x} with x in T
@@ -126,29 +120,24 @@ def check_antenna_budget(cfg: NetworkConfig, collect_all: bool = False):
             ok &= ((r_all >> (y - 1)) & 1) == 0
         lhs = np.maximum(sum_m[t_mask], sum_n[r_all])
         rhs = sum_d[t_mask | r_all]
-        bad = ok & (lhs < rhs)
-        if not bad.any():
+        bad = np.flatnonzero(ok & (lhs < rhs))
+        if bad.size == 0:
             continue
-        for idx in np.flatnonzero(bad):
-            r_mask = int(r_all[idx])
-            tx = _bits(t_mask)
-            rx = _bits(r_mask)
-            links = frozenset((k, j) for k in rx for j in tx if k != j)
-            w = SubsetWitness(
-                kind=ANTENNA_BUDGET,
-                lhs=int(lhs[idx]),
-                rhs=int(rhs[idx]),
-                tx_set=frozenset(tx),
-                rx_set=frozenset(rx),
-                links=links,
-            )
-            if not collect_all:
-                return w
-            found.append(w)
-    return tuple(found) if collect_all else None
+        idx = bad[0]
+        tx = _bits(t_mask)
+        rx = _bits(int(r_all[idx]))
+        return SubsetWitness(
+            kind=ANTENNA_BUDGET,
+            lhs=int(lhs[idx]),
+            rhs=int(rhs[idx]),
+            tx_set=frozenset(tx),
+            rx_set=frozenset(rx),
+            links=frozenset((k, j) for k in rx for j in tx if k != j),
+        )
+    return None
 
 
-def enumerate_properness_violation(cfg: NetworkConfig, collect_all: bool = False):
+def enumerate_properness_violation(cfg: NetworkConfig):
     """Exhaustive properness scan over all link subsets. K <= 4 only.
 
     Ground truth for cross-checking the transfer engine: walks
@@ -162,7 +151,7 @@ def enumerate_properness_violation(cfg: NetworkConfig, collect_all: bool = False
     pairs = tuple(cfg.cross_pairs())
     n = len(pairs)
     if n == 0:
-        return () if collect_all else None
+        return None
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     rx_mask = np.zeros(size, dtype=np.int64)
@@ -189,110 +178,10 @@ def enumerate_properness_violation(cfg: NetworkConfig, collect_all: bool = False
     bad[0] = False
     hits = np.flatnonzero(bad)
     if hits.size == 0:
-        return () if collect_all else None
-
-    def build(mask: int) -> SubsetWitness:
-        links = tuple(pairs[i] for i in range(n) if (mask >> i) & 1)
-        return properness_witness_from_links(cfg, links)
-
-    if not collect_all:
-        return build(int(hits[0]))
-    return tuple(build(int(m)) for m in hits)
-
-
-def check_properness(cfg: NetworkConfig):
-    """Properness over all link subsets, decided by one transfer run.
-
-    A capacity-respecting constraint allocation exists exactly when every
-    link subset is proper, so the transfer engine decides properness in
-    polynomial time; the node set of a stuck tree is unwound into a
-    concrete violated subset. Returns None when proper, else the witness.
-    """
-    _, witness = flow_feasibility(cfg)
-    return witness
-
-
-STREAM_CHECK = "stream_support"
-BUDGET_CHECK = "antenna_budget"
-PROPERNESS_CHECK = "properness"
-
-
-@dataclass(frozen=True)
-class NecessaryReport:
-    """Outcome of the chained necessary checks.
-
-    ``witness`` carries the first violation (None when all pass);
-    ``witnesses`` is filled by ``collect_all``. ``skipped`` lists checks
-    not run, e.g. the antenna budget beyond K = 12 or the properness check
-    on a configuration that already fails stream support.
-    """
-
-    passed: bool
-    witness: SubsetWitness | None
-    checks: tuple
-    skipped: tuple
-    witnesses: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "checks": list(self.checks),
-            "skipped": list(self.skipped),
-        }
-
-
-def necessary_verdict(cfg: NetworkConfig, collect_all: bool = False) -> NecessaryReport:
-    """Run stream support, antenna budget, then properness, in that order.
-
-    Stops at the first violation unless ``collect_all``. The properness
-    check is skipped for configurations that fail stream support (its
-    capacities would be negative).
-    """
-    checks = []
-    skipped = []
-    witnesses = []
-    first = None
-
-    checks.append(STREAM_CHECK)
-    res = check_stream_support(cfg, collect_all=collect_all)
-    stream_failed = bool(res) if collect_all else res is not None
-    if collect_all:
-        witnesses.extend(res)
-    elif res is not None:
-        skipped = [BUDGET_CHECK, PROPERNESS_CHECK]
-        return NecessaryReport(False, res, tuple(checks), tuple(skipped))
-
-    if cfg.K > MAX_BUDGET_PAIRS:
-        skipped.append(BUDGET_CHECK)
-    else:
-        checks.append(BUDGET_CHECK)
-        res = check_antenna_budget(cfg, collect_all=collect_all)
-        if collect_all:
-            witnesses.extend(res)
-        elif res is not None:
-            skipped.append(PROPERNESS_CHECK)
-            return NecessaryReport(False, res, tuple(checks), tuple(skipped))
-
-    if stream_failed:
-        skipped.append(PROPERNESS_CHECK)
-    else:
-        checks.append(PROPERNESS_CHECK)
-        res = check_properness(cfg)
-        if res is not None:
-            if not collect_all:
-                return NecessaryReport(False, res, tuple(checks), tuple(skipped))
-            witnesses.append(res)
-
-    if witnesses:
-        first = witnesses[0]
-    return NecessaryReport(
-        passed=first is None,
-        witness=first,
-        checks=tuple(checks),
-        skipped=tuple(skipped),
-        witnesses=tuple(witnesses),
-    )
+        return None
+    mask = int(hits[0])
+    links = tuple(pairs[i] for i in range(n) if (mask >> i) & 1)
+    return properness_witness_from_links(cfg, links)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +244,10 @@ def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
 
     Applies when every pair carries the same stream count d and d divides
     every N_k (or every M_k). Properness is then sufficient as well as
-    necessary, and one bundled transfer run decides it: bundles of d
-    constraints, each pinned to one stream on the divisible side, against
-    per-stream capacities (N_k - d) / d there and per-index capacities on
-    the other side.
+    necessary, and one bundled transfer run from the all-receive start
+    (:func:`~iafeas.allocation.run_ptt_symmetric` with ``seed=None``)
+    decides it: it balances exactly when the plain properness run does,
+    and a stuck run's witness is a properness violation.
     """
     ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
     if len(ds) != 1:
@@ -372,11 +261,10 @@ def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
         return ClosedForm(
             "divisible", False, reason="d divides neither all N_k nor all M_k"
         )
-    assign, cut_cells = _flow_solve(_bundled_instance(cfg, d, over_q=div_n))
-    if assign is not None:
+    run = run_ptt_symmetric(cfg, seed=None)
+    if run.balanced:
         return ClosedForm("divisible", True, feasible=True)
-    witness = _witness_from_tree(cfg, cut_cells)
-    return ClosedForm("divisible", True, feasible=False, witness=witness)
+    return ClosedForm("divisible", True, feasible=False, witness=run.witness)
 
 
 # ---------------------------------------------------------------------------

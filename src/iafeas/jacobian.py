@@ -156,15 +156,16 @@ def _check_channels(cfg: NetworkConfig, channels: ChannelSet) -> None:
         raise ValueError("channel set was sampled for a different configuration")
 
 
-def build_jacobian(cfg: NetworkConfig, channels: ChannelSet) -> AlignmentJacobian:
-    """Assemble the coefficient matrix from sampled channels.
+def _place(cfg: NetworkConfig, channels: ChannelSet, tilde) -> np.ndarray:
+    """The one placement loop: linear coefficients at a reduced point.
 
-    Works for complex and prime-field channels alike; placement only reads
-    channel entries, never the field. Each row touches two column blocks:
-    the decorrelator block of its receiver and the precoder block of its
-    transmitter.
+    Row (k, j, p, q) holds row p of U_k^H H_kj, restricted to the free
+    precoder entries, in transmitter j's block for stream q, and column q
+    of H_kj V_j, restricted to the free decorrelator entries, in receiver
+    k's block for stream p. ``tilde=None`` is the origin, where those are
+    plain channel slices: no matrix products, and the matrix keeps the
+    channels' field (complex128, or int64 residues for a prime).
     """
-    _check_channels(cfg, channels)
     C, V = system_shape(cfg)
     dtype = np.complex128 if channels.is_complex else np.int64
     A = np.zeros((C, V), dtype=dtype)
@@ -178,15 +179,35 @@ def build_jacobian(cfg: NetworkConfig, channels: ChannelSet) -> AlignmentJacobia
         dk, dj = cfg.d(k), cfg.d(j)
         un = cfg.N(k) - dk
         vm = cfg.M(j) - dj
-        base = rowoffs[(k, j)]
-        for p in range(1, dk + 1):
-            for q in range(1, dj + 1):
-                r = base + (p - 1) * dj + (q - 1)
-                ucol = uoffs[k] + (p - 1) * un
-                A[r, ucol : ucol + un] = H[dk:, q - 1]
-                vcol = voffs[j] + (q - 1) * vm
-                A[r, vcol : vcol + vm] = H[p - 1, dj:]
-    return AlignmentJacobian(cfg=cfg, field=channels.field, matrix=A)
+        # U_k^H H_kj and H_kj V_j; at the origin the loop reads their rows
+        # and columns straight from H_kj (the first d_k rows, d_j columns)
+        UH = HV = H
+        if tilde is not None:
+            UH = H[:dk, :] + tilde.u[k - 1].T @ H[dk:, :]
+            HV = H[:, :dj] + H[:, dj:] @ tilde.v[j - 1]
+        r = rowoffs[(k, j)]
+        for p in range(dk):
+            ucol = uoffs[k] + p * un
+            for q in range(dj):
+                vcol = voffs[j] + q * vm
+                A[r, ucol : ucol + un] = HV[dk:, q]
+                A[r, vcol : vcol + vm] = UH[p, dj:]
+                r += 1
+    return A
+
+
+def build_jacobian(cfg: NetworkConfig, channels: ChannelSet) -> AlignmentJacobian:
+    """Assemble the coefficient matrix from sampled channels.
+
+    Works for complex and prime-field channels alike; placement only reads
+    channel entries, never the field. Each row touches two column blocks:
+    the decorrelator block of its receiver and the precoder block of its
+    transmitter.
+    """
+    _check_channels(cfg, channels)
+    return AlignmentJacobian(
+        cfg=cfg, field=channels.field, matrix=_place(cfg, channels, None)
+    )
 
 
 def residuals(
@@ -232,30 +253,7 @@ def residual_jacobian(
     """
     _check_channels(cfg, channels)
     channels.require_complex()
-    C, V = system_shape(cfg)
-    J = np.zeros((C, V), dtype=np.complex128)
-    rowoffs = _row_offsets(cfg)
-    uoffs, du = _u_offsets(cfg)
-    voffs = _v_offsets(cfg, du)
-    for k, j in cfg.cross_pairs():
-        H = channels.cross[(k, j)]
-        dk, dj = cfg.d(k), cfg.d(j)
-        un = cfg.N(k) - dk
-        vm = cfg.M(j) - dj
-        W = tilde.u[k - 1]
-        T = tilde.v[j - 1]
-        # U_k^H H_kj and H_kj V_j for the current point
-        UH = H[:dk, :] + W.T @ H[dk:, :]
-        HV = H[:, :dj] + H[:, dj:] @ T
-        base = rowoffs[(k, j)]
-        for p in range(1, dk + 1):
-            for q in range(1, dj + 1):
-                r = base + (p - 1) * dj + (q - 1)
-                ucol = uoffs[k] + (p - 1) * un
-                J[r, ucol : ucol + un] = HV[dk:, q - 1]
-                vcol = voffs[j] + (q - 1) * vm
-                J[r, vcol : vcol + vm] = UH[p - 1, dj:]
-    return J
+    return _place(cfg, channels, tilde)
 
 
 def parse_dump(text: str):

@@ -3,12 +3,13 @@
 ``feasibility_report`` chains every decision layer on one configuration:
 
 1. necessary counting checks (stream support, antenna budget, properness
-   decided by the transfer engine), stopping at the first violation;
+   decided by the transfer engine), stopping at the first violation
+   (:func:`necessary_verdict`);
 2. closed-form families (symmetric, divisible) that settle feasibility
    exactly on their domains;
 3. an allocation certificate: a capacity-respecting, stream-uniform
-   constraint allocation, taken from the properness run or rebuilt by the
-   bundled transfer engine;
+   constraint allocation, taken from the properness run or, where the
+   divisible family applies, rebuilt by the bundled transfer engine;
 4. the randomized rank test on the alignment system's coefficient matrix,
    which certifies generic feasibility when any trial has full row rank.
 
@@ -31,12 +32,7 @@ from .allocation import (
     verify_allocation,
 )
 from .conditions import (
-    BUDGET_CHECK,
     MAX_BUDGET_PAIRS,
-    PROPERNESS_CHECK,
-    STREAM_CHECK,
-    ClosedForm,
-    NecessaryReport,
     check_antenna_budget,
     check_stream_support,
     divisible_feasible,
@@ -51,6 +47,63 @@ from .witnesses import SubsetWitness
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
 UNDETERMINED = "UNDETERMINED"
+
+STREAM_CHECK = "stream_support"
+BUDGET_CHECK = "antenna_budget"
+PROPERNESS_CHECK = "properness"
+
+
+@dataclass(frozen=True)
+class NecessaryReport:
+    """Outcome of the chained necessary checks.
+
+    ``witness`` carries the first violation (None when all pass).
+    ``skipped`` lists checks not run: the antenna budget beyond K = 12, and
+    every check after a violation. ``policy`` is the capacity-respecting
+    allocation the properness run found, when all checks pass; it is a
+    by-product for the allocation certificate and stays out of
+    :meth:`to_dict`.
+    """
+
+    passed: bool
+    witness: SubsetWitness | None
+    checks: tuple
+    skipped: tuple
+    policy: AllocationPolicy | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "witness": None if self.witness is None else self.witness.to_dict(),
+            "checks": list(self.checks),
+            "skipped": list(self.skipped),
+        }
+
+
+def necessary_verdict(cfg: NetworkConfig) -> NecessaryReport:
+    """Run stream support, antenna budget, then properness, in that order.
+
+    Stops at the first violation and lists the checks after it as skipped.
+    The antenna budget scan is skipped above K = 12.
+    """
+    checks = [STREAM_CHECK]
+    w = check_stream_support(cfg)
+    if w is not None:
+        return NecessaryReport(False, w, tuple(checks), (BUDGET_CHECK, PROPERNESS_CHECK))
+
+    skipped = []
+    if cfg.K > MAX_BUDGET_PAIRS:
+        skipped.append(BUDGET_CHECK)
+    else:
+        checks.append(BUDGET_CHECK)
+        w = check_antenna_budget(cfg)
+        if w is not None:
+            skipped.append(PROPERNESS_CHECK)
+            return NecessaryReport(False, w, tuple(checks), tuple(skipped))
+
+    checks.append(PROPERNESS_CHECK)
+    policy, w = flow_feasibility(cfg)
+    return NecessaryReport(w is None, w, tuple(checks), tuple(skipped), policy)
 
 
 @dataclass(frozen=True)
@@ -106,48 +159,6 @@ class VerdictReport:
         }
 
 
-def _necessary_with_policy(cfg: NetworkConfig):
-    """Necessary chain that also hands back the properness run's policy."""
-    checks = []
-    skipped = []
-    policy = None
-
-    checks.append(STREAM_CHECK)
-    w = check_stream_support(cfg)
-    if w is not None:
-        skipped.extend((BUDGET_CHECK, PROPERNESS_CHECK))
-        return NecessaryReport(False, w, tuple(checks), tuple(skipped)), None
-
-    if cfg.K > MAX_BUDGET_PAIRS:
-        skipped.append(BUDGET_CHECK)
-    else:
-        checks.append(BUDGET_CHECK)
-        w = check_antenna_budget(cfg)
-        if w is not None:
-            skipped.append(PROPERNESS_CHECK)
-            return NecessaryReport(False, w, tuple(checks), tuple(skipped)), None
-
-    checks.append(PROPERNESS_CHECK)
-    policy, w = flow_feasibility(cfg)
-    if w is not None:
-        return NecessaryReport(False, w, tuple(checks), tuple(skipped)), None
-    return NecessaryReport(True, None, tuple(checks), tuple(skipped)), policy
-
-
-def _closed_forms(cfg: NetworkConfig) -> tuple:
-    return (symmetric_feasible(cfg), divisible_feasible(cfg))
-
-
-def _symmetric_variant_applies(cfg: NetworkConfig) -> bool:
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        return False
-    d = ds.pop()
-    return all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1)) or all(
-        cfg.M(k) % d == 0 for k in range(1, cfg.K + 1)
-    )
-
-
 def _solver_section(cfg, seed, tol, verdict) -> dict:
     channels = sample_channels(cfg, seed=seed, include_direct=True)
     am = alt_min(cfg, channels, tol=1e-10)
@@ -193,26 +204,26 @@ def feasibility_report(
     UNDETERMINED. ``seed`` drives both the rank trials and the solvers,
     and reports contain no volatile data, so reruns are bit-identical.
     """
-    necessary, policy = _necessary_with_policy(cfg)
+    necessary = necessary_verdict(cfg)
 
     closed: tuple = ()
     alloc = None
     alloc_report = None
     alloc_source = None
     if necessary.passed:
-        closed = _closed_forms(cfg)
-        if policy is not None:
-            alloc = policy
-            alloc_source = "transfer"
-            alloc_report = verify_allocation(cfg, alloc)
-            if not alloc_report.certificate and _symmetric_variant_applies(cfg):
-                ptt = run_ptt_symmetric(cfg, seed=seed)
-                if ptt.balanced:
-                    candidate = verify_allocation(cfg, ptt.alloc)
-                    if candidate.certificate:
-                        alloc = ptt.alloc
-                        alloc_report = candidate
-                        alloc_source = "symmetric-transfer"
+        closed = (symmetric_feasible(cfg), divisible_feasible(cfg))
+        alloc = necessary.policy
+        alloc_source = "transfer"
+        alloc_report = verify_allocation(cfg, alloc)
+        # the bundled run applies exactly where the divisible family does
+        if not alloc_report.certificate and closed[1].applicable:
+            ptt = run_ptt_symmetric(cfg, seed=seed)
+            if ptt.balanced:
+                candidate = verify_allocation(cfg, ptt.alloc)
+                if candidate.certificate:
+                    alloc = ptt.alloc
+                    alloc_report = candidate
+                    alloc_source = "symmetric-transfer"
 
     rank = generic_full_row_rank(cfg, trials=trials, mode=mode, seed=seed, p=p)
 

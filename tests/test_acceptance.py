@@ -18,7 +18,7 @@ from iafeas import (
     divisible_feasible,
     enumerate_properness_violation,
     feasibility_report,
-    flow_feasible,
+    flow_feasibility,
     gauss_newton_multistart,
     generic_full_row_rank,
     init_allocation,
@@ -102,14 +102,14 @@ def test_criterion_4_transfer_flow_enumeration_equivalence():
 
     The three independent methods are the transfer engine from a random
     start, the augmenting-path max-flow oracle of the tests and the
-    exhaustive link-subset scan; ``flow_feasible``, the package's own
+    exhaustive link-subset scan; ``flow_feasibility``, the package's own
     properness decision, rides along as a fourth column.
     """
     for i, cfg in enumerate(shared_random_grid()):
         balanced = run_ptt(cfg, init_allocation(cfg, seed=i)).balanced
         by_oracle = max_allocation(cfg) == len(list(cfg.quads()))
         by_enum = enumerate_properness_violation(cfg) is None
-        by_package = flow_feasible(cfg) is not None
+        by_package = flow_feasibility(cfg)[0] is not None
         assert balanced == by_oracle == by_enum == by_package, cfg.describe()
 
 
@@ -118,7 +118,7 @@ def test_criterion_5_certificates_imply_full_rank():
     certified = 0
     for i, cfg in enumerate(shared_random_grid()):
         allocations = []
-        flow = flow_feasible(cfg)
+        flow, _ = flow_feasibility(cfg)
         if flow is not None:
             allocations.append(flow)
         ptt = run_ptt(cfg, init_allocation(cfg, seed=i))

@@ -11,7 +11,6 @@ from iafeas import (
     config_from_dict,
     enumerate_properness_violation,
     flow_feasibility,
-    flow_feasible,
     init_allocation,
     pressures,
     run_ptt,
@@ -285,21 +284,32 @@ def test_flow_feasibility_witness_numbers():
     assert (wit.lhs, wit.rhs) == (8, 12)
 
 
-def test_flow_feasible_bundled():
+def test_run_ptt_symmetric_all_receive_start():
     cfg = NetworkConfig.symmetric(3, 6, 4, 2)
-    alloc = flow_feasible(cfg, enforce_q_symmetry=True)
-    assert alloc is not None
-    rep = verify_allocation(cfg, alloc)
+    res = run_ptt_symmetric(cfg, seed=None)
+    assert res.balanced
+    rep = verify_allocation(cfg, res.alloc)
     assert rep.certificate and rep.uniform_over_q
 
-    assert flow_feasible(NetworkConfig.symmetric(4, 2, 4, 2), enforce_q_symmetry=True) is None
+    # d divides the transmit antennas only: bundles span receive streams
+    cfg = NetworkConfig.symmetric(3, 4, 5, 2)
+    res = run_ptt_symmetric(cfg, seed=None)
+    assert res.balanced
+    assert verify_allocation(cfg, res.alloc).uniform_over_p
 
-    with pytest.raises(ValueError, match="divide every N_k"):
-        flow_feasible(NetworkConfig.symmetric(3, 4, 5, 2), enforce_q_symmetry=True)
+    cfg = NetworkConfig.symmetric(4, 2, 4, 2)
+    res = run_ptt_symmetric(cfg, seed=None)
+    assert not res.balanced and res.witness.holds(cfg)
+
+    # one stream per pair: the bundled run is the properness run itself
+    for cfg in (RING, NetworkConfig.from_tuples([(3, 2, 1), (2, 4, 1), (2, 2, 1)])):
+        alloc, _ = flow_feasibility(cfg)
+        assert run_ptt_symmetric(cfg, seed=None).alloc.sides() == alloc.sides()
+    assert run_ptt_symmetric(RING4, seed=None).witness == flow_feasibility(RING4)[1]
+
     with pytest.raises(ValueError, match="common stream count"):
-        flow_feasible(
-            NetworkConfig.from_tuples([(4, 4, 2), (4, 4, 1), (4, 4, 1)]),
-            enforce_q_symmetry=True,
+        run_ptt_symmetric(
+            NetworkConfig.from_tuples([(4, 4, 2), (4, 4, 1), (4, 4, 1)]), seed=None
         )
 
 

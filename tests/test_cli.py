@@ -313,6 +313,53 @@ def test_sweep_configs_file_and_workers(tmp_path, capsys):
     assert out2 == out1
 
 
+def test_sweep_pool_is_capped_by_cores_and_chunks(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and maps in-process; starts no processes."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(iafeas.cli, "ProcessPoolExecutor", RecordingPool)
+    grid = ("sweep", "--K", "3", "--M", "2:4", "--d", "1")  # 3 configs
+    _, serial, _ = run(capsys, *grid)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, out, _ = run(capsys, *grid, "--workers", "8")
+    assert code == 0 and out == serial
+    assert sizes == [3]  # three chunks of one config
+
+    code, _, _ = run(capsys, "sweep", "--K", "3:6", "--M", "2:4", "--d", "1",
+                     "--workers", "8")
+    assert code == 0 and sizes == [3, 4]  # 12 configs, four cores
+
+    for cores in (1, None):  # one core, or a count the platform cannot tell
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, out, _ = run(capsys, *grid, "--workers", "8")
+        assert code == 0 and out == serial
+    assert sizes == [3, 4]  # serial: no pool
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_fewer_than_one_worker(capsys, workers):
+    code, out, err = run(capsys, "sweep", "--K", "3", "--M", "2", "--d", "1",
+                         f"--workers={workers}")
+    assert code == 3
+    assert out == ""
+    assert "--workers" in err
+
+
 def test_sweep_bad_grids(tmp_path, capsys):
     code, _, err = run(capsys, "sweep")
     assert code == 3 and "sweep needs" in err

@@ -6,11 +6,10 @@ import pytest
 from iafeas import (
     NetworkConfig,
     check_antenna_budget,
-    check_properness,
     check_stream_support,
     divisible_feasible,
     enumerate_properness_violation,
-    flow_feasible,
+    flow_feasibility,
     generic_full_row_rank,
     necessary_verdict,
     scaling_check,
@@ -28,10 +27,8 @@ def test_stream_support():
     assert (w.pair, w.lhs, w.rhs) == (2, 2, 3)
     assert w.holds(NetworkConfig.from_tuples([(2, 2, 1), (2, 3, 3)]))
 
-    both = check_stream_support(
-        NetworkConfig.from_tuples([(1, 1, 2), (1, 1, 2)]), collect_all=True
-    )
-    assert len(both) == 2
+    # of two violating pairs, the first is reported
+    assert check_stream_support(NetworkConfig.from_tuples([(1, 1, 2), (1, 1, 2)])).pair == 1
 
 
 def test_antenna_budget_violation():
@@ -47,10 +44,6 @@ def test_antenna_budget_violation():
     assert (w.lhs, w.rhs) == (2, 4)
     assert w.holds(cfg)
     assert w.links == frozenset({(1, 3)})
-
-    allw = check_antenna_budget(cfg, collect_all=True)
-    assert len(allw) > 1
-    assert any(x.rx_set == frozenset({1, 2}) for x in allw)
 
 
 def test_antenna_budget_passes_balanced():
@@ -102,7 +95,7 @@ def test_properness_flow_and_enumeration_agree():
     for _ in range(40):
         cfg = random_config(rng)
         enum = enumerate_properness_violation(cfg)
-        flow = check_properness(cfg)
+        _, flow = flow_feasibility(cfg)
         assert (enum is None) == (flow is None), cfg.describe()
         if enum is not None:
             assert enum.holds(cfg)
@@ -116,7 +109,8 @@ def test_enumeration_caps_network_size():
 
 
 def test_properness_witness_serializes():
-    w = check_properness(NetworkConfig.symmetric(4, 2, 2, 1))
+    alloc, w = flow_feasibility(NetworkConfig.symmetric(4, 2, 2, 1))
+    assert alloc is None
     d = w.to_dict()
     assert d["kind"] == "properness"
     assert d["lhs"] < d["rhs"]
@@ -127,6 +121,9 @@ def test_necessary_verdict_order_and_skips():
     rep = necessary_verdict(NetworkConfig.symmetric(3, 2, 2, 1))
     assert rep.passed and rep.witness is None
     assert rep.checks == ("stream_support", "antenna_budget", "properness")
+    # the properness run's allocation rides along but stays out of the JSON
+    assert rep.policy == flow_feasibility(NetworkConfig.symmetric(3, 2, 2, 1))[0]
+    assert "policy" not in rep.to_dict()
 
     # stream violation wins and the properness check is skipped
     rep = necessary_verdict(NetworkConfig.from_tuples([(1, 1, 2), (3, 3, 1)]))
@@ -139,13 +136,16 @@ def test_necessary_verdict_order_and_skips():
     assert rep.witness.kind == "properness"
 
 
-def test_necessary_verdict_collect_all():
+def test_necessary_verdict_stops_at_first_violation():
+    # budget and properness both fail; the chain reports the budget witness
     cfg = NetworkConfig.from_tuples([(6, 2, 2), (6, 2, 2), (2, 6, 2), (2, 2, 2)])
-    rep = necessary_verdict(cfg, collect_all=True)
+    assert flow_feasibility(cfg)[1] is not None
+    rep = necessary_verdict(cfg)
     assert not rep.passed
-    kinds = {w.kind for w in rep.witnesses}
-    assert "antenna_budget" in kinds
-    assert rep.witness == rep.witnesses[0]
+    assert rep.witness == check_antenna_budget(cfg)
+    assert rep.checks == ("stream_support", "antenna_budget")
+    assert rep.skipped == ("properness",)
+    assert rep.policy is None
 
 
 @pytest.mark.parametrize(
@@ -216,18 +216,11 @@ def test_divisible_closed_form_matches_rank_spot_checks():
         assert cf.feasible == rank.full_row_rank, cfg.describe()
 
 
-def test_flow_feasible_wrapper():
-    assert flow_feasible(NetworkConfig.symmetric(3, 2, 2, 1)) is not None
-    assert flow_feasible(NetworkConfig.symmetric(4, 2, 2, 1)) is None
-
-
 def test_properness_needs_stream_support():
     # N_1 - d_1 = -1: no allocation meets a negative cap
     cfg = NetworkConfig.from_tuples([(3, 1, 2), (3, 3, 1), (3, 3, 1)])
     with pytest.raises(ValueError, match="admissible"):
-        check_properness(cfg)
-    with pytest.raises(ValueError, match="admissible"):
-        flow_feasible(cfg)
+        flow_feasibility(cfg)
 
 
 def test_scaling_check():

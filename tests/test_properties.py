@@ -13,6 +13,7 @@ from iafeas import (
     pressures,
     row_index,
     run_ptt,
+    run_ptt_symmetric,
     scale_config,
     system_shape,
     verify_allocation,
@@ -90,3 +91,29 @@ def test_all_receive_transfer_run_matches_max_flow_oracle(cfg):
         assert witness is None and alloc.sides() == res.alloc.sides()
     else:
         assert alloc is None and witness == res.witness
+
+
+@st.composite
+def divisible_networks(draw):
+    """Equal-stream networks where d divides every N_k or every M_k."""
+    d = draw(st.integers(1, 3))
+    over_n = draw(st.booleans())
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        split = d * draw(st.integers(1, 4))
+        other = draw(st.integers(d, 9))
+        out.append((other, split, d) if over_n else (split, other, d))
+    return NetworkConfig.from_tuples(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisible_networks())
+def test_bundled_run_agrees_with_plain_properness_run(cfg):
+    # divisible_feasible decides by the bundled run; properness is the
+    # plain run, so the two must balance together
+    bundled = run_ptt_symmetric(cfg, seed=None)
+    _, witness = flow_feasibility(cfg)
+    assert bundled.balanced == (witness is None)
+    if not bundled.balanced:
+        assert bundled.witness.holds(cfg)
+        assert witness.holds(cfg)
