@@ -29,6 +29,25 @@ update works through its columns in slices of at most 256, reusing one
 slice's work arrays, so that a large update does not page in a dozen
 temporaries of its full size.
 
+In prime-field mode the C x V matrix A is never formed whole. Row
+(k, j, p, q) puts ``H_kj[d_k:, q]`` in receiver k's decorrelator block for
+stream p, an entry that depends on p only through that placement. So the
+decorrelator columns X of A = [X Y] are block diagonal, with d_k copies
+per receiver of ``G_k[(j, q), n] = H_kj[d_k + n, q]``, a
+sum_{j != k} d_j x (N_k - d_k) matrix. Over any field, rank [X Y] =
+rank X + rank(Q Y) when the rows of Q are a basis of the left null space
+of X: completing Q to an invertible P = [P1; Q] gives
+P A = [[P1 X, P1 Y], [0, Q Y]] with P1 X of full row rank, so a vanishing
+combination of the rows has no part from the top block. Hence
+
+    rank A = sum_k d_k rank G_k + rank R,
+    R[(k, p, i), (j, q, m)] = Z_k[i, (j, q)] * H_kj[p, d_j + m],
+
+where the rows of Z_k are a basis of the left null space of G_k over
+GF(p). One small elimination per receiver gives rank G_k and Z_k, and the
+kernel ranks R: C - sum_k d_k rank G_k rows and only the precoder
+columns, 760 x 760 instead of 1520 x 1520 at (21x21,2)^20.
+
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization; the converse does not hold in
 general, so a deficient verdict alone never proves infeasibility.
@@ -40,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import sample_channels
+from .channels import ChannelSet, sample_channels
 from .config import NetworkConfig, system_shape
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
@@ -236,7 +255,7 @@ def _eliminate(A, r, c0, c1, p, pivots):
     return r2, (r1 - r, left, right)
 
 
-def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
+def gf_rank(matrix, p: int = DEFAULT_PRIME, *, _valid_modulus: bool = False) -> int:
     """Exact rank over the prime field GF(p).
 
     Recursive column-halving elimination: leaves of at most 16 columns
@@ -245,10 +264,15 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on operands
     split into 16-bit halves. Every partial sum stays below 2**53 (see the
     module docstring), so the result is exact for every accepted prime.
+
+    Entries may be any integers that fit int64; they are reduced modulo p
+    first. ``_valid_modulus`` is for callers inside this module that have
+    validated ``p`` already.
     """
-    p = validate_field(p)
-    if p == COMPLEX:
-        raise ValueError("gf_rank needs a prime modulus")
+    if not _valid_modulus:
+        p = validate_field(p)
+        if p == COMPLEX:
+            raise ValueError("gf_rank needs a prime modulus")
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("rank needs a 2-d matrix")
@@ -259,6 +283,116 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     if m == 0 or n == 0:
         return 0
     return _eliminate(A, 0, 0, n, p, [])[0]
+
+
+def _left_null_bases(G: np.ndarray, p: int) -> list:
+    """Rank and a left null space basis over GF(p) of each matrix in a stack.
+
+    ``G`` has shape (B, rows, n). Returns, per matrix, ``(rank, Z)`` where
+    the ``rows - rank`` rows of Z are a basis of the vectors z with
+    ``z @ G = 0``. The stack is eliminated in lockstep on ``[G | I]``,
+    fraction-free: a row below the pivot becomes ``pivot * row - entry *
+    pivot_row``, an invertible row operation that needs no modular
+    inverse; each product is below 2**62, so the difference fits int64.
+    Rows that end with a zero G part hold, in their I part, independent
+    combinations that annihilate G.
+    """
+    B, rows, n = G.shape
+    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (B, rows, rows))
+    A = np.concatenate([G, eye], axis=2)
+    out = [None] * B
+    _eliminate_stack(A, np.arange(B), 0, 0, n, p, out)
+    return out
+
+
+def _eliminate_stack(A, ids, r, c, n, p, out) -> None:
+    """Eliminate columns ``c:n`` of every matrix in ``A`` below row ``r``.
+
+    All matrices share the pivot row. A matrix with no pivot in a column
+    splits off and continues on its own from the next column.
+    """
+    rows = A.shape[1]
+    while c < n and r < rows:
+        nonzero = A[:, r:, c] != 0
+        has = nonzero.any(axis=1)
+        if not has.all():
+            _eliminate_stack(A[~has], ids[~has], r, c + 1, n, p, out)
+            A, ids, nonzero = A[has], ids[has], nonzero[has]
+            if not len(ids):
+                return
+        b = np.arange(len(ids))
+        i = r + nonzero.argmax(axis=1)
+        top = A[b, r]
+        A[b, r] = A[b, i]
+        A[b, i] = top
+        below = A[:, r + 1 :, c:]
+        entry = below[:, :, :1].copy()
+        below *= A[:, r, c, None, None]
+        below -= entry * A[:, r, None, c:]
+        np.remainder(below, p, out=below)
+        r += 1
+        c += 1
+    for b, k in enumerate(ids):
+        out[k] = (r, A[b, r:, n:])
+
+
+def _project_decorrelators(
+    cfg: NetworkConfig, channels: ChannelSet, p: int
+) -> tuple[int, np.ndarray]:
+    """Split the coefficient matrix's rank into a sum over GF(p).
+
+    Returns ``sum_k d_k * rank G_k`` and the reduced precoder matrix R (see
+    the module docstring); the rank of the full matrix is the first plus
+    ``gf_rank(R)``. R's rows are ordered (k, p, i), its columns are the
+    precoder columns of the full matrix in their order, and its entries are
+    unreduced products of two residues, below 2**62.
+    """
+    K = cfg.K
+    d = [pair.d for pair in cfg.pairs]
+    vm = [pair.M - pair.d for pair in cfg.pairs]
+    # R is formed on a padded grid: stream slots (j, q) of K x D, precoder
+    # columns (j, q, m) of K x D x W; the masks keep the slots that exist
+    D, W = max(d), max(vm)
+    streams = np.arange(D) < np.array(d)[:, None]
+    free = np.arange(W) < np.array(vm)[:, None]
+    keep = (streams[:, :, None] & free[:, None, :]).ravel()
+
+    # per receiver k: G_k, and H_kj[:d_k, d_j:] at transmitter slot j
+    G, Hp = [], []
+    for k in range(K):
+        blocks = []
+        h = np.zeros((d[k], K, W), dtype=np.int64)
+        for j in range(K):
+            if j != k:
+                H = channels.cross[(k + 1, j + 1)]
+                blocks.append(H[d[k] :, : d[j]].T)
+                h[:, j, : vm[j]] = H[: d[k], d[j] :]
+        G.append(np.concatenate(blocks))
+        Hp.append(h)
+
+    # receivers whose G_k have one shape are eliminated as one stack
+    groups = {}
+    for k, g in enumerate(G):
+        groups.setdefault(g.shape, []).append(k)
+    null = [None] * K
+    for group in groups.values():
+        stack = np.stack([G[k] for k in group])
+        for k, res in zip(group, _left_null_bases(stack, p)):
+            null[k] = res
+
+    projected = 0
+    rows = []
+    for k, (rank_k, Z) in enumerate(null):
+        projected += d[k] * rank_k
+        if len(Z):
+            own = streams.copy()
+            own[k] = False
+            Zp = np.zeros((len(Z), K, D), dtype=np.int64)
+            Zp[:, own] = Z
+            T = Zp[None, :, :, :, None] * Hp[k][:, None, :, None, :]
+            rows.append(T.reshape(d[k] * len(Z), K * D * W))
+    R = np.concatenate(rows) if rows else np.zeros((0, K * D * W), dtype=np.int64)
+    return projected, R if keep.all() else R[:, keep]
 
 
 @dataclass(frozen=True)
@@ -327,7 +461,9 @@ def generic_full_row_rank(
     """Decide whether the coefficient matrix generically has full row rank.
 
     Draws up to ``trials`` independent channel realizations (seeds derived
-    deterministically from ``seed``) and ranks each matrix. The first
+    deterministically from ``seed``) and ranks each matrix; in prime-field
+    mode through the decorrelator projection of the module docstring,
+    which gives the same rank without forming the matrix. The first
     full-rank draw settles the verdict, since a specialization can never
     exceed the generic rank; repeated deficient draws shrink the chance
     that deficiency is bad luck rather than structure.
@@ -368,13 +504,13 @@ def generic_full_row_rank(
     used = []
     tol = None
     for ts in seeds:
-        field = COMPLEX if mode == "numeric" else modulus
-        ch = sample_channels(cfg, ts, field=field)
-        A = build_jacobian(cfg, ch).matrix
         if mode == "numeric":
-            r, tol = _svd_rank(A, rel_factor)
+            ch = sample_channels(cfg, ts, field=COMPLEX)
+            r, tol = _svd_rank(build_jacobian(cfg, ch).matrix, rel_factor)
         else:
-            r = gf_rank(A, modulus)
+            ch = sample_channels(cfg, ts, field=modulus)
+            projected, R = _project_decorrelators(cfg, ch, modulus)
+            r = projected + gf_rank(R, modulus, _valid_modulus=True)
         ranks.append(r)
         used.append(ts)
         if r == C:

@@ -4,7 +4,9 @@
 and the JSON that ``iafeas check CONFIG --seed 0 --mode gf`` printed when
 the file was made. Refactors must leave these reports byte for byte the
 same. The list covers every rule, the budget check skipped above K = 12
-((8x8,1)^13) and the bundled allocation source ((6x4,2)^4).
+((8x8,1)^13), the bundled allocation source ((6x4,2)^4), and two rank
+tests over many receivers: a K = 14 network with streams 1 to 3
+(C = 668) and (8x8,2)^6 (C = 120).
 """
 
 import json

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import iafeas.channels
+import iafeas.rank
 from iafeas import (
+    ChannelSet,
     NetworkConfig,
     build_jacobian,
     generic_full_row_rank,
     gf_rank,
     numeric_rank,
     sample_channels,
+    system_shape,
 )
-from iafeas.rank import _SLICE_COLUMNS
+from iafeas.rank import _SLICE_COLUMNS, _project_decorrelators
 
 from helpers import gf_rank_reference, random_config
 
@@ -52,6 +56,12 @@ def test_gf_rank_small_cases():
     p = PRIME
     assert gf_rank(np.array([[p - 1, p - 1], [p - 1, p - 1]], dtype=np.int64), p) == 1
     assert gf_rank(np.array([[p, 0], [0, 1]], dtype=np.int64), p) == 1
+
+
+def test_gf_rank_rejects_invalid_modulus():
+    for bad in (4, (1 << 20) + 1, 1 << 31, "complex"):
+        with pytest.raises(ValueError):
+            gf_rank(np.eye(2, dtype=np.int64), bad)
 
 
 def test_gf_rank_rejects_float():
@@ -201,3 +211,127 @@ def test_verdict_to_dict_is_json_friendly():
     v = generic_full_row_rank(cfg)
     text = json.dumps(v.to_dict())
     assert "full_row_rank" in text
+
+
+# ---------------------------------------------------------------------------
+# prime-field generic rank: the decorrelator projection
+# ---------------------------------------------------------------------------
+
+
+def _g_rank_sum(cfg, ch, p):
+    """sum_k d_k * rank G_k, with G_k[(j, q), n] = H_kj[d_k + n, q]."""
+    total = 0
+    for k in range(1, cfg.K + 1):
+        dk = cfg.d(k)
+        G = np.vstack(
+            [ch.cross[(k, j)][dk:, : cfg.d(j)].T for j in range(1, cfg.K + 1) if j != k]
+        )
+        total += dk * gf_rank_reference(G, p)
+    return total
+
+
+@st.composite
+def _square_or_wide_configs(draw):
+    """K 2-6, d <= 3, antennas d plus a slack that may be 0; C <= V."""
+    K = draw(st.integers(2, 6))
+    slack = st.integers(0, 2 * K)
+    pairs = []
+    for _ in range(K):
+        d = draw(st.integers(1, 3))
+        pairs.append((d + draw(slack), d + draw(slack), d))
+    cfg = NetworkConfig.from_tuples(pairs)
+    C, V = system_shape(cfg)
+    assume(C <= V)
+    return cfg
+
+
+_EMPTY_BLOCKS = NetworkConfig.from_tuples([(3, 1, 1), (1, 3, 1), (3, 3, 1)])
+_EMPTY_BLOCKS_D2 = NetworkConfig.from_tuples([(6, 2, 2), (2, 6, 2), (6, 6, 2), (5, 5, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _square_or_wide_configs(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1048583, PRIME]),
+)
+# N_1 = d_1 (G_1 has no columns) and M_2 = d_2 (pair 2 has no precoder columns)
+@example(_EMPTY_BLOCKS, False, 0, PRIME)
+@example(_EMPTY_BLOCKS, True, 0, PRIME)
+@example(_EMPTY_BLOCKS_D2, False, 1, PRIME)
+@example(_EMPTY_BLOCKS_D2, True, 3, 1048583)
+def test_projected_rank_equals_full_matrix_rank(cfg, binary, seed, p):
+    # 0/1 channels make zero pivots and rank-deficient G_k common
+    if binary:
+        rng = np.random.default_rng(seed)
+        cross = {
+            (k, j): rng.integers(0, 2, size=(cfg.N(k), cfg.M(j)))
+            for k, j in cfg.cross_pairs()
+        }
+        ch = ChannelSet(cfg=cfg, field=p, seed=seed, cross=cross, direct={})
+    else:
+        ch = sample_channels(cfg, seed, field=p)
+    projected, R = _project_decorrelators(cfg, ch, p)
+    C, _ = system_shape(cfg)
+    precoder_cols = sum((cfg.M(j) - cfg.d(j)) * cfg.d(j) for j in range(1, cfg.K + 1))
+    assert projected == _g_rank_sum(cfg, ch, p)
+    assert R.shape == (C - projected, precoder_cols)
+    full = gf_rank_reference(build_jacobian(cfg, ch).matrix, p)
+    assert projected + gf_rank(R, p) == full
+
+
+@pytest.mark.parametrize(
+    "pairs, ranks",
+    [
+        # the README gap config: passes every counting test, rank 14 of 16
+        (((1, 1, 1), (4, 4, 2), (4, 4, 2)), (14, 14, 14)),
+        (((5, 6, 2), (2, 4, 2), (2, 5, 2)), (23, 23, 23)),
+        (((3, 3, 2),) * 2, (6, 6, 6)),
+        (((17, 17, 2),) * 16, (960,)),
+    ],
+)
+def test_generic_gf_rank_pinned_draws(pairs, ranks):
+    cfg = NetworkConfig.from_tuples(pairs)
+    v = generic_full_row_rank(cfg, mode="gf", seed=0)
+    assert v.trial_ranks == ranks
+    for ts, r in zip(v.trial_seeds, v.trial_ranks):
+        A = build_jacobian(cfg, sample_channels(cfg, ts, field=PRIME)).matrix
+        assert gf_rank_reference(A, PRIME) == r
+
+
+def test_gf_mode_ranks_the_reduced_matrix_once_per_trial(monkeypatch):
+    # the kernel sees C - sum_k d_k rank G_k rows, once per trial, and
+    # through the module attribute, where a tracer can wrap it
+    calls = []
+    kernel = iafeas.rank.gf_rank
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return kernel(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(iafeas.rank, "gf_rank", counting)
+    for pairs in [((3, 3, 2),) * 2, ((1, 1, 1), (4, 4, 2), (4, 4, 2)), ((4, 4, 1),) * 4]:
+        cfg = NetworkConfig.from_tuples(pairs)
+        calls.clear()
+        v = generic_full_row_rank(cfg, mode="gf", seed=3, trials=3)
+        assert len(calls) == v.trials
+        for shape, ts in zip(calls, v.trial_seeds):
+            ch = sample_channels(cfg, ts, field=PRIME)
+            assert shape[0] == v.C - _g_rank_sum(cfg, ch, PRIME)
+
+
+def test_gf_mode_validates_the_field_once_per_call_and_draw(monkeypatch):
+    # the boundary check in generic_full_row_rank and one per channel draw;
+    # the kernel call reuses the validated modulus
+    calls = []
+    for module in (iafeas.rank, iafeas.channels):
+        check = module.validate_field
+        monkeypatch.setattr(
+            module, "validate_field", lambda f, check=check: calls.append(f) or check(f)
+        )
+    v = generic_full_row_rank(NetworkConfig.symmetric(2, 3, 3, 2), seed=1, trials=3)
+    assert v.trials == 3
+    assert len(calls) == 1 + v.trials
+    with pytest.raises(ValueError):
+        generic_full_row_rank(NetworkConfig.symmetric(3, 2, 2, 1), p=4)
