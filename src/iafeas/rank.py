@@ -255,7 +255,7 @@ def _eliminate(A, r, c0, c1, p, pivots):
     return r2, (r1 - r, left, right)
 
 
-def gf_rank(matrix, p: int = DEFAULT_PRIME, *, _valid_modulus: bool = False) -> int:
+def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     """Exact rank over the prime field GF(p).
 
     Recursive column-halving elimination: leaves of at most 16 columns
@@ -266,13 +266,11 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME, *, _valid_modulus: bool = False) -> 
     module docstring), so the result is exact for every accepted prime.
 
     Entries may be any integers that fit int64; they are reduced modulo p
-    first. ``_valid_modulus`` is for callers inside this module that have
-    validated ``p`` already.
+    first.
     """
-    if not _valid_modulus:
-        p = validate_field(p)
-        if p == COMPLEX:
-            raise ValueError("gf_rank needs a prime modulus")
+    p = validate_field(p)
+    if p == COMPLEX:
+        raise ValueError("gf_rank needs a prime modulus")
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("rank needs a 2-d matrix")
@@ -285,55 +283,33 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME, *, _valid_modulus: bool = False) -> 
     return _eliminate(A, 0, 0, n, p, [])[0]
 
 
-def _left_null_bases(G: np.ndarray, p: int) -> list:
-    """Rank and a left null space basis over GF(p) of each matrix in a stack.
+def _left_null_basis(G: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """Rank over GF(p) of ``G`` and a basis of its left null space.
 
-    ``G`` has shape (B, rows, n). Returns, per matrix, ``(rank, Z)`` where
-    the ``rows - rank`` rows of Z are a basis of the vectors z with
-    ``z @ G = 0``. The stack is eliminated in lockstep on ``[G | I]``,
+    Returns ``(rank, Z)`` where the ``rows - rank`` rows of Z are a basis of
+    the vectors z with ``z @ G = 0``. ``[G | I]`` is eliminated
     fraction-free: a row below the pivot becomes ``pivot * row - entry *
-    pivot_row``, an invertible row operation that needs no modular
-    inverse; each product is below 2**62, so the difference fits int64.
-    Rows that end with a zero G part hold, in their I part, independent
-    combinations that annihilate G.
+    pivot_row``, an invertible row operation that needs no modular inverse;
+    each product is below 2**62, so the difference fits int64. Rows that
+    end with a zero G part hold, in their I part, independent combinations
+    that annihilate G.
     """
-    B, rows, n = G.shape
-    eye = np.broadcast_to(np.eye(rows, dtype=np.int64), (B, rows, rows))
-    A = np.concatenate([G, eye], axis=2)
-    out = [None] * B
-    _eliminate_stack(A, np.arange(B), 0, 0, n, p, out)
-    return out
-
-
-def _eliminate_stack(A, ids, r, c, n, p, out) -> None:
-    """Eliminate columns ``c:n`` of every matrix in ``A`` below row ``r``.
-
-    All matrices share the pivot row. A matrix with no pivot in a column
-    splits off and continues on its own from the next column.
-    """
-    rows = A.shape[1]
-    while c < n and r < rows:
-        nonzero = A[:, r:, c] != 0
-        has = nonzero.any(axis=1)
-        if not has.all():
-            _eliminate_stack(A[~has], ids[~has], r, c + 1, n, p, out)
-            A, ids, nonzero = A[has], ids[has], nonzero[has]
-            if not len(ids):
-                return
-        b = np.arange(len(ids))
-        i = r + nonzero.argmax(axis=1)
-        top = A[b, r]
-        A[b, r] = A[b, i]
-        A[b, i] = top
-        below = A[:, r + 1 :, c:]
-        entry = below[:, :, :1].copy()
-        below *= A[:, r, c, None, None]
-        below -= entry * A[:, r, None, c:]
-        np.remainder(below, p, out=below)
+    rows, n = G.shape
+    A = np.concatenate([G, np.eye(rows, dtype=np.int64)], axis=1)
+    r = 0
+    for c in range(n):
+        if r == rows:
+            break
+        if not A[r, c]:
+            nz = np.flatnonzero(A[r:, c])
+            if nz.size == 0:
+                continue
+            i = r + nz[0]
+            A[[r, i]] = A[[i, r]]
+        below = A[r + 1 :, c:]
+        below[:] = (below * A[r, c] - below[:, :1] * A[r, c:]) % p
         r += 1
-        c += 1
-    for b, k in enumerate(ids):
-        out[k] = (r, A[b, r:, n:])
+    return r, A[r:, n:]
 
 
 def _project_decorrelators(
@@ -357,9 +333,10 @@ def _project_decorrelators(
     free = np.arange(W) < np.array(vm)[:, None]
     keep = (streams[:, :, None] & free[:, None, :]).ravel()
 
-    # per receiver k: G_k, and H_kj[:d_k, d_j:] at transmitter slot j
-    G, Hp = [], []
+    projected = 0
+    rows = []
     for k in range(K):
+        # G_k, and H_kj[:d_k, d_j:] at transmitter slot j
         blocks = []
         h = np.zeros((d[k], K, W), dtype=np.int64)
         for j in range(K):
@@ -367,29 +344,14 @@ def _project_decorrelators(
                 H = channels.cross[(k + 1, j + 1)]
                 blocks.append(H[d[k] :, : d[j]].T)
                 h[:, j, : vm[j]] = H[: d[k], d[j] :]
-        G.append(np.concatenate(blocks))
-        Hp.append(h)
-
-    # receivers whose G_k have one shape are eliminated as one stack
-    groups = {}
-    for k, g in enumerate(G):
-        groups.setdefault(g.shape, []).append(k)
-    null = [None] * K
-    for group in groups.values():
-        stack = np.stack([G[k] for k in group])
-        for k, res in zip(group, _left_null_bases(stack, p)):
-            null[k] = res
-
-    projected = 0
-    rows = []
-    for k, (rank_k, Z) in enumerate(null):
+        rank_k, Z = _left_null_basis(np.concatenate(blocks), p)
         projected += d[k] * rank_k
         if len(Z):
             own = streams.copy()
             own[k] = False
             Zp = np.zeros((len(Z), K, D), dtype=np.int64)
             Zp[:, own] = Z
-            T = Zp[None, :, :, :, None] * Hp[k][:, None, :, None, :]
+            T = Zp[None, :, :, :, None] * h[:, None, :, None, :]
             rows.append(T.reshape(d[k] * len(Z), K * D * W))
     R = np.concatenate(rows) if rows else np.zeros((0, K * D * W), dtype=np.int64)
     return projected, R if keep.all() else R[:, keep]
@@ -510,7 +472,7 @@ def generic_full_row_rank(
         else:
             ch = sample_channels(cfg, ts, field=modulus)
             projected, R = _project_decorrelators(cfg, ch, modulus)
-            r = projected + gf_rank(R, modulus, _valid_modulus=True)
+            r = projected + gf_rank(R, modulus)
         ranks.append(r)
         used.append(ts)
         if r == C:
