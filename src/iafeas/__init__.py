@@ -25,12 +25,9 @@ from .allocation import (
 from .channels import ChannelSet, sample_channels
 from .conditions import (
     ClosedForm,
-    ScalingReport,
     check_antenna_budget,
     check_stream_support,
     divisible_feasible,
-    enumerate_properness_violation,
-    scaling_check,
     symmetric_feasible,
 )
 from .config import (
@@ -54,7 +51,7 @@ from .jacobian import (
     residuals,
     row_index,
 )
-from .rank import RankVerdict, generic_full_row_rank, gf_rank, numeric_rank
+from .rank import RankVerdict, generic_full_row_rank, gf_rank
 from .report import (
     FEASIBLE,
     INFEASIBLE,
@@ -72,7 +69,7 @@ from .solver import (
     gauss_newton_multistart,
     verify_ia,
 )
-from .transceivers import ReducedTransceivers, TransceiverSet, reconstruct
+from .transceivers import ReducedTransceivers, TransceiverSet
 from .witnesses import (
     SubsetWitness,
     properness_witness_from_cells,
@@ -100,7 +97,6 @@ __all__ = [
     "PttResult",
     "RankVerdict",
     "ReducedTransceivers",
-    "ScalingReport",
     "SolveResult",
     "SubsetWitness",
     "TransceiverSet",
@@ -116,7 +112,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "divisible_feasible",
-    "enumerate_properness_violation",
     "feasibility_report",
     "flow_feasibility",
     "gauss_newton",
@@ -126,12 +121,10 @@ __all__ = [
     "init_allocation",
     "load_config_file",
     "necessary_verdict",
-    "numeric_rank",
     "parse_dump",
     "pressures",
     "properness_witness_from_cells",
     "properness_witness_from_links",
-    "reconstruct",
     "residual_jacobian",
     "residuals",
     "row_index",
@@ -139,7 +132,6 @@ __all__ = [
     "run_ptt_symmetric",
     "sample_channels",
     "scale_config",
-    "scaling_check",
     "symmetric_feasible",
     "system_shape",
     "validate_config",

@@ -14,13 +14,16 @@ moving constraints along pressure-transfer trees, one unit at a time,
 either reaching a balanced state or getting stuck in a tree whose node
 set yields a witness.
 
-* :func:`flow_feasibility` runs it from the all-receive start,
-  deterministically, to decide whether the caps can be met at all, which
-  is the properness decision;
+* :func:`flow_feasibility` runs it from the all-receive start to decide
+  whether the caps can be met at all, which is the properness decision;
 * :func:`run_ptt` runs it from a given allocation;
-* :func:`run_ptt_symmetric` runs it on bundles of d constraints at once,
-  preserving stream uniformity for equal-stream networks whose antenna
-  counts divide evenly; with ``seed=None`` it starts all-receive too.
+* :func:`run_ptt_symmetric` runs it on bundles of d constraints at once
+  from a seeded random start, preserving stream uniformity for
+  equal-stream networks whose antenna counts divide evenly; ``iafeas
+  alloc`` uses it.
+
+Every choice of the engine is fixed (lowest cell first), so a run gives
+the same allocation in every process.
 """
 
 from __future__ import annotations
@@ -174,27 +177,12 @@ def pressures(cfg: NetworkConfig, alloc: AllocationPolicy) -> PressureState:
     return PressureState(p_t=p_t, p_r=p_r)
 
 
-def init_allocation(
-    cfg: NetworkConfig, seed: int = 0, symmetric: bool = False
-) -> AllocationPolicy:
-    """Random starting allocation, one fair coin per constraint.
-
-    With ``symmetric=True`` the coin is tossed once per (k, j, p) and the
-    outcome is copied across the transmit streams q, which keeps the start
-    uniform over q. For single-stream networks the two modes consume the
-    generator identically and produce the same policy.
-    """
+def init_allocation(cfg: NetworkConfig, seed: int = 0) -> AllocationPolicy:
+    """Random starting allocation, one fair coin per constraint."""
     rng = np.random.default_rng(seed)
-    sides = {}
-    for k, j in cfg.cross_pairs():
-        for p in range(1, cfg.d(k) + 1):
-            if symmetric:
-                side = "r" if int(rng.integers(0, 2)) else "t"
-                for q in range(1, cfg.d(j) + 1):
-                    sides[(k, j, p, q)] = side
-            else:
-                for q in range(1, cfg.d(j) + 1):
-                    sides[(k, j, p, q)] = "r" if int(rng.integers(0, 2)) else "t"
+    sides = {
+        quad: "r" if int(rng.integers(0, 2)) else "t" for quad in cfg.quads()
+    }
     return AllocationPolicy.from_sides(cfg, sides)
 
 
@@ -228,8 +216,6 @@ class PressureTree:
 
     root: tuple
     nodes: tuple
-    parent: dict
-    edge_items: dict  # node -> the item connecting it to its parent
     pressures: dict
 
     def to_dict(self) -> dict:
@@ -244,7 +230,7 @@ class PttDefect(RuntimeError):
     """Internal invariant violation in the transfer engine."""
 
 
-def _run_transfer_engine(inst: _Instance, assign: dict, rng):
+def _run_transfer_engine(inst: _Instance, assign: dict):
     """Rebalance ``assign`` in place. Returns (balanced, tree_or_None, transfers)."""
     pressure = dict(inst.caps)
     by_r = defaultdict(list)
@@ -263,13 +249,9 @@ def _run_transfer_engine(inst: _Instance, assign: dict, rng):
     rounds = 0
 
     while True:
-        negatives = sorted(c for c, v in pressure.items() if v < 0)
-        if not negatives:
+        root = min((c for c, v in pressure.items() if v < 0), default=None)
+        if root is None:
             return True, None, transfers
-        if rng is None:
-            root = negatives[0]
-        else:
-            root = negatives[int(rng.integers(len(negatives)))]
 
         parent = {root: None}
         via = {root: None}
@@ -340,8 +322,6 @@ def _run_transfer_engine(inst: _Instance, assign: dict, rng):
                 tree = PressureTree(
                     root=root,
                     nodes=tree_nodes,
-                    parent=dict(parent),
-                    edge_items={n: via[n] for n in tree_nodes if via[n] is not None},
                     pressures={n: pressure[n] for n in tree_nodes},
                 )
                 return False, tree, transfers
@@ -405,16 +385,7 @@ def _plain_instance(cfg: NetworkConfig) -> _Instance:
     return _Instance(items=items, ends=ends, caps=caps)
 
 
-def _check_policy(cfg: NetworkConfig, alloc: AllocationPolicy) -> None:
-    for quad in cfg.quads():
-        if alloc.c_r.get(quad, 0) + alloc.c_t.get(quad, 0) != 1:
-            raise ValueError(
-                f"allocation must assign every constraint exactly once; "
-                f"constraint {quad} is off"
-            )
-
-
-def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy, seed=None) -> PttResult:
+def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy) -> PttResult:
     """Rebalance an allocation by pressure transfers.
 
     Starting from ``alloc`` (which must assign every constraint exactly
@@ -422,17 +393,12 @@ def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy, seed=None) -> PttResult
     currently assigned constraints, and moves one constraint chain whenever
     the tree reaches a stream with slack. Ends balanced (Case1) or stuck
     (Case2) with a :class:`PressureTree` whose nodes certify a properness
-    violation.
-
-    With ``seed=None`` root and target choices are deterministic (lowest
-    cell first); an integer seed randomizes the root order, which is handy
-    for property tests. The input policy is not modified.
+    violation. Root and target choices are deterministic (lowest cell
+    first). The input policy is not modified.
     """
-    _check_policy(cfg, alloc)
     inst = _plain_instance(cfg)
     assign = {quad: alloc.side(quad) for quad in inst.items}
-    rng = None if seed is None else np.random.default_rng(seed)
-    balanced, tree, transfers = _run_transfer_engine(inst, assign, rng)
+    balanced, tree, transfers = _run_transfer_engine(inst, assign)
     out = AllocationPolicy.from_sides(cfg, assign)
     if balanced:
         return PttResult(balanced=True, alloc=out, transfers=transfers)
@@ -502,7 +468,7 @@ def _unbundle(cfg: NetworkConfig, d: int, over_q: bool, assign: dict) -> Allocat
     return AllocationPolicy.from_sides(cfg, sides)
 
 
-def run_ptt_symmetric(cfg: NetworkConfig, seed: int | None = 0) -> PttResult:
+def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     """Transfer run that preserves stream uniformity.
 
     Needs every pair to carry the same stream count d. Constraints are
@@ -511,12 +477,9 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int | None = 0) -> PttResult:
     receive pressures stay divisible by d); if instead d divides every
     M_j, the mirrored bundle (k, j, q) spans receive streams p. Balanced
     outcomes therefore satisfy the capacity caps and stream uniformity at
-    once, which certifies solvability. For d = 1 this reduces exactly to
-    :func:`run_ptt` from the same seed.
-
-    An integer seed draws the starting bundle sides at random; ``seed=None``
-    starts with every bundle on the receive side. Either way the engine's
-    choices are deterministic.
+    once, which certifies solvability. The seed draws the starting bundle
+    sides at random; the engine's choices are deterministic. For d = 1 this
+    reduces exactly to :func:`run_ptt` from ``init_allocation(cfg, seed)``.
     """
     ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
     if len(ds) != 1:
@@ -530,13 +493,10 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int | None = 0) -> PttResult:
         )
     inst = _bundled_instance(cfg, d, over_q=q_uniform)
 
-    if seed is None:
-        assign = dict.fromkeys(inst.items, "r")
-    else:
-        rng_init = np.random.default_rng(seed)
-        assign = {it: ("r" if int(rng_init.integers(0, 2)) else "t") for it in inst.items}
+    rng = np.random.default_rng(seed)
+    assign = {it: ("r" if int(rng.integers(0, 2)) else "t") for it in inst.items}
 
-    balanced, tree, transfers = _run_transfer_engine(inst, assign, None)
+    balanced, tree, transfers = _run_transfer_engine(inst, assign)
 
     out = _unbundle(cfg, d, over_q=q_uniform, assign=assign)
     if balanced:
@@ -563,7 +523,7 @@ def flow_feasibility(cfg: NetworkConfig):
     """
     inst = _plain_instance(cfg)
     assign = dict.fromkeys(inst.items, "r")
-    balanced, tree, _ = _run_transfer_engine(inst, assign, None)
+    balanced, tree, _ = _run_transfer_engine(inst, assign)
     if balanced:
         return AllocationPolicy.from_sides(cfg, assign), None
     return None, _witness_from_tree(cfg, tree.nodes)

@@ -13,12 +13,12 @@ Three counting conditions are necessary for alignment feasibility:
 The first two checks live here and return ``None`` when they pass,
 otherwise a :class:`~iafeas.witnesses.SubsetWitness` pinpointing a
 violated instance. Properness is decided by the transfer engine
-(:func:`~iafeas.allocation.flow_feasibility`); the exhaustive link-subset
-scan here is its small-K oracle. :func:`~iafeas.report.necessary_verdict`
-chains the three. The module also houses two closed-form feasibility
-families (fully symmetric networks and equal-stream networks with
-divisible antenna counts) and a scaling probe that compares a
-configuration's rank verdict against its c-fold copy.
+(:func:`~iafeas.allocation.flow_feasibility`).
+:func:`~iafeas.report.necessary_verdict` chains the three. The module
+also houses two closed-form feasibility families: fully symmetric
+networks, and equal-stream networks with divisible antenna counts. On the
+second family properness is sufficient as well as necessary, so inside the
+report its decision is the chain's properness run.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import run_ptt_symmetric
-from .config import NetworkConfig, scale_config, system_shape, validate_config
-from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
+from .allocation import flow_feasibility
+from .config import NetworkConfig, validate_config
 from .witnesses import (
     ANTENNA_BUDGET,
     STREAM_SUPPORT,
@@ -38,7 +37,6 @@ from .witnesses import (
 )
 
 MAX_BUDGET_PAIRS = 12
-MAX_ENUM_PAIRS = 4
 
 
 def check_stream_support(cfg: NetworkConfig):
@@ -47,13 +45,13 @@ def check_stream_support(cfg: NetworkConfig):
     Returns None when every pair passes, else the first violating pair's
     witness.
     """
-    for k in range(1, cfg.K + 1):
-        support = min(cfg.M(k), cfg.N(k))
-        if support < cfg.d(k):
-            return SubsetWitness(
-                kind=STREAM_SUPPORT, lhs=support, rhs=cfg.d(k), pair=k
-            )
-    return None
+    bad = validate_config(cfg).violations
+    if not bad:
+        return None
+    k = bad[0]
+    return SubsetWitness(
+        kind=STREAM_SUPPORT, lhs=min(cfg.M(k), cfg.N(k)), rhs=cfg.d(k), pair=k
+    )
 
 
 def _subset_tables(cfg: NetworkConfig):
@@ -137,53 +135,6 @@ def check_antenna_budget(cfg: NetworkConfig):
     return None
 
 
-def enumerate_properness_violation(cfg: NetworkConfig):
-    """Exhaustive properness scan over all link subsets. K <= 4 only.
-
-    Ground truth for cross-checking the transfer engine: walks
-    all 2^(K(K-1)) subsets with bitmask lookup tables. Returns None when
-    every subset is proper, else the first violating subset's witness.
-    """
-    if cfg.K > MAX_ENUM_PAIRS:
-        raise ValueError(
-            f"exhaustive link-subset scan is exponential; capped at K = {MAX_ENUM_PAIRS}"
-        )
-    pairs = tuple(cfg.cross_pairs())
-    n = len(pairs)
-    if n == 0:
-        return None
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    rx_mask = np.zeros(size, dtype=np.int64)
-    tx_mask = np.zeros(size, dtype=np.int64)
-    rhs = np.zeros(size, dtype=np.int64)
-    for i, (k, j) in enumerate(pairs):
-        sel = ((masks >> i) & 1) == 1
-        rx_mask[sel] |= 1 << (k - 1)
-        tx_mask[sel] |= 1 << (j - 1)
-        rhs[sel] += cfg.d(k) * cfg.d(j)
-
-    K = cfg.K
-    tab_rx = np.zeros(1 << K, dtype=np.int64)
-    tab_tx = np.zeros(1 << K, dtype=np.int64)
-    for mask in range(1, 1 << K):
-        low = mask & -mask
-        i = low.bit_length()
-        rest = mask ^ low
-        tab_rx[mask] = tab_rx[rest] + cfg.d(i) * (cfg.N(i) - cfg.d(i))
-        tab_tx[mask] = tab_tx[rest] + cfg.d(i) * (cfg.M(i) - cfg.d(i))
-
-    lhs = tab_rx[rx_mask] + tab_tx[tx_mask]
-    bad = lhs < rhs
-    bad[0] = False
-    hits = np.flatnonzero(bad)
-    if hits.size == 0:
-        return None
-    mask = int(hits[0])
-    links = tuple(pairs[i] for i in range(n) if (mask >> i) & 1)
-    return properness_witness_from_links(cfg, links)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -239,80 +190,34 @@ def symmetric_feasible(cfg: NetworkConfig) -> ClosedForm:
     return ClosedForm("symmetric", True, feasible=False, margin=margin, witness=witness)
 
 
+def _divisible_reason(cfg: NetworkConfig) -> str:
+    """Why ``cfg`` lies outside the divisible family, or "" inside it."""
+    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
+    if len(ds) != 1:
+        return "stream counts differ"
+    d = ds.pop()
+    if not validate_config(cfg).admissible:
+        return "not stream-admissible"
+    div_n = all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1))
+    div_m = all(cfg.M(k) % d == 0 for k in range(1, cfg.K + 1))
+    if not div_n and not div_m:
+        return "d divides neither all N_k nor all M_k"
+    return ""
+
+
 def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
     """Closed form for equal-stream networks with divisible antennas.
 
     Applies when every pair carries the same stream count d and d divides
     every N_k (or every M_k). Properness is then sufficient as well as
-    necessary, and one bundled transfer run from the all-receive start
-    (:func:`~iafeas.allocation.run_ptt_symmetric` with ``seed=None``)
-    decides it: it balances exactly when the plain properness run does,
-    and a stuck run's witness is a properness violation.
+    necessary, so the properness run
+    (:func:`~iafeas.allocation.flow_feasibility`) decides it, and a stuck
+    run's witness is a properness violation.
     """
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        return ClosedForm("divisible", False, reason="stream counts differ")
-    d = ds.pop()
-    if not validate_config(cfg).admissible:
-        return ClosedForm("divisible", False, reason="not stream-admissible")
-    div_n = all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1))
-    div_m = all(cfg.M(k) % d == 0 for k in range(1, cfg.K + 1))
-    if not div_n and not div_m:
-        return ClosedForm(
-            "divisible", False, reason="d divides neither all N_k nor all M_k"
-        )
-    run = run_ptt_symmetric(cfg, seed=None)
-    if run.balanced:
+    reason = _divisible_reason(cfg)
+    if reason:
+        return ClosedForm("divisible", False, reason=reason)
+    _, witness = flow_feasibility(cfg)
+    if witness is None:
         return ClosedForm("divisible", True, feasible=True)
-    return ClosedForm("divisible", True, feasible=False, witness=run.witness)
-
-
-# ---------------------------------------------------------------------------
-# scaling probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Rank verdicts of a configuration and its c-fold scaled copy.
-
-    Scaling every (M, N, d) by c multiplies both the constraint and
-    variable counts by c^2 and preserves feasibility, so ``agree`` is
-    expected to hold whenever the trials are conclusive.
-    """
-
-    c: int
-    base: RankVerdict
-    scaled: RankVerdict
-    dims_consistent: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.base.full_row_rank == self.scaled.full_row_rank
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "base": self.base.to_dict(),
-            "scaled": self.scaled.to_dict(),
-            "dims_consistent": self.dims_consistent,
-            "agree": self.agree,
-        }
-
-
-def scaling_check(
-    cfg: NetworkConfig,
-    c: int,
-    mode: str = "gf",
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> ScalingReport:
-    """Rank-test a configuration and its c-fold copy side by side."""
-    scaled_cfg = scale_config(cfg, c)
-    base = generic_full_row_rank(cfg, trials=trials, mode=mode, seed=seed, p=p)
-    scaled = generic_full_row_rank(scaled_cfg, trials=trials, mode=mode, seed=seed, p=p)
-    c0, v0 = system_shape(cfg)
-    c1, v1 = system_shape(scaled_cfg)
-    dims = c1 == c * c * c0 and v1 == c * c * v0
-    return ScalingReport(c=c, base=base, scaled=scaled, dims_consistent=dims)
+    return ClosedForm("divisible", True, feasible=False, witness=witness)

@@ -42,9 +42,6 @@ class PairConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.M, self.N, self.d)
-
 
 @dataclass(frozen=True)
 class NetworkConfig:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet, sample_channels
-from .config import NetworkConfig, system_shape
+from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
 
@@ -69,22 +69,15 @@ DEFAULT_TRIALS = 3
 
 
 def numeric_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
-    """Default SVD cutoff: max(rows, cols) * machine eps * sigma_max."""
+    """SVD cutoff: max(rows, cols) * machine eps * sigma_max."""
     return max(shape) * np.finfo(np.float64).eps * sigma_max
 
 
-def numeric_rank(matrix, rel_factor: float | None = None) -> int:
-    """Numerical rank via singular values.
+def _svd_rank(matrix) -> tuple[int, float]:
+    """Numerical rank via singular values, and the tolerance it used.
 
-    Singular values above ``rel_factor * sigma_max`` count toward the rank;
-    the default factor is ``max(rows, cols) * eps``, which can be widened
-    for ill-conditioned near-boundary systems.
+    Singular values above :func:`numeric_tolerance` count toward the rank.
     """
-    rank, _ = _svd_rank(matrix, rel_factor)
-    return rank
-
-
-def _svd_rank(matrix, rel_factor: float | None) -> tuple[int, float]:
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("rank needs a 2-d matrix")
@@ -93,10 +86,7 @@ def _svd_rank(matrix, rel_factor: float | None) -> tuple[int, float]:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     sigma = np.linalg.svd(A, compute_uv=False)
-    if rel_factor is None:
-        tol = numeric_tolerance(A.shape, float(sigma[0]))
-    else:
-        tol = rel_factor * float(sigma[0])
+    tol = numeric_tolerance(A.shape, float(sigma[0]))
     return int(np.count_nonzero(sigma > tol)), tol
 
 
@@ -276,7 +266,7 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
         raise ValueError("rank needs a 2-d matrix")
     if A.dtype.kind not in "iuO":
         raise ValueError("gf_rank needs an integer matrix")
-    A = np.mod(A, p).astype(np.int64)
+    A = np.mod(A, p).astype(np.int64, copy=False)
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
@@ -418,7 +408,6 @@ def generic_full_row_rank(
     mode: str = "gf",
     seed: int = 0,
     p: int = DEFAULT_PRIME,
-    rel_factor: float | None = None,
 ) -> RankVerdict:
     """Decide whether the coefficient matrix generically has full row rank.
 
@@ -448,7 +437,7 @@ def generic_full_row_rank(
             trial_seeds=(), trial_ranks=(), modulus=modulus,
             note="more constraints than variables",
         )
-    if any(cfg.d(k) > min(cfg.M(k), cfg.N(k)) for k in range(1, cfg.K + 1)):
+    if not validate_config(cfg).admissible:
         return RankVerdict(
             mode=mode, C=C, V=V, full_row_rank=False, rank=None, trials=0,
             trial_seeds=(), trial_ranks=(), modulus=modulus,
@@ -468,7 +457,7 @@ def generic_full_row_rank(
     for ts in seeds:
         if mode == "numeric":
             ch = sample_channels(cfg, ts, field=COMPLEX)
-            r, tol = _svd_rank(build_jacobian(cfg, ch).matrix, rel_factor)
+            r, tol = _svd_rank(build_jacobian(cfg, ch).matrix)
         else:
             ch = sample_channels(cfg, ts, field=modulus)
             projected, R = _project_decorrelators(cfg, ch, modulus)

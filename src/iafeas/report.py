@@ -6,10 +6,10 @@
    decided by the transfer engine), stopping at the first violation
    (:func:`necessary_verdict`);
 2. closed-form families (symmetric, divisible) that settle feasibility
-   exactly on their domains;
+   exactly on their domains; on the divisible family properness decides,
+   so the chain's properness run is its answer;
 3. an allocation certificate: a capacity-respecting, stream-uniform
-   constraint allocation, taken from the properness run or, where the
-   divisible family applies, rebuilt by the bundled transfer engine;
+   constraint allocation, taken from the properness run;
 4. the randomized rank test on the alignment system's coefficient matrix,
    which certifies generic feasibility when any trial has full row rank.
 
@@ -28,14 +28,14 @@ from .allocation import (
     AllocationPolicy,
     AllocationReport,
     flow_feasibility,
-    run_ptt_symmetric,
     verify_allocation,
 )
 from .conditions import (
     MAX_BUDGET_PAIRS,
+    ClosedForm,
+    _divisible_reason,
     check_antenna_budget,
     check_stream_support,
-    divisible_feasible,
     symmetric_feasible,
 )
 from .config import NetworkConfig, config_to_dict, system_shape
@@ -118,7 +118,6 @@ class VerdictReport:
     closed_forms: tuple
     allocation: AllocationPolicy | None
     allocation_report: AllocationReport | None
-    allocation_source: str | None
     rank: RankVerdict
     sound: bool
     solver: dict | None = None
@@ -128,7 +127,7 @@ class VerdictReport:
         alloc = None
         if self.allocation is not None or self.allocation_report is not None:
             alloc = {
-                "source": self.allocation_source,
+                "source": "transfer",
                 "certificate": (
                     None
                     if self.allocation_report is None
@@ -209,21 +208,16 @@ def feasibility_report(
     closed: tuple = ()
     alloc = None
     alloc_report = None
-    alloc_source = None
     if necessary.passed:
-        closed = (symmetric_feasible(cfg), divisible_feasible(cfg))
+        # properness, which the chain has just shown, decides the family
+        reason = _divisible_reason(cfg)
+        if reason:
+            divisible = ClosedForm("divisible", False, reason=reason)
+        else:
+            divisible = ClosedForm("divisible", True, feasible=True)
+        closed = (symmetric_feasible(cfg), divisible)
         alloc = necessary.policy
-        alloc_source = "transfer"
         alloc_report = verify_allocation(cfg, alloc)
-        # the bundled run applies exactly where the divisible family does
-        if not alloc_report.certificate and closed[1].applicable:
-            ptt = run_ptt_symmetric(cfg, seed=seed)
-            if ptt.balanced:
-                candidate = verify_allocation(cfg, ptt.alloc)
-                if candidate.certificate:
-                    alloc = ptt.alloc
-                    alloc_report = candidate
-                    alloc_source = "symmetric-transfer"
 
     rank = generic_full_row_rank(cfg, trials=trials, mode=mode, seed=seed, p=p)
 
@@ -275,7 +269,6 @@ def feasibility_report(
         closed_forms=closed,
         allocation=alloc,
         allocation_report=alloc_report,
-        allocation_source=alloc_source,
         rank=rank,
         sound=sound,
         solver=solver,

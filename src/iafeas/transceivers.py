@@ -146,8 +146,3 @@ class ReducedTransceivers:
             U.append(np.vstack([eye, np.conj(self.u[k - 1])]))
             V.append(np.vstack([eye, self.v[k - 1]]))
         return TransceiverSet(U=tuple(U), V=tuple(V))
-
-
-def reconstruct(tilde: ReducedTransceivers) -> TransceiverSet:
-    """Module-level alias for :meth:`ReducedTransceivers.reconstruct`."""
-    return tilde.reconstruct()

@@ -1,10 +1,23 @@
 """Shared test utilities: random configurations and brute-force oracles."""
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from iafeas import NetworkConfig, ReducedTransceivers, residuals, system_shape
+from iafeas import (
+    NetworkConfig,
+    RankVerdict,
+    ReducedTransceivers,
+    generic_full_row_rank,
+    properness_witness_from_links,
+    residuals,
+    scale_config,
+    system_shape,
+)
+from iafeas.rank import _svd_rank
+
+MAX_ENUM_PAIRS = 4
 
 
 def random_config(rng, k_lo=2, k_hi=4, mn_hi=6, d_hi=2):
@@ -138,3 +151,86 @@ def max_allocation(cfg):
                             came[other] = (c, cell)
                             queue.append(other)
     return placed
+
+
+def numeric_rank(matrix):
+    """Numerical rank via singular values, as numeric-mode rank tests count it."""
+    rank, _ = _svd_rank(matrix)
+    return rank
+
+
+def enumerate_properness_violation(cfg):
+    """Exhaustive properness scan over all link subsets. K <= 4 only.
+
+    Ground truth for cross-checking the transfer engine: walks
+    all 2^(K(K-1)) subsets with bitmask lookup tables. Returns None when
+    every subset is proper, else the first violating subset's witness.
+    """
+    if cfg.K > MAX_ENUM_PAIRS:
+        raise ValueError(
+            f"exhaustive link-subset scan is exponential; capped at K = {MAX_ENUM_PAIRS}"
+        )
+    pairs = tuple(cfg.cross_pairs())
+    n = len(pairs)
+    if n == 0:
+        return None
+    size = 1 << n
+    masks = np.arange(size, dtype=np.int64)
+    rx_mask = np.zeros(size, dtype=np.int64)
+    tx_mask = np.zeros(size, dtype=np.int64)
+    rhs = np.zeros(size, dtype=np.int64)
+    for i, (k, j) in enumerate(pairs):
+        sel = ((masks >> i) & 1) == 1
+        rx_mask[sel] |= 1 << (k - 1)
+        tx_mask[sel] |= 1 << (j - 1)
+        rhs[sel] += cfg.d(k) * cfg.d(j)
+
+    K = cfg.K
+    tab_rx = np.zeros(1 << K, dtype=np.int64)
+    tab_tx = np.zeros(1 << K, dtype=np.int64)
+    for mask in range(1, 1 << K):
+        low = mask & -mask
+        i = low.bit_length()
+        rest = mask ^ low
+        tab_rx[mask] = tab_rx[rest] + cfg.d(i) * (cfg.N(i) - cfg.d(i))
+        tab_tx[mask] = tab_tx[rest] + cfg.d(i) * (cfg.M(i) - cfg.d(i))
+
+    lhs = tab_rx[rx_mask] + tab_tx[tx_mask]
+    bad = lhs < rhs
+    bad[0] = False
+    hits = np.flatnonzero(bad)
+    if hits.size == 0:
+        return None
+    mask = int(hits[0])
+    links = tuple(pairs[i] for i in range(n) if (mask >> i) & 1)
+    return properness_witness_from_links(cfg, links)
+
+
+@dataclass(frozen=True)
+class ScalingReport:
+    """Rank verdicts of a configuration and its c-fold scaled copy.
+
+    Scaling every (M, N, d) by c multiplies both the constraint and
+    variable counts by c^2 and preserves feasibility, so ``agree`` is
+    expected to hold whenever the trials are conclusive.
+    """
+
+    c: int
+    base: RankVerdict
+    scaled: RankVerdict
+    dims_consistent: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.base.full_row_rank == self.scaled.full_row_rank
+
+
+def scaling_check(cfg, c, seed=0):
+    """Rank-test a configuration and its c-fold copy side by side."""
+    scaled_cfg = scale_config(cfg, c)
+    base = generic_full_row_rank(cfg, seed=seed)
+    scaled = generic_full_row_rank(scaled_cfg, seed=seed)
+    c0, v0 = system_shape(cfg)
+    c1, v1 = system_shape(scaled_cfg)
+    dims = c1 == c * c * c0 and v1 == c * c * v0
+    return ScalingReport(c=c, base=base, scaled=scaled, dims_consistent=dims)

@@ -16,7 +16,6 @@ from iafeas import (
     ReducedTransceivers,
     alt_min,
     divisible_feasible,
-    enumerate_properness_violation,
     feasibility_report,
     flow_feasibility,
     gauss_newton_multistart,
@@ -26,14 +25,19 @@ from iafeas import (
     run_ptt,
     run_ptt_symmetric,
     sample_channels,
-    scaling_check,
     symmetric_feasible,
     system_shape,
     verify_allocation,
 )
 from iafeas.cli import main as cli_main
 
-from helpers import fd_jacobian, max_allocation, random_config
+from helpers import (
+    enumerate_properness_violation,
+    fd_jacobian,
+    max_allocation,
+    random_config,
+    scaling_check,
+)
 
 
 @functools.lru_cache(maxsize=1)

@@ -3,20 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+import iafeas.allocation
 from iafeas import (
     NetworkConfig,
     check_antenna_budget,
     check_stream_support,
     divisible_feasible,
-    enumerate_properness_violation,
+    feasibility_report,
     flow_feasibility,
     generic_full_row_rank,
     necessary_verdict,
-    scaling_check,
     symmetric_feasible,
 )
 
-from helpers import random_config
+from helpers import enumerate_properness_violation, random_config, scaling_check
 
 
 def test_stream_support():
@@ -214,6 +214,30 @@ def test_divisible_closed_form_matches_rank_spot_checks():
         assert cf.applicable
         rank = generic_full_row_rank(cfg, seed=3)
         assert cf.feasible == rank.full_row_rank, cfg.describe()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(6, 4, 2)] * 4,
+        [(4, 4, 2), (4, 8, 2), (6, 4, 2)],
+        [(3, 2, 1), (2, 4, 1), (2, 2, 1)],
+    ],
+)
+def test_report_runs_the_transfer_engine_once(pairs, monkeypatch):
+    # the divisible family is decided by the chain's properness run
+    runs = []
+    engine = iafeas.allocation._run_transfer_engine
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(iafeas.allocation, "_run_transfer_engine", counted)
+    rep = feasibility_report(NetworkConfig.from_tuples(pairs), seed=0)
+    assert rep.necessary.passed
+    assert rep.closed_forms[1].applicable and rep.closed_forms[1].feasible
+    assert len(runs) == 1
 
 
 def test_properness_needs_stream_support():

@@ -4,9 +4,12 @@
 and the JSON that ``iafeas check CONFIG --seed 0 --mode gf`` printed when
 the file was made. Refactors must leave these reports byte for byte the
 same. The list covers every rule, the budget check skipped above K = 12
-((8x8,1)^13), the bundled allocation source ((6x4,2)^4), and two rank
-tests over many receivers: a K = 14 network with streams 1 to 3
-(C = 668) and (8x8,2)^6 (C = 120).
+((8x8,1)^13), and two rank tests over many receivers: a K = 14 network
+with streams 1 to 3 (C = 668) and (8x8,2)^6 (C = 120). Three entries pin
+the divisible closed form, which the report reads off the necessary
+chain's properness run: (6x4,2)^4, whose allocation is no certificate;
+{(4x5,2),(4x5,2),(6x3,2)}, where d divides every M_k but not every N_k;
+and a d = 1 network with K = 4.
 """
 
 import json
@@ -45,6 +48,6 @@ def test_golden_reports_cover_every_rule():
         "necessary:properness",
     }
     sources = {e["check"]["allocation"]["source"] for e in GOLDEN if e["check"]["allocation"]}
-    assert sources == {"transfer", "symmetric-transfer"}
+    assert sources == {"transfer"}
     assert any("antenna_budget" in e["check"]["necessary"]["skipped"]
                and e["check"]["necessary"]["passed"] for e in GOLDEN)

@@ -107,11 +107,11 @@ def divisible_networks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(divisible_networks())
-def test_bundled_run_agrees_with_plain_properness_run(cfg):
-    # divisible_feasible decides by the bundled run; properness is the
-    # plain run, so the two must balance together
-    bundled = run_ptt_symmetric(cfg, seed=None)
+@given(divisible_networks(), st.integers(0, 1 << 16))
+def test_bundled_run_agrees_with_plain_properness_run(cfg, seed):
+    # on these networks properness is sufficient, so the bundled run from
+    # any start balances exactly when the plain properness run does
+    bundled = run_ptt_symmetric(cfg, seed=seed)
     _, witness = flow_feasibility(cfg)
     assert bundled.balanced == (witness is None)
     if not bundled.balanced:

@@ -9,13 +9,12 @@ from iafeas import (
     build_jacobian,
     generic_full_row_rank,
     gf_rank,
-    numeric_rank,
     sample_channels,
     system_shape,
 )
 from iafeas.rank import _SLICE_COLUMNS, _project_decorrelators
 
-from helpers import gf_rank_reference, random_config
+from helpers import gf_rank_reference, numeric_rank, random_config
 
 PRIME = (1 << 31) - 1
 
@@ -55,6 +54,11 @@ def test_gf_rank_small_cases():
     p = PRIME
     assert gf_rank(np.array([[p - 1, p - 1], [p - 1, p - 1]], dtype=np.int64), p) == 1
     assert gf_rank(np.array([[p, 0], [0, 1]], dtype=np.int64), p) == 1
+    # the caller's array is reduced in a copy, never in place
+    A = np.array([[p + 3, -1], [2 * p, 5]], dtype=np.int64)
+    kept = A.copy()
+    assert gf_rank(A, p) == 2
+    assert np.array_equal(A, kept)
 
 
 def test_gf_rank_rejects_invalid_modulus():
