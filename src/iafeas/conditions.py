@@ -12,7 +12,9 @@ Three counting conditions are necessary for alignment feasibility:
 
 The first two checks live here and return ``None`` when they pass,
 otherwise a :class:`~iafeas.witnesses.SubsetWitness` pinpointing a
-violated instance. Properness is decided by the transfer engine
+violated instance. The antenna budget is decided at every K by a dynamic
+program over the pairs, not by enumerating the 4^K group pairs.
+Properness is decided by the transfer engine
 (:func:`~iafeas.allocation.flow_feasibility`).
 :func:`~iafeas.report.necessary_verdict` chains the three. The module
 also houses two closed-form feasibility families: fully symmetric
@@ -23,9 +25,9 @@ report its decision is the chain's properness run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 from .allocation import flow_feasibility
 from .config import NetworkConfig, validate_config
@@ -35,8 +37,6 @@ from .witnesses import (
     SubsetWitness,
     properness_witness_from_links,
 )
-
-MAX_BUDGET_PAIRS = 12
 
 
 def check_stream_support(cfg: NetworkConfig):
@@ -54,31 +54,132 @@ def check_stream_support(cfg: NetworkConfig):
     )
 
 
-def _subset_tables(cfg: NetworkConfig):
-    K = cfg.K
-    size = 1 << K
-    sum_m = np.zeros(size, dtype=np.int64)
-    sum_n = np.zeros(size, dtype=np.int64)
-    sum_d = np.zeros(size, dtype=np.int64)
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length()  # 1-based pair index
-        rest = mask ^ low
-        sum_m[mask] = sum_m[rest] + cfg.M(i)
-        sum_n[mask] = sum_n[rest] + cfg.N(i)
-        sum_d[mask] = sum_d[rest] + cfg.d(i)
-    return sum_m, sum_n, sum_d
+# A pair joins the transmit group T, the receive group R, both or neither;
+# a choice is the pair (in T, in R).
+_NONE, _TX, _RX, _BOTH = (0, 0), (1, 0), (0, 1), (1, 1)
+
+# DP states: which of T and R hold a pair so far, and whether both hold
+# exactly the same single pair. Only T = R = {i} must be ruled out to keep
+# the first violation realizable (see check_antenna_budget).
+_EMPTY, _T_ONLY, _R_ONLY, _BOTH_SIDES, _SAME_PAIR = range(5)
+_START = {_EMPTY: [(0, 0)]}
+
+# _NEXT[choice][state]: the state after a pair takes the choice.
+_NEXT = {
+    _NONE: tuple(range(5)),
+    _TX: (_T_ONLY, _T_ONLY, _BOTH_SIDES, _BOTH_SIDES, _BOTH_SIDES),
+    _RX: (_R_ONLY, _BOTH_SIDES, _R_ONLY, _BOTH_SIDES, _BOTH_SIDES),
+    _BOTH: (_SAME_PAIR, _BOTH_SIDES, _BOTH_SIDES, _BOTH_SIDES, _BOTH_SIDES),
+}
 
 
-def _bits(mask: int) -> tuple:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+def _join(p: int, q: int) -> int:
+    """State of the union of two disjoint ranges of pairs."""
+    if q == _EMPTY:
+        return p
+    if p == _EMPTY or (p == q and p in (_T_ONLY, _R_ONLY)):
+        return q
+    return _BOTH_SIDES
+
+
+# _COMPLETE[p][q]: whether a prefix in state p and a suffix in state q
+# together form a group pair that may carry a violation.
+_COMPLETE = tuple(
+    tuple(_join(p, q) == _BOTH_SIDES for q in range(5)) for p in range(5)
+)
+
+
+def _extend(front: dict, pair, choices, bound: int) -> dict:
+    """Add one pair, (M, N, d), to every state of ``front`` under ``choices``.
+
+    A front maps a DP state to its Pareto-minimal points (x, y),
+    x = M(T) - d(T u R) and y = N(R) - d(T u R), sorted by x ascending (so
+    y descending). Points with x or y at or above ``bound`` cannot turn
+    negative by the pairs still to come and are dropped.
+    """
+    M, N, d = pair
+    moves = []
+    for in_t, in_r in choices:
+        cost = d if in_t or in_r else 0
+        moves.append((_NEXT[in_t, in_r], M * in_t - cost, N * in_r - cost))
+    grown: dict = {}
+    for state, points in front.items():
+        for nxt, dx, dy in moves:
+            out = grown.setdefault(nxt[state], [])
+            for x, y in points:
+                x += dx
+                y += dy
+                if x < bound and y < bound:
+                    out.append((x, y))
+    front = {}
+    for state, points in grown.items():
+        if len(points) > 1:
+            points.sort()
+            kept = [points[0]]
+            for point in points:
+                if point[1] < kept[-1][1]:
+                    kept.append(point)
+            points = kept
+        if points:
+            front[state] = points
+    return front
+
+
+def _meets(prefix: dict, suffix: dict) -> bool:
+    """True when some union of a prefix and a suffix point is a group pair
+    with x < 0 and y < 0."""
+    for p, points in prefix.items():
+        complete = _COMPLETE[p]
+        for q, tail in suffix.items():
+            if not complete[q]:
+                continue
+            for qx, qy in tail:
+                i = bisect_left(points, -qx, key=itemgetter(0))
+                if i and points[i - 1][1] < -qy:
+                    return True
+    return False
+
+
+def _smallest_bits(pairs, options):
+    """Smallest bit vector, pair K most significant, that admits a violation.
+
+    ``options[k - 1]`` holds the choices pair k may take with its bit clear
+    and with it set. A forward pass stores the prefix fronts and stops at
+    the first prefix with a violation, once every later pair may stay out
+    of both groups with its bit clear. Then the bits are fixed from pair K
+    down: a bit stays clear when the stored prefix front still meets the
+    decided suffix. Returns None when no choice admits a violation.
+    """
+    K = len(pairs)
+    # below[k]: the most the streams of pairs 1..k can lower x or y
+    below = [0]
+    for _, _, d in pairs:
+        below.append(below[-1] + d)
+    floor = max(
+        (k for k, (clear, _) in enumerate(options, 1) if _NONE not in clear),
+        default=0,
+    )
+    fronts = [_START]
+    for k in range(1, K + 1):
+        clear, set_ = options[k - 1]
+        bound = below[K] - below[k]
+        fronts.append(_extend(fronts[-1], pairs[k - 1], clear + set_, bound))
+        if k >= floor and _meets(fronts[-1], _START):
+            break
+    else:
+        return None
+    stop = len(fronts) - 1
+    bits = [0] * K
+    suffix = _START
+    for k in range(K, 0, -1):
+        clear, set_ = options[k - 1]
+        zero = _extend(suffix, pairs[k - 1], clear, below[k - 1])
+        if k > stop or _meets(fronts[k - 1], zero):
+            suffix = zero
+        else:
+            bits[k - 1] = 1
+            suffix = _extend(suffix, pairs[k - 1], set_, below[k - 1])
+    return bits
 
 
 def check_antenna_budget(cfg: NetworkConfig):
@@ -88,51 +189,40 @@ def check_antenna_budget(cfg: NetworkConfig):
     links has transmitter projection exactly T and receiver projection
     exactly R: both nonempty, R not a singleton contained in T, and T not
     a singleton contained in R. Only projections enter the inequality, so
-    scanning group pairs instead of link subsets loses nothing. Returns
-    None when every group pair passes, else the first violation's witness.
-    The scan is 4^K and refuses K > 12.
-    """
-    K = cfg.K
-    if K > MAX_BUDGET_PAIRS:
-        raise ValueError(
-            f"antenna budget enumeration is capped at K = {MAX_BUDGET_PAIRS}; "
-            "rely on the properness check and the rank test for larger networks"
-        )
-    sum_m, sum_n, sum_d = _subset_tables(cfg)
-    size = 1 << K
-    r_all = np.arange(1, size, dtype=np.int64)
-    singleton = np.full(size, 0, dtype=np.int64)
-    for i in range(K):
-        singleton[1 << i] = i + 1  # 1-based index, 0 means "not a singleton"
-    r_sing = singleton[r_all]
+    checking group pairs instead of link subsets loses nothing. It is
+    violated when x = M(T) - d(T u R) < 0 and y = N(R) - d(T u R) < 0.
 
-    for t_mask in range(1, size):
-        ok = np.ones(r_all.shape, dtype=bool)
-        # exclude R = {x} with x in T
-        is_sing = r_sing > 0
-        in_t = ((t_mask >> (np.maximum(r_sing, 1) - 1)) & 1) == 1
-        ok &= ~(is_sing & in_t)
-        # exclude any R containing y when T = {y}
-        y = singleton[t_mask]
-        if y > 0:
-            ok &= ((r_all >> (y - 1)) & 1) == 0
-        lhs = np.maximum(sum_m[t_mask], sum_n[r_all])
-        rhs = sum_d[t_mask | r_all]
-        bad = np.flatnonzero(ok & (lhs < rhs))
-        if bad.size == 0:
-            continue
-        idx = bad[0]
-        tx = _bits(t_mask)
-        rx = _bits(int(r_all[idx]))
-        return SubsetWitness(
-            kind=ANTENNA_BUDGET,
-            lhs=int(lhs[idx]),
-            rhs=int(rhs[idx]),
-            tx_set=frozenset(tx),
-            rx_set=frozenset(rx),
-            links=frozenset((k, j) for k in rx for j in tx if k != j),
-        )
-    return None
+    Returns None when every realizable group pair passes, else the
+    witness of the first violation in (T mask, R mask) order, pair 1 the
+    lowest bit. Among all nonempty group pairs other than T = R = {i},
+    that first violation is realizable: for T = {i} inside a larger R,
+    dropping i from R keeps the union and lowers y, and for R = {x}
+    inside a larger T, dropping x from T keeps the union and lowers x;
+    either way an earlier violation would exist.
+
+    A dynamic program over the pairs decides this at every K: each pair
+    joins T, R, both or neither, and each of five states (which groups
+    are nonempty, and whether T = R = {i}) keeps the Pareto front of
+    (x, y). A front holds at most one point per value of x, so a pass
+    costs O(K (sum M + sum d)). The smallest T is then fixed bit by bit
+    against the stored prefix fronts, and the smallest R for that T the
+    same way.
+    """
+    pairs = [(p.M, p.N, p.d) for p in cfg.pairs]
+    t_bits = _smallest_bits(pairs, [((_NONE, _RX), (_TX, _BOTH))] * cfg.K)
+    if t_bits is None:
+        return None
+    r_bits = _smallest_bits(pairs, [(((t, 0),), ((t, 1),)) for t in t_bits])
+    tx = [k for k, bit in enumerate(t_bits, 1) if bit]
+    rx = [k for k, bit in enumerate(r_bits, 1) if bit]
+    return SubsetWitness(
+        kind=ANTENNA_BUDGET,
+        lhs=max(sum(cfg.M(j) for j in tx), sum(cfg.N(k) for k in rx)),
+        rhs=sum(cfg.d(i) for i in set(tx) | set(rx)),
+        tx_set=frozenset(tx),
+        rx_set=frozenset(rx),
+        links=frozenset((k, j) for k in rx for j in tx if k != j),
+    )
 
 
 # ---------------------------------------------------------------------------

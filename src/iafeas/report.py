@@ -2,8 +2,9 @@
 
 ``feasibility_report`` chains every decision layer on one configuration:
 
-1. necessary counting checks (stream support, antenna budget, properness
-   decided by the transfer engine), stopping at the first violation
+1. necessary counting checks (stream support, the antenna budget decided
+   by a dynamic program over the pairs, properness decided by the transfer
+   engine), all run at every K and stopping at the first violation
    (:func:`necessary_verdict`);
 2. closed-form families (symmetric, divisible) that settle feasibility
    exactly on their domains; on the divisible family properness decides,
@@ -31,7 +32,6 @@ from .allocation import (
     verify_allocation,
 )
 from .conditions import (
-    MAX_BUDGET_PAIRS,
     ClosedForm,
     _divisible_reason,
     check_antenna_budget,
@@ -42,7 +42,7 @@ from .config import NetworkConfig, config_to_dict, system_shape
 from .channels import sample_channels
 from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
 from .solver import alt_min, gauss_newton_multistart
-from .witnesses import SubsetWitness
+from .witnesses import STREAM_SUPPORT, SubsetWitness
 
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
@@ -58,11 +58,10 @@ class NecessaryReport:
     """Outcome of the chained necessary checks.
 
     ``witness`` carries the first violation (None when all pass).
-    ``skipped`` lists checks not run: the antenna budget beyond K = 12, and
-    every check after a violation. ``policy`` is the capacity-respecting
-    allocation the properness run found, when all checks pass; it is a
-    by-product for the allocation certificate and stays out of
-    :meth:`to_dict`.
+    ``skipped`` lists the checks after a violation, which are not run.
+    ``policy`` is the capacity-respecting allocation the properness run
+    found, when all checks pass; it is a by-product for the allocation
+    certificate and stays out of :meth:`to_dict`.
     """
 
     passed: bool
@@ -83,27 +82,22 @@ class NecessaryReport:
 def necessary_verdict(cfg: NetworkConfig) -> NecessaryReport:
     """Run stream support, antenna budget, then properness, in that order.
 
-    Stops at the first violation and lists the checks after it as skipped.
-    The antenna budget scan is skipped above K = 12.
+    Every check runs at every K. The chain stops at the first violation
+    and lists the checks after it as skipped.
     """
     checks = [STREAM_CHECK]
     w = check_stream_support(cfg)
     if w is not None:
         return NecessaryReport(False, w, tuple(checks), (BUDGET_CHECK, PROPERNESS_CHECK))
 
-    skipped = []
-    if cfg.K > MAX_BUDGET_PAIRS:
-        skipped.append(BUDGET_CHECK)
-    else:
-        checks.append(BUDGET_CHECK)
-        w = check_antenna_budget(cfg)
-        if w is not None:
-            skipped.append(PROPERNESS_CHECK)
-            return NecessaryReport(False, w, tuple(checks), tuple(skipped))
+    checks.append(BUDGET_CHECK)
+    w = check_antenna_budget(cfg)
+    if w is not None:
+        return NecessaryReport(False, w, tuple(checks), (PROPERNESS_CHECK,))
 
     checks.append(PROPERNESS_CHECK)
     policy, w = flow_feasibility(cfg)
-    return NecessaryReport(w is None, w, tuple(checks), tuple(skipped), policy)
+    return NecessaryReport(w is None, w, tuple(checks), (), policy)
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,9 @@ def feasibility_report(
 
     solver = None
     if solve:
-        if check_stream_support(cfg) is None:
+        # the chain runs stream support first and records its witness
+        w = necessary.witness
+        if w is None or w.kind != STREAM_SUPPORT:
             solver = _solver_section(cfg, seed, tol, verdict)
         else:
             solver = {"skipped": "stream support fails; solvers need d <= min(M, N)"}

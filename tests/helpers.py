@@ -9,6 +9,7 @@ from iafeas import (
     NetworkConfig,
     RankVerdict,
     ReducedTransceivers,
+    SubsetWitness,
     generic_full_row_rank,
     properness_witness_from_links,
     residuals,
@@ -204,6 +205,60 @@ def enumerate_properness_violation(cfg):
     mask = int(hits[0])
     links = tuple(pairs[i] for i in range(n) if (mask >> i) & 1)
     return properness_witness_from_links(cfg, links)
+
+
+def antenna_budget_scan(cfg):
+    """Antenna budget by scanning all 4^K (T, R) group pairs.
+
+    The oracle for the package's dynamic program: T masks in ascending
+    order, and for each the R masks in ascending order, pair 1 the lowest
+    bit. Returns the first realizable violation's witness, or None. Meant
+    for K <= 8; K = 12 already takes about 0.2 s.
+    """
+    K = cfg.K
+    size = 1 << K
+    sum_m = np.zeros(size, dtype=np.int64)
+    sum_n = np.zeros(size, dtype=np.int64)
+    sum_d = np.zeros(size, dtype=np.int64)
+    singleton = np.zeros(size, dtype=np.int64)  # 1-based index, 0 if not a singleton
+    for mask in range(1, size):
+        low = mask & -mask
+        i = low.bit_length()
+        rest = mask ^ low
+        sum_m[mask] = sum_m[rest] + cfg.M(i)
+        sum_n[mask] = sum_n[rest] + cfg.N(i)
+        sum_d[mask] = sum_d[rest] + cfg.d(i)
+        if rest == 0:
+            singleton[mask] = i
+    r_all = np.arange(1, size, dtype=np.int64)
+    r_sing = singleton[r_all]
+
+    def bits(mask):
+        return tuple(i for i in range(1, K + 1) if (mask >> (i - 1)) & 1)
+
+    for t_mask in range(1, size):
+        # R = {x} with x in T, or T = {y} with y in R, is not realizable
+        ok = ~((r_sing > 0) & (((t_mask >> (np.maximum(r_sing, 1) - 1)) & 1) == 1))
+        y = singleton[t_mask]
+        if y > 0:
+            ok &= ((r_all >> (y - 1)) & 1) == 0
+        lhs = np.maximum(sum_m[t_mask], sum_n[r_all])
+        rhs = sum_d[t_mask | r_all]
+        bad = np.flatnonzero(ok & (lhs < rhs))
+        if bad.size == 0:
+            continue
+        idx = bad[0]
+        tx = bits(t_mask)
+        rx = bits(int(r_all[idx]))
+        return SubsetWitness(
+            kind="antenna_budget",
+            lhs=int(lhs[idx]),
+            rhs=int(rhs[idx]),
+            tx_set=frozenset(tx),
+            rx_set=frozenset(rx),
+            links=frozenset((k, j) for k in rx for j in tx if k != j),
+        )
+    return None
 
 
 @dataclass(frozen=True)

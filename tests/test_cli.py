@@ -84,6 +84,18 @@ def test_check_square_deficient_pair_is_caught_by_link_budget(tmp_path, capsys):
     assert rep["rank"]["full_row_rank"] is False
 
 
+def test_check_budget_violation_above_twelve_pairs(tmp_path, capsys):
+    # K = 13: the budget runs at every K, so link (2,1) between the two
+    # (3x3,2) pairs is caught among eleven roomy pairs
+    cfg = write_cfg(tmp_path, "k13.json", [(3, 3, 2)] * 2 + [(30, 30, 1)] * 11)
+    code, out, err = run(capsys, "check", cfg)
+    assert err == ""
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["rule"] == "necessary:antenna_budget"
+    assert rep["witness"]["links"] == [[2, 1]]
+
+
 @pytest.mark.parametrize(
     "pairs",
     [

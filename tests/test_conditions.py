@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import iafeas.allocation
+import iafeas.report
 from iafeas import (
     NetworkConfig,
     check_antenna_budget,
@@ -16,7 +18,12 @@ from iafeas import (
     symmetric_feasible,
 )
 
-from helpers import enumerate_properness_violation, random_config, scaling_check
+from helpers import (
+    antenna_budget_scan,
+    enumerate_properness_violation,
+    random_config,
+    scaling_check,
+)
 
 
 def test_stream_support():
@@ -50,9 +57,31 @@ def test_antenna_budget_passes_balanced():
     assert check_antenna_budget(NetworkConfig.symmetric(4, 5, 5, 2)) is None
 
 
-def test_antenna_budget_caps_network_size():
-    with pytest.raises(ValueError):
-        check_antenna_budget(NetworkConfig.symmetric(13, 2, 2, 1))
+# K = 13: two (3x3,2) pairs break the budget on link (2,1) alone, and
+# eleven roomy pairs hide nothing of it
+BUDGET_REPRODUCER = [(3, 3, 2)] * 2 + [(30, 30, 1)] * 11
+
+
+def test_antenna_budget_runs_above_twelve_pairs():
+    cfg = NetworkConfig.from_tuples(BUDGET_REPRODUCER)
+    w = check_antenna_budget(cfg)
+    assert w.tx_set == frozenset({1})
+    assert w.rx_set == frozenset({2})
+    assert (w.lhs, w.rhs) == (3, 4)
+    assert w.links == frozenset({(2, 1)})
+    assert w.holds(cfg)
+
+
+budget_pairs = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(budget_pairs, min_size=2, max_size=8))
+@example(BUDGET_REPRODUCER[:12])
+def test_antenna_budget_matches_scan_oracle(pairs):
+    # the same first witness (sets, sides, links), or None from both
+    cfg = NetworkConfig.from_tuples(pairs)
+    assert check_antenna_budget(cfg) == antenna_budget_scan(cfg)
 
 
 def _brute_force_budget(cfg):
@@ -238,6 +267,23 @@ def test_report_runs_the_transfer_engine_once(pairs, monkeypatch):
     assert rep.necessary.passed
     assert rep.closed_forms[1].applicable and rep.closed_forms[1].feasible
     assert len(runs) == 1
+
+
+def test_solver_section_reads_stream_support_off_the_chain(monkeypatch):
+    calls = []
+    check = iafeas.report.check_stream_support
+
+    def counted(cfg):
+        calls.append(cfg)
+        return check(cfg)
+
+    monkeypatch.setattr(iafeas.report, "check_stream_support", counted)
+    rep = feasibility_report(NetworkConfig.symmetric(3, 3, 3, 1), solve=True)
+    assert "alt_min" in rep.solver
+    assert len(calls) == 1
+
+    rep = feasibility_report(NetworkConfig.from_tuples([(1, 3, 2), (4, 4, 1)]), solve=True)
+    assert "skipped" in rep.solver
 
 
 def test_properness_needs_stream_support():

@@ -3,7 +3,7 @@
 ``data/golden_reports.json`` holds, for each configuration, the exit code
 and the JSON that ``iafeas check CONFIG --seed 0 --mode gf`` printed when
 the file was made. Refactors must leave these reports byte for byte the
-same. The list covers every rule, the budget check skipped above K = 12
+same. The list covers every rule, the budget check at K = 13
 ((8x8,1)^13), and two rank tests over many receivers: a K = 14 network
 with streams 1 to 3 (C = 668) and (8x8,2)^6 (C = 120). Three entries pin
 the divisible closed form, which the report reads off the necessary
@@ -49,5 +49,6 @@ def test_golden_reports_cover_every_rule():
     }
     sources = {e["check"]["allocation"]["source"] for e in GOLDEN if e["check"]["allocation"]}
     assert sources == {"transfer"}
-    assert any("antenna_budget" in e["check"]["necessary"]["skipped"]
-               and e["check"]["necessary"]["passed"] for e in GOLDEN)
+    # the budget runs at every K, (8x8,1)^13 included
+    big = next(e for e in GOLDEN if e["check"]["label"] == "(8x8,1)^13")
+    assert "antenna_budget" in big["check"]["necessary"]["checks"]

@@ -1,15 +1,19 @@
 """Property tests over randomly drawn admissible configurations."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from iafeas import (
     AllocationPolicy,
     NetworkConfig,
+    check_antenna_budget,
     col_index,
     config_from_dict,
     config_to_dict,
     flow_feasibility,
     init_allocation,
+    necessary_verdict,
     pressures,
     row_index,
     run_ptt,
@@ -117,3 +121,54 @@ def test_bundled_run_agrees_with_plain_properness_run(cfg, seed):
     if not bundled.balanced:
         assert bundled.witness.holds(cfg)
         assert witness.holds(cfg)
+
+
+@st.composite
+def relabelled_networks(draw):
+    """A network of up to 8 pairs and a relabelling of its pairs.
+
+    Pair i + 1 of the relabelled network is pair ``perm[i] + 1`` of the
+    original.
+    """
+    triples = draw(st.lists(pairs, min_size=2, max_size=8))
+    perm = draw(st.permutations(range(len(triples))))
+    cfg = NetworkConfig.from_tuples(triples)
+    relabelled = NetworkConfig.from_tuples([triples[i] for i in perm])
+    return cfg, relabelled, perm
+
+
+def _verdict_shape(cfg):
+    rep = necessary_verdict(cfg)
+    return rep.passed, None if rep.witness is None else rep.witness.kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_networks())
+def test_necessary_verdict_is_invariant_under_relabelling(networks):
+    cfg, relabelled, perm = networks
+    assert _verdict_shape(relabelled) == _verdict_shape(cfg)
+
+    # a budget witness names pairs; mapped back, it holds on the original
+    w = check_antenna_budget(relabelled)
+    assert (w is None) == (check_antenna_budget(cfg) is None)
+    if w is not None:
+        def back(i):
+            return perm[i - 1] + 1
+
+        mapped = dataclasses.replace(
+            w,
+            tx_set=frozenset(map(back, w.tx_set)),
+            rx_set=frozenset(map(back, w.rx_set)),
+            links=frozenset((back(k), back(j)) for k, j in w.links),
+        )
+        assert mapped.holds(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pairs, min_size=1, max_size=8))
+def test_necessary_verdict_is_invariant_under_reciprocity(triples):
+    # the reciprocal network swaps every pair's transmit and receive
+    # antennas and has the same feasibility (Gomadam, Cadambe and Jafar)
+    cfg = NetworkConfig.from_tuples(triples)
+    reciprocal = NetworkConfig.from_tuples([(n, m, d) for m, n, d in triples])
+    assert _verdict_shape(reciprocal) == _verdict_shape(cfg)
