@@ -2,12 +2,13 @@
 
 Every scalar constraint (k, j, p, q) can be cancelled on the receive side
 (using the free variables of receive stream (k, p)) or on the transmit side
-(stream (j, q)). An allocation assigns each constraint to one side. Stream
-(k, p) can absorb at most N_k - d_k constraints and stream (j, q) at most
-M_j - d_j, and an allocation meeting those caps exists exactly when the
-properness counting condition holds. If additionally the assignment is
-uniform across transmit streams (or uniform across receive streams), the
-allocation certifies almost-sure solvability of the alignment system.
+(stream (j, q)). An allocation gives each constraint to exactly one side,
+which is the paper's c^t_kjpq + c^r_kjpq = 1. Stream (k, p) can absorb at
+most N_k - d_k constraints and stream (j, q) at most M_j - d_j, and an
+allocation meeting those caps exists exactly when the properness counting
+condition holds. If additionally the assignment is uniform across
+transmit streams (or uniform across receive streams), the allocation
+certifies almost-sure solvability of the alignment system.
 
 One engine finds allocations: it rebalances a starting allocation by
 moving constraints along pressure-transfer trees, one unit at a time,
@@ -18,9 +19,9 @@ set yields a witness.
   whether the caps can be met at all, which is the properness decision;
 * :func:`run_ptt` runs it from a given allocation;
 * :func:`run_ptt_symmetric` runs it on bundles of d constraints at once
-  from a seeded random start, preserving stream uniformity for
-  equal-stream networks whose antenna counts divide evenly; ``iafeas
-  alloc`` uses it.
+  from a seeded random start, preserving stream uniformity on the
+  divisible family (equal stream counts, d dividing every N_k or every
+  M_k); ``iafeas alloc`` uses it there.
 
 Every choice of the engine is fixed (lowest cell first), so a run gives
 the same allocation in every process.
@@ -36,8 +37,6 @@ import numpy as np
 from .config import NetworkConfig, validate_config
 from .witnesses import SubsetWitness, properness_witness_from_cells
 
-Quad = tuple
-
 
 # ---------------------------------------------------------------------------
 # allocation policies
@@ -46,54 +45,40 @@ Quad = tuple
 
 @dataclass(frozen=True)
 class AllocationPolicy:
-    """One 0/1 assignment per constraint, receive side and transmit side.
+    """One side per constraint: c^t + c^r = 1 by construction.
 
-    ``c_r[quad]`` is 1 when constraint ``quad = (k, j, p, q)`` is absorbed
-    by receive stream (k, p); ``c_t[quad]`` when transmit stream (j, q)
-    takes it. Well-formed policies have c_r + c_t = 1 on every constraint
-    of the configuration; the checker reports violations rather than
-    refusing to represent them.
+    ``sides[quad]`` is "r" when constraint ``quad = (k, j, p, q)`` is
+    absorbed by receive stream (k, p) (c^r = 1) and "t" when transmit
+    stream (j, q) takes it (c^t = 1). The map is the transfer engine's own
+    state; :meth:`from_sides` validates a map from elsewhere.
     """
 
     cfg: NetworkConfig
-    c_t: dict
-    c_r: dict
+    sides: dict
 
     @classmethod
     def from_sides(cls, cfg: NetworkConfig, sides: dict) -> "AllocationPolicy":
         """Build from a map quad -> "r" | "t" covering every constraint."""
-        c_t = {}
-        c_r = {}
+        checked = {}
         for quad in cfg.quads():
             side = sides.get(quad)
             if side not in ("r", "t"):
                 raise ValueError(f"no side for constraint {quad}")
-            c_r[quad] = 1 if side == "r" else 0
-            c_t[quad] = 1 - c_r[quad]
-        if len(sides) != len(c_r):
-            extra = set(sides) - set(c_r)
+            checked[quad] = side
+        if len(sides) != len(checked):
+            extra = set(sides) - set(checked)
             raise ValueError(f"sides map has unknown constraints: {sorted(extra)}")
-        return cls(cfg=cfg, c_t=c_t, c_r=c_r)
+        return cls(cfg=cfg, sides=checked)
 
     @classmethod
     def all_rx(cls, cfg: NetworkConfig) -> "AllocationPolicy":
         """Every constraint on the receive side."""
-        return cls.from_sides(cfg, {quad: "r" for quad in cfg.quads()})
-
-    def side(self, quad) -> str:
-        r = self.c_r.get(quad, 0)
-        t = self.c_t.get(quad, 0)
-        if r + t != 1:
-            raise ValueError(f"constraint {quad} is not assigned to exactly one side")
-        return "r" if r else "t"
-
-    def sides(self) -> dict:
-        return {quad: self.side(quad) for quad in self.cfg.quads()}
+        return cls(cfg=cfg, sides=dict.fromkeys(cfg.quads(), "r"))
 
     def to_json_dict(self) -> dict:
         """Serialize as the allocation JSON map {"k,j,p,q": "r" | "t"}."""
         return {
-            ",".join(str(i) for i in quad): self.side(quad)
+            ",".join(str(i) for i in quad): self.sides[quad]
             for quad in self.cfg.quads()
         }
 
@@ -163,27 +148,27 @@ def pressures(cfg: NetworkConfig, alloc: AllocationPolicy) -> PressureState:
     """Compute every stream's pressure under an allocation."""
     p_r = {}
     p_t = {}
-    for k in range(1, cfg.K + 1):
-        for p in range(1, cfg.d(k) + 1):
-            p_r[(k, p)] = cfg.N(k) - cfg.d(k)
-        for q in range(1, cfg.d(k) + 1):
-            p_t[(k, q)] = cfg.M(k) - cfg.d(k)
-    for quad in cfg.quads():
-        k, j, p, q = quad
-        if alloc.c_r.get(quad, 0):
+    for k, pair in enumerate(cfg.pairs, 1):
+        for s in range(1, pair.d + 1):
+            p_r[(k, s)] = pair.N - pair.d
+            p_t[(k, s)] = pair.M - pair.d
+    for (k, j, p, q), side in alloc.sides.items():
+        if side == "r":
             p_r[(k, p)] -= 1
-        if alloc.c_t.get(quad, 0):
+        else:
             p_t[(j, q)] -= 1
     return PressureState(p_t=p_t, p_r=p_r)
 
 
+def _coin_flips(items, seed: int) -> dict:
+    """One fair coin per item, in order: item -> "r" | "t"."""
+    rng = np.random.default_rng(seed)
+    return {item: "r" if int(rng.integers(0, 2)) else "t" for item in items}
+
+
 def init_allocation(cfg: NetworkConfig, seed: int = 0) -> AllocationPolicy:
     """Random starting allocation, one fair coin per constraint."""
-    rng = np.random.default_rng(seed)
-    sides = {
-        quad: "r" if int(rng.integers(0, 2)) else "t" for quad in cfg.quads()
-    }
-    return AllocationPolicy.from_sides(cfg, sides)
+    return AllocationPolicy(cfg=cfg, sides=_coin_flips(cfg.quads(), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +176,63 @@ def init_allocation(cfg: NetworkConfig, seed: int = 0) -> AllocationPolicy:
 #
 # The engine is written against an abstract instance so that the plain
 # (one item per constraint) and bundled (one item per d constraints)
-# variants share every line of tree logic. A cell is ("r", k, p) or
-# ("t", j, q); q == 0 stands for "all transmit streams of j" in the
-# bundled variant, and similarly p == 0 on the receive side.
+# variants share every line of tree logic. An item is a constraint quad
+# (k, j, p, q); a bundle over q is the item (k, j, p, 0) and a bundle over
+# p the item (k, j, 0, q). A cell is ("r", k, p) or ("t", j, q); q == 0
+# stands for "all transmit streams of j", and similarly p == 0 on the
+# receive side.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Instance:
-    items: tuple
-    ends: dict  # item -> (r_cell, t_cell)
+    ends: dict  # item -> (r_cell, t_cell), in item order
     caps: dict  # cell -> capacity
+
+
+def _items(cfg: NetworkConfig, bundle: str):
+    """Engine items in order; ``bundle`` is "", "q" or "p" (see above).
+
+    With ``bundle == ""`` these are the constraints in ``cfg.quads()`` order.
+    """
+    d = [0] + [pair.d for pair in cfg.pairs]
+    for k, j in cfg.cross_pairs():
+        for p in (0,) if bundle == "p" else range(1, d[k] + 1):
+            for q in (0,) if bundle == "q" else range(1, d[j] + 1):
+                yield (k, j, p, q)
+
+
+def _instance(cfg: NetworkConfig, bundle: str) -> _Instance:
+    """The engine's instance, plain (``bundle == ""``) or bundled.
+
+    Plain cells carry the per-stream caps N_k - d_k and M_j - d_j. Bundled
+    over q, item (k, j, p, 0) stands for the constraints (k, j, p, q) of
+    every transmit stream q: it loads receive cell ("r", k, p), of capacity
+    (N_k - d) / d in bundles, or the whole transmitter ("t", j, 0), of
+    capacity M_j - d. Bundled over p is the mirror image. The caller makes
+    sure d divides the antenna counts of the split side.
+    """
+    if not validate_config(cfg).admissible:
+        # a stream with d_k > min(M_k, N_k) has a negative cap, which no
+        # allocation meets and no link subset need expose
+        raise ValueError("allocation needs a stream-admissible network")
+    caps = {}
+    for k, pair in enumerate(cfg.pairs, 1):
+        d = pair.d
+        for side, cap, merged in (
+            ("r", pair.N - d, bundle == "p"),
+            ("t", pair.M - d, bundle == "q"),
+        ):
+            if merged:
+                caps[(side, k, 0)] = cap
+            else:
+                for s in range(1, d + 1):
+                    caps[(side, k, s)] = cap // d if bundle else cap
+    ends = {
+        item: (("r", item[0], item[2]), ("t", item[1], item[3]))
+        for item in _items(cfg, bundle)
+    }
+    return _Instance(ends=ends, caps=caps)
 
 
 @dataclass(frozen=True)
@@ -235,8 +266,7 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
     pressure = dict(inst.caps)
     by_r = defaultdict(list)
     by_t = defaultdict(list)
-    for item in inst.items:
-        r_cell, t_cell = inst.ends[item]
+    for item, (r_cell, t_cell) in inst.ends.items():
         by_r[r_cell].append(item)
         by_t[t_cell].append(item)
         pressure[r_cell if assign[item] == "r" else t_cell] -= 1
@@ -362,149 +392,84 @@ class PttResult:
     witness: SubsetWitness | None = None
 
 
-def _require_admissible(cfg: NetworkConfig) -> None:
-    # A stream with d_k > min(M_k, N_k) has a negative cap, which no
-    # allocation meets and no link subset need expose.
-    if not validate_config(cfg).admissible:
-        raise ValueError("allocation needs a stream-admissible network")
+def _bundle_axis(cfg: NetworkConfig) -> tuple:
+    """The divisible family's domain test: (axis, reason).
 
-
-def _plain_instance(cfg: NetworkConfig) -> _Instance:
-    _require_admissible(cfg)
-    items = tuple(cfg.quads())
-    ends = {}
-    caps = {}
-    for k in range(1, cfg.K + 1):
-        for p in range(1, cfg.d(k) + 1):
-            caps[("r", k, p)] = cfg.N(k) - cfg.d(k)
-        for q in range(1, cfg.d(k) + 1):
-            caps[("t", k, q)] = cfg.M(k) - cfg.d(k)
-    for quad in items:
-        k, j, p, q = quad
-        ends[quad] = (("r", k, p), ("t", j, q))
-    return _Instance(items=items, ends=ends, caps=caps)
-
-
-def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy) -> PttResult:
-    """Rebalance an allocation by pressure transfers.
-
-    Starting from ``alloc`` (which must assign every constraint exactly
-    once), repeatedly roots a tree at an overloaded stream, grows it along
-    currently assigned constraints, and moves one constraint chain whenever
-    the tree reaches a stream with slack. Ends balanced (Case1) or stuck
-    (Case2) with a :class:`PressureTree` whose nodes certify a properness
-    violation. Root and target choices are deterministic (lowest cell
-    first). The input policy is not modified.
+    Inside the family, where every pair carries the same stream count d,
+    every stream fits and d divides every N_k (axis "q") or else every M_k
+    (axis "p"), it returns (axis, ""); outside it, ("", why not).
     """
-    inst = _plain_instance(cfg)
-    assign = {quad: alloc.side(quad) for quad in inst.items}
-    balanced, tree, transfers = _run_transfer_engine(inst, assign)
-    out = AllocationPolicy.from_sides(cfg, assign)
-    if balanced:
-        return PttResult(balanced=True, alloc=out, transfers=transfers)
-    witness = _witness_from_tree(cfg, tree.nodes)
-    return PttResult(
-        balanced=False, alloc=out, transfers=transfers, tree=tree, witness=witness
-    )
+    ds = {pair.d for pair in cfg.pairs}
+    if len(ds) != 1:
+        return "", "stream counts differ"
+    d = ds.pop()
+    if not validate_config(cfg).admissible:
+        return "", "not stream-admissible"
+    if all(pair.N % d == 0 for pair in cfg.pairs):
+        return "q", ""
+    if all(pair.M % d == 0 for pair in cfg.pairs):
+        return "p", ""
+    return "", "d divides neither all N_k nor all M_k"
+
+
+def _run(cfg: NetworkConfig, bundle: str, assign: dict) -> PttResult:
+    """Run the engine from ``assign`` (item -> side, rebalanced in place)
+    and give every constraint its item's side."""
+    balanced, tree, transfers = _run_transfer_engine(_instance(cfg, bundle), assign)
+    if bundle == "q":
+        sides = {(k, j, p, q): assign[k, j, p, 0] for k, j, p, q in cfg.quads()}
+    elif bundle == "p":
+        sides = {(k, j, p, q): assign[k, j, 0, q] for k, j, p, q in cfg.quads()}
+    else:
+        sides = assign
+    witness = None if balanced else _witness_from_tree(cfg, tree.nodes)
+    return PttResult(balanced, AllocationPolicy(cfg, sides), transfers, tree, witness)
 
 
 def _witness_from_tree(cfg: NetworkConfig, nodes) -> SubsetWitness:
-    rx_cells = set()
-    tx_cells = set()
-    for cell in nodes:
-        side, idx, stream = cell
-        if stream == 0:
-            streams = range(1, cfg.d(idx) + 1)
-        else:
-            streams = (stream,)
-        for s in streams:
-            (rx_cells if side == "r" else tx_cells).add((idx, s))
-    witness = properness_witness_from_cells(cfg, rx_cells, tx_cells)
+    cells = {"r": set(), "t": set()}
+    for side, idx, stream in nodes:
+        streams = range(1, cfg.d(idx) + 1) if stream == 0 else (stream,)
+        cells[side].update((idx, s) for s in streams)
+    witness = properness_witness_from_cells(cfg, cells["r"], cells["t"])
     if witness is None:
         raise PttDefect("stuck tree did not yield a counting violation")
     return witness
 
 
-def _bundled_instance(cfg: NetworkConfig, d: int, over_q: bool) -> _Instance:
-    """Instance whose items are bundles of d constraints on one stream.
+def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy) -> PttResult:
+    """Rebalance an allocation by pressure transfers.
 
-    With ``over_q`` item (k, j, p) stands for the constraints (k, j, p, q)
-    of every transmit stream q: it loads receive cell ("r", k, p), of
-    capacity (N_k - d) / d, or the whole transmitter ("t", j, 0), of
-    capacity M_j - d. Otherwise item (k, j, q) is the mirror image between
-    ("r", k, 0) and ("t", j, q). The caller makes sure d divides the
-    antenna counts of the split side.
+    Starting from ``alloc``, repeatedly roots a tree at an overloaded
+    stream, grows it along currently assigned constraints, and moves one
+    constraint chain whenever the tree reaches a stream with slack. Ends
+    balanced (Case1) or stuck (Case2) with a :class:`PressureTree` whose
+    nodes certify a properness violation. Root and target choices are
+    deterministic (lowest cell first). The engine works on a copy, so the
+    input policy is not modified.
     """
-    _require_admissible(cfg)
-    items = []
-    ends = {}
-    caps = {}
-    for k in range(1, cfg.K + 1):
-        if over_q:
-            for p in range(1, d + 1):
-                caps[("r", k, p)] = (cfg.N(k) - d) // d
-            caps[("t", k, 0)] = cfg.M(k) - d
-        else:
-            caps[("r", k, 0)] = cfg.N(k) - d
-            for q in range(1, d + 1):
-                caps[("t", k, q)] = (cfg.M(k) - d) // d
-    for k, j in cfg.cross_pairs():
-        for s in range(1, d + 1):
-            item = (k, j, s)
-            items.append(item)
-            if over_q:
-                ends[item] = (("r", k, s), ("t", j, 0))
-            else:
-                ends[item] = (("r", k, 0), ("t", j, s))
-    return _Instance(items=tuple(items), ends=ends, caps=caps)
-
-
-def _unbundle(cfg: NetworkConfig, d: int, over_q: bool, assign: dict) -> AllocationPolicy:
-    sides = {}
-    for k, j in cfg.cross_pairs():
-        for p in range(1, d + 1):
-            for q in range(1, d + 1):
-                sides[(k, j, p, q)] = assign[(k, j, p if over_q else q)]
-    return AllocationPolicy.from_sides(cfg, sides)
+    return _run(cfg, "", dict(alloc.sides))
 
 
 def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     """Transfer run that preserves stream uniformity.
 
-    Needs every pair to carry the same stream count d. Constraints are
-    moved in bundles of d: with d dividing every N_k the bundle (k, j, p)
-    spans all transmit streams q (the allocation stays uniform over q and
-    receive pressures stay divisible by d); if instead d divides every
-    M_j, the mirrored bundle (k, j, q) spans receive streams p. Balanced
-    outcomes therefore satisfy the capacity caps and stream uniformity at
-    once, which certifies solvability. The seed draws the starting bundle
-    sides at random; the engine's choices are deterministic. For d = 1 this
-    reduces exactly to :func:`run_ptt` from ``init_allocation(cfg, seed)``.
+    Needs the divisible family: every pair carries the same stream count d
+    and d divides every N_k or every M_j. Constraints are moved in bundles
+    of d: with d dividing every N_k the bundle (k, j, p, 0) spans all
+    transmit streams q (the allocation stays uniform over q and receive
+    pressures stay divisible by d); otherwise the mirrored bundle
+    (k, j, 0, q) spans receive streams p. Balanced outcomes therefore satisfy
+    the capacity caps and stream uniformity at once, which certifies
+    solvability. The seed draws the starting bundle sides at random, with
+    the coins of :func:`init_allocation`; the engine's choices are
+    deterministic. For d = 1 this is exactly :func:`run_ptt` from
+    ``init_allocation(cfg, seed)``.
     """
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        raise ValueError("bundled allocation needs a common stream count")
-    d = ds.pop()
-    q_uniform = all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1))
-    p_uniform = all(cfg.M(j) % d == 0 for j in range(1, cfg.K + 1))
-    if not q_uniform and not p_uniform:
-        raise ValueError(
-            "symmetric transfers need d to divide every N_k or every M_j"
-        )
-    inst = _bundled_instance(cfg, d, over_q=q_uniform)
-
-    rng = np.random.default_rng(seed)
-    assign = {it: ("r" if int(rng.integers(0, 2)) else "t") for it in inst.items}
-
-    balanced, tree, transfers = _run_transfer_engine(inst, assign)
-
-    out = _unbundle(cfg, d, over_q=q_uniform, assign=assign)
-    if balanced:
-        return PttResult(balanced=True, alloc=out, transfers=transfers)
-    witness = _witness_from_tree(cfg, tree.nodes)
-    return PttResult(
-        balanced=False, alloc=out, transfers=transfers, tree=tree, witness=witness
-    )
+    axis, reason = _bundle_axis(cfg)
+    if not axis:
+        raise ValueError(f"bundled allocation needs the divisible family: {reason}")
+    return _run(cfg, axis, _coin_flips(_items(cfg, axis), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +486,8 @@ def flow_feasibility(cfg: NetworkConfig):
     and every choice of the engine are fixed, so the answer is the same in
     every process.
     """
-    inst = _plain_instance(cfg)
-    assign = dict.fromkeys(inst.items, "r")
-    balanced, tree, _ = _run_transfer_engine(inst, assign)
-    if balanced:
-        return AllocationPolicy.from_sides(cfg, assign), None
-    return None, _witness_from_tree(cfg, tree.nodes)
+    res = _run(cfg, "", dict.fromkeys(_items(cfg, ""), "r"))
+    return (res.alloc, None) if res.balanced else (None, res.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +497,14 @@ def flow_feasibility(cfg: NetworkConfig):
 
 @dataclass(frozen=True)
 class AllocationReport:
-    """Which of the three certificate conditions an allocation meets.
+    """Which of the certificate conditions an allocation meets.
 
-    A sufficiency certificate needs all three: complementarity (every
-    constraint on exactly one side), the capacity caps on both sides, and
-    stream uniformity in at least one direction.
+    A sufficiency certificate needs complementarity (every constraint on
+    exactly one side), which every :class:`AllocationPolicy` has by
+    construction, the capacity caps on both sides, and stream uniformity in
+    at least one direction.
     """
 
-    complementary: bool
     rx_capacity_ok: bool
     tx_capacity_ok: bool
     uniform_over_q: bool
@@ -561,11 +522,12 @@ class AllocationReport:
 
     @property
     def certificate(self) -> bool:
-        return self.complementary and self.capacities_ok and self.stream_uniform
+        return self.capacities_ok and self.stream_uniform
 
     def to_dict(self) -> dict:
         return {
-            "complementary": self.complementary,
+            # a policy holds one side per constraint
+            "complementary": True,
             "rx_capacity_ok": self.rx_capacity_ok,
             "tx_capacity_ok": self.tx_capacity_ok,
             "uniform_over_q": self.uniform_over_q,
@@ -577,64 +539,38 @@ class AllocationReport:
 
 
 def verify_allocation(cfg: NetworkConfig, alloc: AllocationPolicy) -> AllocationReport:
-    """Check complementarity, both capacity caps, and stream uniformity."""
-    complementary = True
-    expected = set(cfg.quads())
-    seen = set(alloc.c_r) | set(alloc.c_t)
-    if seen != expected:
-        complementary = False
-    for quad in expected:
-        cr = alloc.c_r.get(quad, 0)
-        ct = alloc.c_t.get(quad, 0)
-        if cr not in (0, 1) or ct not in (0, 1) or cr + ct != 1:
-            complementary = False
+    """Check both capacity caps and stream uniformity.
 
-    rx_load = defaultdict(int)
-    tx_load = defaultdict(int)
-    for quad in expected:
-        k, j, p, q = quad
-        if alloc.c_r.get(quad, 0) == 1:
-            rx_load[(k, p)] += 1
-        if alloc.c_t.get(quad, 0) == 1:
-            tx_load[(j, q)] += 1
+    An overload is (k, s, load, cap) for every stream whose pressure is
+    negative. Uniform over q means each (k, j, p) puts all its constraints
+    on one side, and uniform over p the same for each (k, j, q).
+    """
+    state = pressures(cfg, alloc)
+    rx_over = tuple(
+        (k, p, cfg.N(k) - cfg.d(k) - v, cfg.N(k) - cfg.d(k))
+        for (k, p), v in state.p_r.items()
+        if v < 0
+    )
+    tx_over = tuple(
+        (j, q, cfg.M(j) - cfg.d(j) - v, cfg.M(j) - cfg.d(j))
+        for (j, q), v in state.p_t.items()
+        if v < 0
+    )
 
-    rx_over = []
-    for k in range(1, cfg.K + 1):
-        cap = cfg.N(k) - cfg.d(k)
-        for p in range(1, cfg.d(k) + 1):
-            if rx_load[(k, p)] > cap:
-                rx_over.append((k, p, rx_load[(k, p)], cap))
-    tx_over = []
-    for j in range(1, cfg.K + 1):
-        cap = cfg.M(j) - cfg.d(j)
-        for q in range(1, cfg.d(j) + 1):
-            if tx_load[(j, q)] > cap:
-                tx_over.append((j, q, tx_load[(j, q)], cap))
-
-    uniform_q = True
-    uniform_p = True
-    for k, j in cfg.cross_pairs():
-        for p in range(1, cfg.d(k) + 1):
-            vals = {
-                (alloc.c_r.get((k, j, p, q), 0), alloc.c_t.get((k, j, p, q), 0))
-                for q in range(1, cfg.d(j) + 1)
-            }
-            if len(vals) > 1:
-                uniform_q = False
-        for q in range(1, cfg.d(j) + 1):
-            vals = {
-                (alloc.c_r.get((k, j, p, q), 0), alloc.c_t.get((k, j, p, q), 0))
-                for p in range(1, cfg.d(k) + 1)
-            }
-            if len(vals) > 1:
-                uniform_p = False
+    uniform_q = uniform_p = True
+    over_q = {}
+    over_p = {}
+    for (k, j, p, q), side in alloc.sides.items():
+        if over_q.setdefault((k, j, p), side) != side:
+            uniform_q = False
+        if over_p.setdefault((k, j, q), side) != side:
+            uniform_p = False
 
     return AllocationReport(
-        complementary=complementary,
         rx_capacity_ok=not rx_over,
         tx_capacity_ok=not tx_over,
         uniform_over_q=uniform_q,
         uniform_over_p=uniform_p,
-        rx_overloads=tuple(rx_over),
-        tx_overloads=tuple(tx_over),
+        rx_overloads=rx_over,
+        tx_overloads=tx_over,
     )

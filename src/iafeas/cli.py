@@ -14,9 +14,10 @@ Four subcommands:
   or malformed input.
 * ``hall CONFIG.json``: sample channels and print the alignment
   coefficient matrix in the text dump format.
-* ``alloc CONFIG.json``: run the pressure-transfer allocator; balanced
-  runs print the allocation map and exit 0, stuck runs print the witness
-  and exit 1.
+* ``alloc CONFIG.json``: run the pressure-transfer allocator, bundled on
+  the divisible family unless ``--plain`` is given, plain elsewhere;
+  balanced runs print the allocation map and exit 0, stuck runs print
+  the witness and exit 1.
 
 Seed precedence everywhere: ``--seed`` flag, then the config file's
 ``seed`` entry, then the ``IA_KIT_SEED`` environment variable, then 0.
@@ -32,7 +33,13 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .allocation import init_allocation, run_ptt, run_ptt_symmetric, verify_allocation
+from .allocation import (
+    _bundle_axis,
+    init_allocation,
+    run_ptt,
+    run_ptt_symmetric,
+    verify_allocation,
+)
 from .channels import sample_channels
 from .config import NetworkConfig, load_config_file, system_shape
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
@@ -225,14 +232,11 @@ def _cmd_hall(ns) -> int:
 def _cmd_alloc(ns) -> int:
     cfg, file_seed, _ = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
-    res, variant = None, "plain"
-    if not ns.plain:
-        try:
-            res, variant = run_ptt_symmetric(cfg, seed=seed), "bundled"
-        except ValueError:
-            pass  # the bundled variant does not apply here
-    if res is None:
-        res = run_ptt(cfg, init_allocation(cfg, seed=seed))
+    axis, _ = _bundle_axis(cfg)
+    if axis and not ns.plain:
+        res, variant = run_ptt_symmetric(cfg, seed=seed), "bundled"
+    else:
+        res, variant = run_ptt(cfg, init_allocation(cfg, seed=seed)), "plain"
     if res.balanced:
         report = verify_allocation(cfg, res.alloc)
         out = {

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .allocation import flow_feasibility
+from .allocation import _bundle_axis, flow_feasibility
 from .config import NetworkConfig, validate_config
 from .witnesses import (
     ANTENNA_BUDGET,
@@ -280,21 +280,6 @@ def symmetric_feasible(cfg: NetworkConfig) -> ClosedForm:
     return ClosedForm("symmetric", True, feasible=False, margin=margin, witness=witness)
 
 
-def _divisible_reason(cfg: NetworkConfig) -> str:
-    """Why ``cfg`` lies outside the divisible family, or "" inside it."""
-    ds = {cfg.d(k) for k in range(1, cfg.K + 1)}
-    if len(ds) != 1:
-        return "stream counts differ"
-    d = ds.pop()
-    if not validate_config(cfg).admissible:
-        return "not stream-admissible"
-    div_n = all(cfg.N(k) % d == 0 for k in range(1, cfg.K + 1))
-    div_m = all(cfg.M(k) % d == 0 for k in range(1, cfg.K + 1))
-    if not div_n and not div_m:
-        return "d divides neither all N_k nor all M_k"
-    return ""
-
-
 def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
     """Closed form for equal-stream networks with divisible antennas.
 
@@ -304,7 +289,7 @@ def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
     (:func:`~iafeas.allocation.flow_feasibility`) decides it, and a stuck
     run's witness is a properness violation.
     """
-    reason = _divisible_reason(cfg)
+    _, reason = _bundle_axis(cfg)
     if reason:
         return ClosedForm("divisible", False, reason=reason)
     _, witness = flow_feasibility(cfg)

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from .allocation import (
     AllocationPolicy,
     AllocationReport,
+    _bundle_axis,
     flow_feasibility,
     verify_allocation,
 )
 from .conditions import (
     ClosedForm,
-    _divisible_reason,
     check_antenna_budget,
     check_stream_support,
     symmetric_feasible,
@@ -102,7 +102,11 @@ def necessary_verdict(cfg: NetworkConfig) -> NecessaryReport:
 
 @dataclass(frozen=True)
 class VerdictReport:
-    """Everything the pipeline concluded about one configuration."""
+    """Everything the pipeline concluded about one configuration.
+
+    ``allocation`` and ``allocation_report`` are set together, exactly
+    when the necessary chain passes.
+    """
 
     cfg: NetworkConfig
     verdict: str
@@ -119,22 +123,12 @@ class VerdictReport:
     def to_dict(self) -> dict:
         c, v = system_shape(self.cfg)
         alloc = None
-        if self.allocation is not None or self.allocation_report is not None:
+        if self.allocation is not None:
             alloc = {
                 "source": "transfer",
-                "certificate": (
-                    None
-                    if self.allocation_report is None
-                    else self.allocation_report.certificate
-                ),
-                "report": (
-                    None
-                    if self.allocation_report is None
-                    else self.allocation_report.to_dict()
-                ),
-                "policy": (
-                    None if self.allocation is None else self.allocation.to_json_dict()
-                ),
+                "certificate": self.allocation_report.certificate,
+                "report": self.allocation_report.to_dict(),
+                "policy": self.allocation.to_json_dict(),
             }
         return {
             "config": config_to_dict(self.cfg),
@@ -204,7 +198,7 @@ def feasibility_report(
     alloc_report = None
     if necessary.passed:
         # properness, which the chain has just shown, decides the family
-        reason = _divisible_reason(cfg)
+        _, reason = _bundle_axis(cfg)
         if reason:
             divisible = ClosedForm("divisible", False, reason=reason)
         else:

@@ -32,11 +32,8 @@ def total_deficit(cfg, alloc):
 
 def test_policy_from_sides_and_accessors():
     alloc = AllocationPolicy.all_rx(RING)
-    assert set(alloc.c_r.values()) == {1}
-    assert set(alloc.c_t.values()) == {0}
-    for quad in RING.quads():
-        assert alloc.side(quad) == "r"
-    assert alloc.sides() == {quad: "r" for quad in RING.quads()}
+    assert alloc.sides == {quad: "r" for quad in RING.quads()}
+    assert AllocationPolicy.from_sides(RING, alloc.sides) == alloc
 
 
 def test_policy_rejects_bad_sides():
@@ -51,16 +48,10 @@ def test_policy_rejects_bad_sides():
     with pytest.raises(ValueError, match="unknown"):
         AllocationPolicy.from_sides(RING, extra)
 
-    # a policy that double-books a constraint is representable but unusable
-    broken = AllocationPolicy(
-        cfg=RING,
-        c_t={quad: 1 for quad in RING.quads()},
-        c_r={quad: 1 for quad in RING.quads()},
-    )
-    with pytest.raises(ValueError, match="exactly one side"):
-        broken.side((1, 2, 1, 1))
-    with pytest.raises(ValueError, match="exactly one side"):
-        run_ptt(RING, broken)
+    bad = dict(sides)
+    bad[(1, 2, 1, 1)] = "both"
+    with pytest.raises(ValueError, match="no side"):
+        AllocationPolicy.from_sides(RING, bad)
 
 
 def test_json_dict_round_trip():
@@ -70,7 +61,7 @@ def test_json_dict_round_trip():
     # keys come out in constraint order
     assert list(obj) == [",".join(str(i) for i in quad) for quad in cfg.quads()]
     back = allocation_from_json_dict(cfg, json.loads(json.dumps(obj)))
-    assert back.sides() == alloc.sides()
+    assert back.sides == alloc.sides
 
 
 def test_allocation_json_rejects_malformed():
@@ -113,7 +104,6 @@ def test_fixture_mixed_pair_allocation():
     alloc = allocation_from_json_dict(cfg, blob["allocation"])
 
     report = verify_allocation(cfg, alloc)
-    assert report.complementary
     assert report.tx_capacity_ok
     assert not report.rx_capacity_ok
     assert report.rx_overloads == ((3, 1, 1, 0), (3, 2, 1, 0))
@@ -126,6 +116,7 @@ def test_fixture_mixed_pair_allocation():
 
     dumped = report.to_dict()
     json.dumps(dumped)
+    assert dumped["complementary"] is True
     assert dumped["certificate"] is False
     assert dumped["rx_overloads"] == [[3, 1, 1, 0], [3, 2, 1, 0]]
 
@@ -169,7 +160,20 @@ def test_run_ptt_balances_ring():
     assert state.lowest() == 0
     assert verify_allocation(RING, res.alloc).certificate
     # the input policy is untouched
-    assert start.sides() == {quad: "r" for quad in RING.quads()}
+    assert start.sides == {quad: "r" for quad in RING.quads()}
+
+
+def test_run_ptt_leaves_its_input_policy_unchanged():
+    # the policy is frozen but its side map is a dict: only the engine's
+    # copy keeps the caller's map as it was
+    rng = np.random.default_rng(31)
+    for i in range(40):
+        cfg = random_config(rng)
+        start = init_allocation(cfg, seed=i)
+        before = dict(start.sides)
+        res = run_ptt(cfg, start)
+        assert start.sides == before
+        assert res.alloc.sides is not start.sides
 
 
 def test_run_ptt_stuck_tree_and_witness():
@@ -186,7 +190,7 @@ def test_run_ptt_stuck_tree_and_witness():
     for quad in RING4.quads():
         k, j, p, q = quad
         r_cell, t_cell = ("r", k, p), ("t", j, q)
-        held = r_cell if res.alloc.side(quad) == "r" else t_cell
+        held = r_cell if res.alloc.sides[quad] == "r" else t_cell
         if held in nodes:
             assert r_cell in nodes and t_cell in nodes
 
@@ -212,10 +216,8 @@ def test_run_ptt_agrees_with_flow_and_enumeration():
         if res.balanced:
             assert res.transfers == deficit
             assert pressures(cfg, res.alloc).all_nonnegative()
-            rep = verify_allocation(cfg, res.alloc)
-            assert rep.complementary and rep.capacities_ok
-            flow_rep = verify_allocation(cfg, alloc_flow)
-            assert flow_rep.complementary and flow_rep.capacities_ok
+            assert verify_allocation(cfg, res.alloc).capacities_ok
+            assert verify_allocation(cfg, alloc_flow).capacities_ok
         else:
             assert res.witness.holds(cfg)
             assert wit_flow is not None and wit_flow.holds(cfg)
@@ -251,7 +253,7 @@ def test_run_ptt_symmetric_stuck_has_stream_level_witness():
 def test_run_ptt_symmetric_guards():
     with pytest.raises(ValueError, match="divide"):
         run_ptt_symmetric(NetworkConfig.symmetric(3, 5, 5, 2))
-    with pytest.raises(ValueError, match="common stream count"):
+    with pytest.raises(ValueError, match="stream counts differ"):
         run_ptt_symmetric(NetworkConfig.from_tuples([(4, 4, 2), (4, 4, 1), (4, 4, 1)]))
     with pytest.raises(ValueError, match="admissible"):
         run_ptt_symmetric(NetworkConfig.symmetric(3, 2, 3, 3))
@@ -264,7 +266,7 @@ def test_run_ptt_symmetric_single_stream_matches_plain():
             plain = run_ptt(cfg, init_allocation(cfg, seed=seed))
             assert bundled.balanced == plain.balanced
             assert bundled.transfers == plain.transfers
-            assert bundled.alloc.sides() == plain.alloc.sides()
+            assert bundled.alloc.sides == plain.alloc.sides
 
 
 def test_flow_feasibility_witness_numbers():
@@ -281,6 +283,6 @@ def test_flow_feasibility_witness_numbers():
 def test_init_allocation_modes():
     # different seeds actually vary the coin flips
     assert any(
-        init_allocation(RING, seed=0).sides() != init_allocation(RING, seed=s).sides()
+        init_allocation(RING, seed=0).sides != init_allocation(RING, seed=s).sides
         for s in range(1, 6)
     )

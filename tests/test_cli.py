@@ -282,6 +282,28 @@ def test_alloc_stuck(tmp_path, capsys):
     assert blob["tree"]["nodes"]
 
 
+def test_alloc_inadmissible_exits_three(tmp_path, capsys):
+    cfg_file = write_cfg(tmp_path, "bad.json", [(2, 3, 3), (4, 4, 1)])
+    code, out, err = run(capsys, "alloc", cfg_file)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_alloc_outside_divisible_family_runs_plain(tmp_path, capsys, monkeypatch):
+    # the variant comes from the family's domain test, not from a failed
+    # bundled run
+    def refuse(*args, **kwargs):
+        raise AssertionError("bundled run outside the divisible family")
+
+    monkeypatch.setattr(iafeas.cli, "run_ptt_symmetric", refuse)
+    cfg_file = write_cfg(tmp_path, "odd.json", [(5, 5, 2)] * 3)
+    code, out, _ = run(capsys, "alloc", cfg_file)
+    assert code == 0
+    assert json.loads(out)["variant"] == "plain"
+
+
 def test_sweep_grid(capsys):
     code, out, _ = run(capsys, "sweep", "--K", "3:4", "--M", "2", "--d", "1")
     assert code == 0

@@ -92,7 +92,7 @@ def test_all_receive_transfer_run_matches_max_flow_oracle(cfg):
     # the properness decision is this very run
     alloc, witness = flow_feasibility(cfg)
     if res.balanced:
-        assert witness is None and alloc.sides() == res.alloc.sides()
+        assert witness is None and alloc.sides == res.alloc.sides
     else:
         assert alloc is None and witness == res.witness
 
