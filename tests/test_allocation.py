@@ -171,9 +171,8 @@ def test_run_ptt_leaves_its_input_policy_unchanged():
         cfg = random_config(rng)
         start = init_allocation(cfg, seed=i)
         before = dict(start.sides)
-        res = run_ptt(cfg, start)
+        run_ptt(cfg, start)
         assert start.sides == before
-        assert res.alloc.sides is not start.sides
 
 
 def test_run_ptt_stuck_tree_and_witness():
