@@ -1,6 +1,6 @@
 """Shared test utilities: random configurations and brute-force oracles."""
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +16,7 @@ from iafeas import (
     scale_config,
     system_shape,
 )
+from iafeas.allocation import PressureTree, PttDefect
 from iafeas.rank import _svd_rank
 
 MAX_ENUM_PAIRS = 4
@@ -289,3 +290,116 @@ def scaling_check(cfg, c, seed=0):
     c1, v1 = system_shape(scaled_cfg)
     dims = c1 == c * c * c0 and v1 == c * c * v0
     return ScalingReport(c=c, base=base, scaled=scaled, dims_consistent=dims)
+
+
+def transfer_engine_reference(inst, assign):
+    """The transfer engine as it stood before its per-step scans were cut.
+
+    The oracle for ``allocation._run_transfer_engine``: same instance, same
+    in-place rebalancing of ``assign``, same (balanced, tree, transfers).
+    Every growth round walks every tree node's items, every transfer takes
+    ``min`` over the whole tree, and every detach rebuilds the tree's
+    children map, so each step costs O(tree).
+    """
+    pressure = dict(inst.caps)
+    by_r = defaultdict(list)
+    by_t = defaultdict(list)
+    for item, (r_cell, t_cell) in inst.ends.items():
+        by_r[r_cell].append(item)
+        by_t[t_cell].append(item)
+        pressure[r_cell if assign[item] == "r" else t_cell] -= 1
+
+    deficit = sum(-v for v in pressure.values() if v < 0)
+    round_guard = (deficit + 2) * (len(pressure) + deficit + 2)
+    transfers = 0
+    rounds = 0
+
+    while True:
+        root = min((c for c, v in pressure.items() if v < 0), default=None)
+        if root is None:
+            return True, None, transfers
+
+        parent = {root: None}
+        via = {root: None}
+        order = [root]
+
+        while True:
+            rounds += 1
+            if rounds > round_guard:
+                raise PttDefect("transfer engine failed to terminate")
+
+            # grow one level: follow constraints assigned to a node's side
+            grew = False
+            for node in list(order):
+                if node not in parent:
+                    continue
+                if node[0] == "r":
+                    live = (it for it in by_r[node] if assign[it] == "r")
+                    other = 1
+                else:
+                    live = (it for it in by_t[node] if assign[it] == "t")
+                    other = 0
+                for item in live:
+                    child = inst.ends[item][other]
+                    if child not in parent:
+                        parent[child] = node
+                        via[child] = item
+                        order.append(child)
+                        grew = True
+
+            # drain: move one unit from the root to a positive node, then
+            # detach everything below the flipped path
+            drained = False
+            while pressure[root] < 0:
+                target = min(
+                    (c for c in parent if c != root and pressure[c] > 0),
+                    default=None,
+                )
+                if target is None:
+                    break
+                path = []
+                cur = target
+                while cur != root:
+                    path.append((parent[cur], via[cur], cur))
+                    cur = parent[cur]
+                for par, item, _child in path:
+                    r_cell, t_cell = inst.ends[item]
+                    if assign[item] == "r":
+                        if par != r_cell:
+                            raise PttDefect("tree edge lost its live constraint")
+                        assign[item] = "t"
+                        pressure[r_cell] += 1
+                        pressure[t_cell] -= 1
+                    else:
+                        if par != t_cell:
+                            raise PttDefect("tree edge lost its live constraint")
+                        assign[item] = "r"
+                        pressure[t_cell] += 1
+                        pressure[r_cell] -= 1
+                transfers += 1
+                drained = True
+                _detach_subtree(path[-1][2], parent, via)
+
+            if pressure[root] >= 0:
+                break
+            if not grew and not drained:
+                tree_nodes = tuple(sorted(parent))
+                tree = PressureTree(
+                    root=root,
+                    nodes=tree_nodes,
+                    pressures={n: pressure[n] for n in tree_nodes},
+                )
+                return False, tree, transfers
+
+
+def _detach_subtree(node, parent, via):
+    """Remove ``node`` and its whole subtree from the tree maps."""
+    children = defaultdict(list)
+    for child, par in parent.items():
+        children[par].append(child)
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        stack.extend(children[cur])
+        del parent[cur]
+        del via[cur]
