@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iafeas import (
     AllocationPolicy,
@@ -17,7 +18,14 @@ from iafeas import (
     verify_allocation,
 )
 
-from helpers import enumerate_properness_violation, max_allocation, random_config
+from iafeas.allocation import _coin_flips, _instance, _items, _run_transfer_engine
+
+from helpers import (
+    enumerate_properness_violation,
+    max_allocation,
+    random_config,
+    transfer_engine_reference,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,6 +274,50 @@ def test_run_ptt_symmetric_single_stream_matches_plain():
             assert bundled.balanced == plain.balanced
             assert bundled.transfers == plain.transfers
             assert bundled.alloc.sides == plain.alloc.sides
+
+
+@st.composite
+def engine_instances(draw):
+    """A random network and a bundle axis its antennas admit.
+
+    Plain instances take ``random_config`` as drawn. Bundled ones give every
+    pair the largest drawn stream count d and round the split side's antenna
+    counts (N_k over q, M_k over p) up to a multiple of d.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = random_config(rng, k_hi=6, mn_hi=8, d_hi=3)
+    bundle = draw(st.sampled_from(["", "q", "p"]))
+    if bundle:
+        d = max(pair.d for pair in cfg.pairs)
+        tuples = []
+        for pair in cfg.pairs:
+            M, N = max(pair.M, d), max(pair.N, d)
+            if bundle == "q":
+                N = -(-N // d) * d
+            else:
+                M = -(-M // d) * d
+            tuples.append((M, N, d))
+        cfg = NetworkConfig.from_tuples(tuples)
+    return cfg, bundle
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_instances(), st.one_of(st.none(), st.integers(0, 2**16)))
+# the two largest ladder rungs, from the all-receive start and from coins
+@example((NetworkConfig.symmetric(16, 17, 17, 2), ""), None)
+@example((NetworkConfig.symmetric(20, 21, 21, 2), ""), None)
+@example((NetworkConfig.symmetric(16, 17, 17, 2), ""), 11)
+@example((NetworkConfig.symmetric(20, 21, 21, 2), ""), 11)
+def test_transfer_engine_matches_reference(case, start):
+    # start None is the all-receive start of the properness run, an integer
+    # the coin flips of a random start
+    cfg, bundle = case
+    inst = _instance(cfg, bundle)
+    items = list(_items(cfg, bundle))
+    assign = dict.fromkeys(items, "r") if start is None else _coin_flips(items, start)
+    expected = dict(assign)
+    assert _run_transfer_engine(inst, assign) == transfer_engine_reference(inst, expected)
+    assert assign == expected
 
 
 def test_flow_feasibility_witness_numbers():
