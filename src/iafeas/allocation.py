@@ -29,7 +29,8 @@ the same allocation in every process.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import bisect
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,112 +263,120 @@ class PttDefect(RuntimeError):
 
 
 def _run_transfer_engine(inst: _Instance, assign: dict):
-    """Rebalance ``assign`` in place. Returns (balanced, tree_or_None, transfers)."""
-    pressure = dict(inst.caps)
-    by_r = defaultdict(list)
-    by_t = defaultdict(list)
-    for item, (r_cell, t_cell) in inst.ends.items():
-        by_r[r_cell].append(item)
-        by_t[t_cell].append(item)
-        pressure[r_cell if assign[item] == "r" else t_cell] -= 1
+    """Rebalance ``assign`` in place. Returns (balanced, tree_or_None, transfers).
 
-    deficit = sum(-v for v in pressure.values() if v < 0)
+    Roots are taken lowest first among the overloaded cells; a tree grows
+    one level per round, each round scanning its nodes in the order they
+    joined and each node its held items in item order; a drain moves one
+    unit to the lowest tree cell with slack.
+    """
+    # Cells are numbered in sorted order and items in item order, so that
+    # comparing numbers makes the choices that comparing the tuples would.
+    cells = sorted(inst.caps)
+    index = {cell: i for i, cell in enumerate(cells)}
+    items = list(inst.ends)
+    ends = [(index[r], index[t]) for r, t in inst.ends.values()]
+    on_r = [assign[item] == "r" for item in items]
+    pressure = [inst.caps[cell] for cell in cells]
+    # held[c]: the (item, other end) pairs of the items cell c absorbs, in
+    # item order; a flip moves one pair to the other end's list
+    held = [[] for _ in cells]
+    for i, (r, t) in enumerate(ends):
+        cell, other = (r, t) if on_r[i] else (t, r)
+        held[cell].append((i, other))
+        pressure[cell] -= 1
+
+    overloaded = [c for c, v in enumerate(pressure) if v < 0]
+    deficit = -sum(pressure[c] for c in overloaded)
     # Every transfer reduces the total deficit by one, so the loop count is
     # bounded; the guard only trips on an engine defect.
-    round_guard = (deficit + 2) * (len(pressure) + deficit + 2)
+    round_guard = (deficit + 2) * (len(cells) + deficit + 2)
     transfers = 0
     rounds = 0
 
-    while True:
-        root = min((c for c, v in pressure.items() if v < 0), default=None)
-        if root is None:
-            return True, None, transfers
-
-        parent = {root: None}
-        via = {root: None}
+    # Only a root gains pressure and only a cell with slack loses it, so the
+    # overloaded cells are the roots, lowest first, each taken once.
+    for root in overloaded:
+        # parent[c] < 0 marks a cell outside the tree; children mirrors
+        # parent, so a detach walks only the detached subtree
+        parent = [-1] * len(cells)
+        via = [-1] * len(cells)
+        children = [[] for _ in cells]
+        parent[root] = root
         order = [root]
+        # tree cells with positive pressure, checked when they reach the
+        # top: a tree cell's pressure only changes when it is the drained
+        # target, which leaves the tree, so the top is the lowest such cell
+        slack = []
 
         while True:
             rounds += 1
             if rounds > round_guard:
                 raise PttDefect("transfer engine failed to terminate")
 
-            # grow one level: follow constraints assigned to a node's side
+            # grow one level: follow the items each tree node absorbs
             grew = False
-            for node in list(order):
-                if node not in parent:
+            for i in range(len(order)):
+                node = order[i]
+                if parent[node] < 0:
                     continue
-                if node[0] == "r":
-                    live = (it for it in by_r[node] if assign[it] == "r")
-                    other = 1
-                else:
-                    live = (it for it in by_t[node] if assign[it] == "t")
-                    other = 0
-                for item in live:
-                    child = inst.ends[item][other]
-                    if child not in parent:
+                for item, child in held[node]:
+                    if parent[child] < 0:
                         parent[child] = node
                         via[child] = item
+                        children[node].append(child)
                         order.append(child)
+                        if pressure[child] > 0:
+                            heapq.heappush(slack, child)
                         grew = True
 
             # drain: move one unit from the root to a positive node, then
             # detach everything below the flipped path
             drained = False
             while pressure[root] < 0:
-                target = min(
-                    (c for c in parent if c != root and pressure[c] > 0),
-                    default=None,
-                )
-                if target is None:
+                while slack and (parent[slack[0]] < 0 or pressure[slack[0]] <= 0):
+                    heapq.heappop(slack)
+                if not slack:
                     break
-                path = []
-                cur = target
+                cur = heapq.heappop(slack)
                 while cur != root:
-                    path.append((parent[cur], via[cur], cur))
-                    cur = parent[cur]
-                for par, item, _child in path:
-                    r_cell, t_cell = inst.ends[item]
-                    if assign[item] == "r":
-                        if par != r_cell:
-                            raise PttDefect("tree edge lost its live constraint")
-                        assign[item] = "t"
-                        pressure[r_cell] += 1
-                        pressure[t_cell] -= 1
-                    else:
-                        if par != t_cell:
-                            raise PttDefect("tree edge lost its live constraint")
-                        assign[item] = "r"
-                        pressure[t_cell] += 1
-                        pressure[r_cell] -= 1
+                    par, item = parent[cur], via[cur]
+                    if ends[item][0 if on_r[item] else 1] != par:
+                        raise PttDefect("tree edge lost its live constraint")
+                    held[par].remove((item, cur))
+                    bisect.insort(held[cur], (item, par))
+                    on_r[item] = not on_r[item]
+                    pressure[par] += 1
+                    pressure[cur] -= 1
+                    first, cur = cur, par
                 transfers += 1
                 drained = True
-                first_child = path[-1][2]
-                _detach(first_child, parent, via)
+                children[root].remove(first)
+                stack = [first]
+                while stack:
+                    cur = stack.pop()
+                    stack.extend(children[cur])
+                    children[cur] = []
+                    parent[cur] = -1
 
             if pressure[root] >= 0:
                 break
             if not grew and not drained:
-                tree_nodes = tuple(sorted(parent))
+                _write_sides(assign, items, on_r)
+                nodes = tuple(cells[c] for c, par in enumerate(parent) if par >= 0)
                 tree = PressureTree(
-                    root=root,
-                    nodes=tree_nodes,
-                    pressures={n: pressure[n] for n in tree_nodes},
+                    root=cells[root],
+                    nodes=nodes,
+                    pressures={cells[c]: pressure[c] for c, par in enumerate(parent) if par >= 0},
                 )
                 return False, tree, transfers
+    _write_sides(assign, items, on_r)
+    return True, None, transfers
 
 
-def _detach(node, parent: dict, via: dict) -> None:
-    """Remove ``node`` and its whole subtree from the tree maps."""
-    children = defaultdict(list)
-    for child, par in parent.items():
-        children[par].append(child)
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        stack.extend(children[cur])
-        del parent[cur]
-        del via[cur]
+def _write_sides(assign: dict, items: list, on_r: list) -> None:
+    for item, r in zip(items, on_r):
+        assign[item] = "r" if r else "t"
 
 
 # ---------------------------------------------------------------------------
