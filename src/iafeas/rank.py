@@ -91,80 +91,101 @@ def _svd_rank(matrix) -> tuple[int, float]:
 
 
 #: widest column range that the elimination handles column by column
-_LEAF_COLUMNS = 16
+_LEAF_COLUMNS = 32
 
-#: largest inner dimension at which splitting one operand keeps a float64
-#: product exact: 64 * 2**16 * 2**31 = 2**53
-_ONE_SIDED_INNER = 64
-
+#: rank-1 updates a leaf applies before it reduces its panel: with
+#: centered factors each changes an entry by less than 2**60, and
+#: 2**31 + 7 * 2**60 < 2**63
+_LEAF_DELAY = 7
 
 #: widest column slice of a product update; its work arrays are reused
 _SLICE_COLUMNS = 256
 
 
-def _halves(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residues below 2**31 as float64 low and high 16-bit halves."""
-    lo = np.empty(X.shape)
-    hi = np.empty(X.shape)
-    np.bitwise_and(X, 0xFFFF, out=lo, casting="unsafe")
-    np.right_shift(X, 16, out=hi, casting="unsafe")
-    return lo, hi
+def _center(X: np.ndarray, p: int, out=None, work=None) -> np.ndarray:
+    """``X - p * rint(X / p)``, the residue in [-(p-1)/2, (p-1)/2].
+
+    Written to ``out`` (X itself by default); ``work`` is an optional
+    scratch array of X's shape. Exact for integers |X| < 2**51: the
+    computed quotient is then within 2**-52 * |X| / p < 1 / (2p) of X / p,
+    closer than any half-integer, so it rounds to the true nearest
+    integer. Up to 2**53 - 2p the result is off by at most p, and a second
+    call makes it exact.
+    """
+    q = np.multiply(X, 1.0 / p, out=work)
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(X, q, out=X if out is None else out)
 
 
-def _add_product(acc, x, y, f, t) -> None:
-    """``acc += x @ y``, formed in the float64 array ``f`` and converted
-    through the int64 array ``t``; the product must be an exact integer."""
-    np.matmul(x, y, out=f)
-    np.copyto(t, f, casting="unsafe")
-    acc += t
+def _inner_steps(p: int) -> tuple[int, int]:
+    """Inner terms a product block may sum: (with one reduction, with two).
+
+    With centered operands, ``hi @ (2**16 * b mod p) + lo @ b`` adds per
+    term at most (2**14 + 2**15) * h, h = (p - 1) / 2, to a residue of
+    size h: one reduction is exact below 2**51, two up to 2**53 - 2p.
+    """
+    h = (p - 1) // 2
+    per_term = ((1 << 14) + (1 << 15)) * h
+    return ((1 << 51) - 1 - h) // per_term, ((1 << 53) - 2 * p - h) // per_term
 
 
 def _sub_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
-    """``C <- (C - A @ B) mod p`` in place, exact through float64 BLAS.
+    """``C <- C - A @ B`` centered mod p in place, exact through float64 BLAS.
 
-    C, A and B hold residues. C is worked through in slices of columns,
-    and each slice's product is complete before the slice is written, so
-    C may be B itself.
+    All three hold centered residues. A centered residue a is
+    ``hi * 2**16 + lo`` with |hi| <= 2**14 and |lo| <= 2**15, so
+    ``a * b = hi * (2**16 * b mod p) + lo * b (mod p)``, two terms below
+    2**46: each block of inner terms is one product ``[hi lo] @ [b16; b]``
+    of twice its width, reduced before the next (see
+    :func:`_inner_steps`). C is worked through in slices of columns, and
+    each slice's product is complete before the slice is written, so C
+    may be B itself.
     """
-    a_lo, a_hi = _halves(A)
-    one_sided = A.shape[1] <= _ONE_SIDED_INNER
+    k = A.shape[1]
+    if not k:
+        return
+    one, two = _inner_steps(p)
+    step = k if k <= one else two
+    blocks = [(i, min(step, k - i)) for i in range(0, k, step)]
     rows, n = C.shape
+    # per block, columns [hi | lo] of the left operand, rows [b16; b] of
+    # the right one
+    hl = np.empty((rows, 2 * k))
+    for i, s in blocks:
+        hi, lo = hl[:, 2 * i : 2 * i + s], hl[:, 2 * i + s : 2 * i + 2 * s]
+        np.multiply(A[:, i : i + s], 1.0 / 65536, out=hi)
+        np.rint(hi, out=hi)
+        np.multiply(hi, -65536.0, out=lo)
+        lo += A[:, i : i + s]
     w = min(n, _SLICE_COLUMNS)
-    f_work = np.empty((rows, w))
-    p_work = np.empty((rows, w), dtype=np.int64)
-    t_work = np.empty((rows, w), dtype=np.int64)
+    bb_work = np.empty((2 * k, w))
+    f_work, g_work, q_work = (np.empty((rows, w)) for _ in range(3))
     for j in range(0, n, w):
-        Cj = C[:, j : j + w]
-        f, prod, t = (X[:, : Cj.shape[1]] for X in (f_work, p_work, t_work))
-        if one_sided:
-            b = B[:, j : j + w].astype(np.float64)
-            np.matmul(a_hi, b, out=f)
-            np.copyto(prod, f, casting="unsafe")
-            np.remainder(prod, p, out=prod)
-            prod <<= 16
-            _add_product(prod, a_lo, b, f, t)
-        else:
-            b_lo, b_hi = _halves(B[:, j : j + w])
-            np.matmul(a_hi, b_hi, out=f)
-            np.copyto(prod, f, casting="unsafe")
-            np.remainder(prod, p, out=prod)
-            prod <<= 16
-            _add_product(prod, a_lo, b_hi, f, t)
-            _add_product(prod, a_hi, b_lo, f, t)
-            np.remainder(prod, p, out=prod)
-            prod <<= 16
-            _add_product(prod, a_lo, b_lo, f, t)
-        np.subtract(Cj, prod, out=prod)
-        np.remainder(prod, p, out=Cj)
+        b = B[:, j : j + w]
+        bb = bb_work[:, : b.shape[1]]
+        f, g, q = (X[:, : b.shape[1]] for X in (f_work, g_work, q_work))
+        for i, s in blocks:
+            b16 = bb[2 * i : 2 * i + s]
+            np.multiply(b[i : i + s], 65536.0, out=b16)
+            _center(b16, p)
+            bb[2 * i + s : 2 * i + 2 * s] = b[i : i + s]
+        for i, s in blocks:
+            np.matmul(hl[:, 2 * i : 2 * i + 2 * s], bb[2 * i : 2 * i + 2 * s], out=g)
+            np.subtract(f if i else C[:, j : j + w], g, out=f)
+            if step > one:
+                _center(f, p, work=q)
+            _center(f, p, work=q)
+        C[:, j : j + w] = f
 
 
-def _solve_unit_lower(tree, L: np.ndarray, B: np.ndarray, p: int) -> None:
-    """``B <- L^-1 @ B mod p`` in place, for the unit lower triangular
-    factor of ``tree``.
+def _solve_lower(tree, L: np.ndarray, B: np.ndarray, p: int) -> None:
+    """``B <- L^-1 @ B mod p`` in place, for the lower triangular factor of
+    ``tree``.
 
-    ``L`` holds the multipliers below its diagonal; entries on and above it
-    are ignored. ``tree`` mirrors the elimination that produced L: a leaf
-    is the matrix ``I - L^-1`` of its at most 16 pivots, an inner node is
+    ``L`` holds the factor on and below its diagonal; entries above it are
+    ignored. ``tree`` mirrors the elimination that produced L: a leaf is
+    the matrix ``I - L^-1`` of its pivots, an inner node is
     ``(k, left, right)`` with k pivots on the left.
     """
     if len(B) == 0:
@@ -173,66 +194,105 @@ def _solve_unit_lower(tree, L: np.ndarray, B: np.ndarray, p: int) -> None:
         _sub_product(B, tree, B, p)
         return
     k, left, right = tree
-    _solve_unit_lower(left, L[:k, :k], B[:k], p)
+    _solve_lower(left, L[:k, :k], B[:k], p)
     _sub_product(B[k:], L[k:, :k], B[:k], p)
-    _solve_unit_lower(right, L[k:, k:], B[k:], p)
+    _solve_lower(right, L[k:, k:], B[k:], p)
 
 
-def _eliminate_leaf(A, r, c0, c1, p, pivots):
-    """Column-by-column elimination of ``A[r:, c0:c1]``.
+def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
+    """Column-by-column elimination of ``A[r:, c0:c1]``, Crout style.
 
-    Only rows with a nonzero entry in the pivot column are updated, and
-    only within the leaf's later columns; their multipliers are stored in
-    place of the eliminated entries. Returns the next free pivot row and
-    ``I - L^-1`` for the leaf's pivots.
+    Works in int64 on a transposed copy of the panel, so that each of its
+    columns is contiguous, and searches for a pivot only when the diagonal
+    entry is 0. Each pivot column stays in place, centered, as the lower
+    factor L; the pivot row is scaled by the pivot's inverse, so the upper
+    factor has a unit diagonal, and the rows below take the rank-1 update
+    ``row -= L[row, c] * scaled pivot row``. Each update changes an entry
+    by at most ((p - 1) / 2)**2 < 2**60, so the panel is reduced only every
+    ``_LEAF_DELAY`` updates; a column and a pivot row are reduced when
+    they are read. Returns the next free pivot row and, if ``inverse``,
+    ``I - L^-1`` for the leaf's pivots, else None.
     """
     m = A.shape[0]
-    r0, first = r, len(pivots)
-    for c in range(c0, c1):
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            i = r + nz[0]
-            A[[r, i]] = A[[i, r]]
-        below = r + nz[1:]
-        if below.size:
-            mult = A[below, c] * pow(int(A[r, c]), p - 2, p) % p
-            A[below, c] = mult
-            if c + 1 < c1:
-                A[below, c + 1 : c1] = (
-                    A[below, c + 1 : c1] - mult[:, None] * A[r, c + 1 : c1]
-                ) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
+    T = np.array(A[r:, c0:c1].T, dtype=np.int64, order="C")
+    work = np.empty_like(T)
+    half = p // 2
+    i = pending = 0
+    cols = []
+    dinv = []
+    for c in range(c1 - c0):
+        col = T[c, i:]
+        col += half
+        col %= p
+        col -= half
+        if not col[0]:
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            s = i + nz[0]
+            T[:, [i, s]] = T[:, [s, i]]
+            A[[r + i, r + s]] = A[[r + s, r + i]]
+        dinv.append(pow(int(col[0]), -1, p))
+        if c + 1 < len(T) and i + 1 < T.shape[1]:
+            u = T[c + 1 :, i] % p
+            u *= dinv[-1]
+            u += half
+            u %= p
+            u -= half
+            outer = work[: len(u), : len(col) - 1]
+            np.multiply.outer(u, col[1:], out=outer)
+            T[c + 1 :, i + 1 :] -= outer
+            pending += 1
+            if pending == _LEAF_DELAY:
+                T[c + 1 :, i + 1 :] %= p
+                pending = 0
+        cols.append(c)
+        pivots.append(c0 + c)
+        i += 1
+        if r + i == m:
             break
-    L = A[r0:r, pivots[first:]]
-    inv = np.eye(r - r0, dtype=np.int64)
-    for j in range(r - r0 - 1):
-        inv[j + 1 :] = (inv[j + 1 :] - L[j + 1 :, j, None] * inv[j]) % p
-    return r, (np.eye(r - r0, dtype=np.int64) - inv) % p
+    T += half
+    T %= p
+    T -= half
+    A[r:, c0:c1] = T.T
+    if not inverse:
+        return r + i, None
+    # L11 = Lu D with Lu unit lower triangular; I - L11^-1 = I - D^-1 Lu^-1
+    dinv = np.array(dinv, dtype=np.int64)
+    L = T[cols, :i].T * dinv % p
+    inv = np.eye(i, dtype=np.int64)
+    for j in range(i - 1):
+        below = inv[j + 1 :, : j + 1]
+        below -= np.multiply.outer(L[j + 1 :, j], inv[j, : j + 1])
+        below %= p
+    M = np.eye(i, dtype=np.int64) - dinv[:, None] * inv
+    M += half
+    M %= p
+    M -= half
+    return r + i, M.astype(np.float64)
 
 
-def _eliminate(A, r, c0, c1, p, pivots):
+def _eliminate(A, r, c0, c1, p, pivots, inverse=False):
     """Eliminate columns ``c0:c1`` of ``A`` below row ``r`` in place.
 
-    Rows are swapped whole, so the stored multipliers of earlier columns
-    follow their rows. Appends the pivot columns to ``pivots`` and returns
-    the next free pivot row with the solve tree of the pivots found.
+    Rows are swapped whole, so the stored factor entries of earlier
+    columns follow their rows. Appends the pivot columns to ``pivots`` and
+    returns the next free pivot row with the solve tree of the pivots
+    found; its leaves hold ``I - L^-1`` only if ``inverse`` asks for a
+    tree that a solve will use.
     """
     if c1 - c0 <= _LEAF_COLUMNS:
-        return _eliminate_leaf(A, r, c0, c1, p, pivots)
+        return _eliminate_leaf(A, r, c0, c1, p, pivots, inverse)
     cm = (c0 + c1) // 2
     first = len(pivots)
-    r1, left = _eliminate(A, r, c0, cm, p, pivots)
+    r1, left = _eliminate(A, r, c0, cm, p, pivots, True)
     if r1 == A.shape[0]:
         return r1, None
     if r1 > r:
         L = A[r:, pivots[first:]]
         k = r1 - r
         U12 = A[r:r1, cm:c1]
-        _solve_unit_lower(left, L[:k], U12, p)
+        _solve_lower(left, L[:k], U12, p)
         nz = np.flatnonzero(L[k:].any(axis=1))
         if nz.size == A.shape[0] - r1:
             _sub_product(A[r1:, cm:c1], L[k:], U12, p)
@@ -241,19 +301,19 @@ def _eliminate(A, r, c0, c1, p, pivots):
             A22 = A[rows, cm:c1]
             _sub_product(A22, L[rows - r], U12, p)
             A[rows, cm:c1] = A22
-    r2, right = _eliminate(A, r1, cm, c1, p, pivots)
+    r2, right = _eliminate(A, r1, cm, c1, p, pivots, inverse)
     return r2, (r1 - r, left, right)
 
 
 def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     """Exact rank over the prime field GF(p).
 
-    Recursive column-halving elimination: leaves of at most 16 columns
-    eliminate column by column in int64; above them, the unit lower
-    triangular solve for U12 and the trailing update
-    ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on operands
-    split into 16-bit halves. Every partial sum stays below 2**53 (see the
-    module docstring), so the result is exact for every accepted prime.
+    Recursive column-halving elimination on centered residues held in
+    float64: leaves of at most 32 columns eliminate column by column;
+    above them, the triangular solve for U12 and the trailing update
+    ``A22 -= L21 @ U12 (mod p)`` are BLAS products on operands split into
+    16-bit limbs. Every partial sum stays below 2**53 (see the module
+    docstring), so the result is exact for every accepted prime.
 
     Entries may be any integers that fit int64; they are reduced modulo p
     first.
@@ -266,10 +326,12 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
         raise ValueError("rank needs a 2-d matrix")
     if A.dtype.kind not in "iuO":
         raise ValueError("gf_rank needs an integer matrix")
-    A = np.mod(A, p).astype(np.int64, copy=False)
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
+    A = np.mod(A, p).astype(np.int64, copy=False)
+    if n > _LEAF_COLUMNS:
+        A = _center(A.astype(np.float64), p)
     return _eliminate(A, 0, 0, n, p, [])[0]
 
 
