@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 COMPLEX = "complex"
 
 #: smallest prime modulus accepted for exact-rank sampling
@@ -20,8 +22,12 @@ _PRIME_CEILING = 1 << 31
 _MILLER_RABIN_EXACT = 3_215_031_751
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below 3,215,031,751."""
+    """Deterministic Miller-Rabin primality test for n below 3,215,031,751.
+
+    Cached: a report validates the same modulus at every layer it enters.
+    """
     if n >= _MILLER_RABIN_EXACT:
         raise ValueError(f"is_prime is exact only below {_MILLER_RABIN_EXACT}")
     if n < 2:

@@ -43,3 +43,11 @@ def test_validate_field_accepts_primes_in_range_only():
     for bad in (1 << 20, 1048581, DEFAULT_PRIME - 2, 1 << 31, 101, 6):
         with pytest.raises(ValueError):
             validate_field(bad)
+
+
+def test_validate_field_runs_miller_rabin_once_per_modulus():
+    validate_field(DEFAULT_PRIME)
+    before = is_prime.cache_info()
+    assert validate_field(DEFAULT_PRIME) == DEFAULT_PRIME
+    after = is_prime.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
