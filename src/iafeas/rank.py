@@ -329,9 +329,12 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
+    if m < n:
+        # rank A = rank A^T: eliminate the fewer columns
+        A, n = A.T, m
     A = np.mod(A, p).astype(np.int64, copy=False)
     if n > _LEAF_COLUMNS:
-        A = _center(A.astype(np.float64), p)
+        A = _center(A.astype(np.float64, order="C"), p)
     return _eliminate(A, 0, 0, n, p, [])[0]
 
 
