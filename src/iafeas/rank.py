@@ -135,48 +135,34 @@ def _sub_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
 
     All three hold centered residues. A centered residue a is
     ``hi * 2**16 + lo`` with |hi| <= 2**14 and |lo| <= 2**15, so
-    ``a * b = hi * (2**16 * b mod p) + lo * b (mod p)``, two terms below
-    2**46: each block of inner terms is one product ``[hi lo] @ [b16; b]``
-    of twice its width, reduced before the next (see
-    :func:`_inner_steps`). C is worked through in slices of columns, and
-    each slice's product is complete before the slice is written, so C
-    may be B itself.
+    ``a * b = hi * (2**16 * b mod p) + lo * b (mod p)``: two products
+    whose terms stay below 2**46. Each block of inner terms is reduced
+    before the next (see :func:`_inner_steps`). C is worked through in
+    slices of columns, and each slice's product is complete before the
+    slice is written, so C may be B itself.
     """
     k = A.shape[1]
     if not k:
         return
     one, two = _inner_steps(p)
     step = k if k <= one else two
-    blocks = [(i, min(step, k - i)) for i in range(0, k, step)]
+    hi = np.rint(A * (1.0 / 65536))
+    lo = A - hi * 65536
     rows, n = C.shape
-    # per block, columns [hi | lo] of the left operand, rows [b16; b] of
-    # the right one
-    hl = np.empty((rows, 2 * k))
-    for i, s in blocks:
-        hi, lo = hl[:, 2 * i : 2 * i + s], hl[:, 2 * i + s : 2 * i + 2 * s]
-        np.multiply(A[:, i : i + s], 1.0 / 65536, out=hi)
-        np.rint(hi, out=hi)
-        np.multiply(hi, -65536.0, out=lo)
-        lo += A[:, i : i + s]
     w = min(n, _SLICE_COLUMNS)
-    bb_work = np.empty((2 * k, w))
-    f_work, g_work, q_work = (np.empty((rows, w)) for _ in range(3))
+    f_work, g_work = np.empty((rows, w)), np.empty((rows, w))
     for j in range(0, n, w):
         b = B[:, j : j + w]
-        bb = bb_work[:, : b.shape[1]]
-        f, g, q = (X[:, : b.shape[1]] for X in (f_work, g_work, q_work))
-        for i, s in blocks:
-            b16 = bb[2 * i : 2 * i + s]
-            np.multiply(b[i : i + s], 65536.0, out=b16)
-            _center(b16, p)
-            bb[2 * i + s : 2 * i + 2 * s] = b[i : i + s]
-        for i, s in blocks:
-            np.matmul(hl[:, 2 * i : 2 * i + 2 * s], bb[2 * i : 2 * i + 2 * s], out=g)
+        b16 = _center(b * 65536.0, p)
+        f, g = f_work[:, : b.shape[1]], g_work[:, : b.shape[1]]
+        for i in range(0, k, step):
+            np.matmul(hi[:, i : i + step], b16[i : i + step], out=g)
             np.subtract(f if i else C[:, j : j + w], g, out=f)
+            np.matmul(lo[:, i : i + step], b[i : i + step], out=g)
+            f -= g
             if step > one:
-                _center(f, p, work=q)
-            _center(f, p, work=q)
-        C[:, j : j + w] = f
+                _center(f, p, work=g)
+            _center(f, p, out=C[:, j : j + w] if i + step >= k else None, work=g)
 
 
 def _solve_lower(tree, L: np.ndarray, B: np.ndarray, p: int) -> None:
