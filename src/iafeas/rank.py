@@ -206,6 +206,8 @@ def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
     i = pending = 0
     cols = []
     dinv = []
+    # order[j]: the row of A that panel row j came from, if it moved
+    order = {}
     for c in range(c1 - c0):
         col = T[c, i:]
         col += half
@@ -217,7 +219,7 @@ def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
                 continue
             s = i + nz[0]
             T[:, [i, s]] = T[:, [s, i]]
-            A[[r + i, r + s]] = A[[r + s, r + i]]
+            order[i], order[s] = order.get(s, r + s), order.get(i, r + i)
         dinv.append(pow(int(col[0]), -1, p))
         if c + 1 < len(T) and i + 1 < T.shape[1]:
             u = T[c + 1 :, i] % p
@@ -240,6 +242,10 @@ def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
     T += half
     T %= p
     T -= half
+    # rows are swapped whole, so the stored factor entries of earlier
+    # columns follow their rows
+    if order:
+        A[[r + j for j in order]] = A[list(order.values())]
     A[r:, c0:c1] = T.T
     if not inverse:
         return r + i, None
