@@ -11,23 +11,34 @@ at a random channel draw:
   wrong with probability at most C/p. The prime-field verdict is treated
   as authoritative whenever the two engines disagree.
 
-The prime-field kernel halves the column range recursively. Leaves of at
-most 16 columns eliminate column by column in int64, where every product
-of two residues is below 2**62. Above a leaf, the trailing update
-``A22 -= L21 @ U12 (mod p)`` and the triangular solve that gives U12 run
-as float64 matrix products (BLAS). These are exact because the operands
-are split into 16-bit halves before they reach the float unit: a residue
-below p < 2**31 is ``hi * 2**16 + lo`` with ``lo < 2**16`` and
-``hi < 2**15``. With an inner dimension k <= 64 only the left operand is
-split, and each of the two products sums k terms below 2**16 * 2**31, so
-every partial sum stays below 2**53, where float64 represents integers
-exactly. Above 64 both operands are split; each of the four products sums
-k terms below 2**32, exact while k <= 2**21, and k counts pivots, so it
-never exceeds min(C, V). The partial products are reduced modulo p in
-int64. The solve and the updates write into the matrix in place, and each
-update works through its columns in slices of at most 256, reusing one
-slice's work arrays, so that a large update does not page in a dozen
-temporaries of its full size.
+The prime-field kernel works on centered residues, the representatives
+in [-h, h] with h = (p - 1) / 2 < 2**30, and halves the column range
+recursively. A matrix with fewer rows than columns is ranked through its
+transpose, so the recursion runs over min(rows, cols) columns.
+
+Leaves of at most 32 columns eliminate column by column in int64, Crout
+style, on a transposed copy of the panel: each pivot column stays as the
+lower factor L, the pivot row is scaled by the pivot's inverse, and the
+rows below take a rank-1 update. Both factors of the update are centered,
+so it moves an entry by at most h**2 < 2**60; the panel is reduced only
+every 8 updates, since p + 8 * h**2 + h < 2**63 (the last h is the offset
+of centering), and a column or a pivot row is reduced when it is read.
+
+Above a leaf, the triangular solve that gives U12 and the trailing update
+``A22 -= L21 @ U12 (mod p)`` are float64 matrix products (BLAS). They are
+exact because every partial sum stays within 2**53, where float64
+represents every integer. The left operand is split into 16-bit limbs,
+``a = hi * 2**16 + lo`` with |hi| <= 2**14 and |lo| <= 2**15, and since
+``a * b = hi * (2**16 * b mod p) + lo * b (mod p)``, one modular product
+is two float products on the whole right operand, whose terms are at most
+2**15 * h < 2**45. A block of s inner terms thus moves a centered entry by
+at most s * (2**14 + 2**15) * h. For p = 2**31 - 1 that is below 2**51
+while s <= 42, where one rounding ``x - p * rint(x / p)`` gives the exact
+centered residue, and below 2**53 - 2p while s <= 170, where two roundings
+do; smaller primes allow longer blocks. A longer inner dimension runs in
+blocks, each reduced before the next. The solve and the updates write
+into the matrix in place, and each update works through its columns in
+slices of at most 256, reusing one slice's work arrays.
 
 In prime-field mode the C x V matrix A is never formed whole. Row
 (k, j, p, q) puts ``H_kj[d_k:, q]`` in receiver k's decorrelator block for
@@ -94,12 +105,15 @@ def _svd_rank(matrix) -> tuple[int, float]:
 _LEAF_COLUMNS = 32
 
 #: rank-1 updates a leaf applies before it reduces its panel: with
-#: centered factors each changes an entry by less than 2**60, and
-#: 2**31 + 7 * 2**60 < 2**63
-_LEAF_DELAY = 7
+#: centered factors each moves an entry by at most h**2, h = (p - 1) / 2,
+#: and p + 8 * h**2 + h < 2**63 for every p < 2**31
+_LEAF_DELAY = 8
 
 #: widest column slice of a product update; its work arrays are reused
 _SLICE_COLUMNS = 256
+
+#: limb of the split left operand of a product
+_LIMB = 1 << 16
 
 
 def _center(X: np.ndarray, p: int, out=None, work=None) -> np.ndarray:
@@ -118,42 +132,48 @@ def _center(X: np.ndarray, p: int, out=None, work=None) -> np.ndarray:
     return np.subtract(X, q, out=X if out is None else out)
 
 
+def _split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centered residues as ``hi * _LIMB + lo``, |lo| <= _LIMB / 2."""
+    hi = np.rint(A * (1.0 / _LIMB))
+    return hi, A - hi * _LIMB
+
+
 def _inner_steps(p: int) -> tuple[int, int]:
     """Inner terms a product block may sum: (with one reduction, with two).
 
-    With centered operands, ``hi @ (2**16 * b mod p) + lo @ b`` adds per
-    term at most (2**14 + 2**15) * h, h = (p - 1) / 2, to a residue of
-    size h: one reduction is exact below 2**51, two up to 2**53 - 2p.
+    A centered residue a splits as ``hi * _LIMB + lo`` with
+    |hi| <= rint(h / _LIMB) and |lo| <= _LIMB / 2, h = (p - 1) / 2, so
+    each term of ``hi @ (_LIMB * b mod p) + lo @ b`` is at most
+    (|hi| + |lo|) * h, added to a residue of size h: one reduction is
+    exact below 2**51, two up to 2**53 - 2p (see :func:`_center`).
     """
     h = (p - 1) // 2
-    per_term = ((1 << 14) + (1 << 15)) * h
+    per_term = ((h + _LIMB // 2) // _LIMB + _LIMB // 2) * h
     return ((1 << 51) - 1 - h) // per_term, ((1 << 53) - 2 * p - h) // per_term
 
 
 def _sub_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
     """``C <- C - A @ B`` centered mod p in place, exact through float64 BLAS.
 
-    All three hold centered residues. A centered residue a is
-    ``hi * 2**16 + lo`` with |hi| <= 2**14 and |lo| <= 2**15, so
-    ``a * b = hi * (2**16 * b mod p) + lo * b (mod p)``: two products
-    whose terms stay below 2**46. Each block of inner terms is reduced
-    before the next (see :func:`_inner_steps`). C is worked through in
-    slices of columns, and each slice's product is complete before the
-    slice is written, so C may be B itself.
+    All three hold centered residues. A's residues are split into limbs,
+    ``a = hi * _LIMB + lo``, and ``a * b = hi * (_LIMB * b mod p) + lo * b
+    (mod p)`` makes each block of inner terms two products, reduced before
+    the next block (see :func:`_inner_steps` and the module docstring). C
+    is worked through in slices of columns, and each slice's product is
+    complete before the slice is written, so C may be B itself.
     """
     k = A.shape[1]
     if not k:
         return
     one, two = _inner_steps(p)
     step = k if k <= one else two
-    hi = np.rint(A * (1.0 / 65536))
-    lo = A - hi * 65536
+    hi, lo = _split(A)
     rows, n = C.shape
     w = min(n, _SLICE_COLUMNS)
     f_work, g_work = np.empty((rows, w)), np.empty((rows, w))
     for j in range(0, n, w):
         b = B[:, j : j + w]
-        b16 = _center(b * 65536.0, p)
+        b16 = _center(b * float(_LIMB), p)
         f, g = f_work[:, : b.shape[1]], g_work[:, : b.shape[1]]
         for i in range(0, k, step):
             np.matmul(hi[:, i : i + step], b16[i : i + step], out=g)
@@ -300,12 +320,14 @@ def _eliminate(A, r, c0, c1, p, pivots, inverse=False):
 def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     """Exact rank over the prime field GF(p).
 
-    Recursive column-halving elimination on centered residues held in
-    float64: leaves of at most 32 columns eliminate column by column;
-    above them, the triangular solve for U12 and the trailing update
-    ``A22 -= L21 @ U12 (mod p)`` are BLAS products on operands split into
-    16-bit limbs. Every partial sum stays below 2**53 (see the module
-    docstring), so the result is exact for every accepted prime.
+    Recursive column-halving elimination on centered residues: leaves of
+    at most 32 columns eliminate column by column in int64, where no
+    intermediate exceeds p + 8 * h**2 + h < 2**63, h = (p - 1) / 2; above them,
+    the triangular solve for U12 and the trailing update
+    ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on a left
+    operand split into 16-bit limbs, in blocks of inner terms whose
+    partial sums stay within 2**53 - 2p (see the module docstring). So the
+    result is exact for every accepted prime.
 
     Entries may be any integers that fit int64; they are reduced modulo p
     first.

@@ -12,7 +12,17 @@ from iafeas import (
     sample_channels,
     system_shape,
 )
-from iafeas.rank import _SLICE_COLUMNS, _project_decorrelators
+from iafeas.rank import (
+    _LEAF_COLUMNS,
+    _LEAF_DELAY,
+    _LIMB,
+    _SLICE_COLUMNS,
+    _center,
+    _inner_steps,
+    _project_decorrelators,
+    _split,
+    _sub_product,
+)
 
 from helpers import gf_rank_reference, numeric_rank, random_config
 
@@ -107,7 +117,8 @@ def _test_matrix(kind, m, n, p, seed):
     st.sampled_from([1048583, 2147483629, PRIME]),
     st.integers(0, 2**32 - 1),
 )
-# pinned large draws: inner ranks 153 and 85, both above 64
+# pinned large draws: inner ranks 153 and 85 make the top-level updates
+# longer than a block with one reduction (42 terms at these primes)
 @example("product", 200, 180, PRIME, 0)
 @example("product", 180, 200, 1048583, 1)
 @example("sparse", 200, 120, 2147483629, 0)
@@ -119,13 +130,145 @@ def test_gf_rank_matches_reference(kind, m, n, p, seed):
 
 @pytest.mark.parametrize("inner, density", [(280, 1.0), (40, 1.0), (300, 0.1)])
 def test_gf_rank_matches_reference_across_slices(inner, density):
-    # 600 columns: the top-level updates are 300 columns wide, so they run
-    # in more than one slice; inner rank 40 keeps the first update one-sided
-    assert 300 > _SLICE_COLUMNS
+    # 520 columns: the top-level updates are 260 columns wide, so they run
+    # in more than one slice; inner rank 40 keeps the first update to one
+    # block with one reduction, rank 280 splits it into reduced blocks
+    one, two = _inner_steps(PRIME)
+    assert 260 > _SLICE_COLUMNS and 40 <= one and two < 260
     rng = np.random.default_rng(inner)
-    A = rng.integers(0, PRIME, size=(300, inner)) @ rng.integers(0, 1000, size=(inner, 600))
+    A = rng.integers(0, PRIME, size=(520, inner)) @ rng.integers(0, 1000, size=(inner, 520))
     A = A * (rng.random(A.shape) < density)
     assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME)
+
+
+def test_kernel_bounds_keep_every_intermediate_exact():
+    # worst cases from the kernel's own constants, at the largest prime
+    p = PRIME
+    h = (p - 1) // 2
+    one, two = _inner_steps(p)
+    # the split reaches its limb bounds at the extremes of the range
+    a = np.array([-h, h, -h + 1, h - 1, _LIMB // 2, -_LIMB // 2, _LIMB // 2 + 1, 0.0])
+    hi, lo = _split(a)
+    assert np.array_equal(hi * _LIMB + lo, a)
+    hi_max, lo_max = (h + _LIMB // 2) // _LIMB, _LIMB // 2
+    assert np.abs(hi).max() == hi_max and np.abs(lo).max() == lo_max
+    # a product block of s terms on a residue of size h, for every block
+    # length the products use: exact in float64, and within reach of the
+    # one or two roundings that reduce it
+    for s in range(1, two + 1):
+        bound = h + s * (hi_max + lo_max) * h
+        assert bound <= (1 << 53) - 2 * p
+        if s <= one:
+            assert bound < 1 << 51
+    assert (one, two) == (42, 170)
+    # the right operand's multiple before its one rounding
+    assert _LIMB * h < 1 << 51
+    # a leaf entry after _LEAF_DELAY centered rank-1 updates, plus the
+    # offset of centering, and a product of two residues in int64
+    assert p + _LEAF_DELAY * h * h + h < 1 << 63
+    assert _LEAF_DELAY < _LEAF_COLUMNS
+    assert p * p < 1 << 63
+
+
+@pytest.mark.parametrize("p", [PRIME, 2147483629, 1048583])
+def test_center_is_exact_within_its_bounds(p):
+    rng = np.random.default_rng(p)
+    h = (p - 1) // 2
+    for limit, rounds in (((1 << 51) - 1, 1), ((1 << 53) - 2 * p, 2)):
+        q = limit // p
+        # values next to multiples and half-multiples of p, at the limit
+        edges = [q * p + t for t in (0, h, h + 1)] + [limit, (limit // p) * p - h - 1]
+        xs = [int(x) for x in rng.integers(-limit, limit, size=2000)]
+        xs += edges + [-x for x in edges]
+        X = np.array(xs, dtype=np.float64)
+        assert [int(x) for x in X] == xs
+        for _ in range(rounds):
+            _center(X, p)
+        assert [int(x) for x in X] == [(x + h) % p - h for x in xs]
+
+
+def _worst_product_operands(p):
+    """A left and a right centered residue whose split product term is
+    within a hair of the bound ``_inner_steps`` assumes, and the term."""
+    h = (p - 1) // 2
+    hi_max = (h + _LIMB // 2) // _LIMB
+    a = hi_max * _LIMB - _LIMB // 2
+    (hi,), (lo,) = _split(np.array([float(a)]))
+    # b with (_LIMB * b mod p) near h * sign(hi) and b near h * sign(lo)
+    e = np.arange(1 << 18)
+    target = h - e if hi > 0 else -h + e
+    b = target * pow(_LIMB, -1, p) % p
+    b = np.where(b > h, b - p, b)
+    b = int(b[np.argmax(np.abs(hi * target + lo * b))])
+    b16 = (_LIMB * b + h) % p - h
+    return a, b, int(hi) * b16 + int(lo) * b
+
+
+@pytest.mark.parametrize("p", [PRIME, 2147483629, 1048583])
+def test_sub_product_exact_on_both_sides_of_each_block_limit(p):
+    # inner dimensions on both sides of the one- and two-reduction block
+    # limits and past one block, with worst-case operands, and C chosen
+    # so that the unreduced result sits next to a half-multiple of p,
+    # where a rounded quotient is likeliest to be off by one
+    h = (p - 1) // 2
+    one, two = _inner_steps(p)
+    a, b, term = _worst_product_operands(p)
+    assert abs(term) > 0.99 * ((h + _LIMB // 2) // _LIMB + _LIMB // 2) * h
+    ks = {one - 1, one, one + 1, two - 1, two, two + 1, 2 * two + 1}
+    if p != 1048583:
+        ks |= set(range(one + 1, two, 3))
+    targets = [h, h + 1, -h, -h - 1]
+    for k in sorted(ks):
+        C = np.array([[float((t + k * term + h) % p - h) for t in targets]])
+        expect = [(int(c) - k * a * b + h) % p - h for c in C[0]]
+        _sub_product(C, np.full((1, k), float(a)), np.full((k, 4), float(b)), p)
+        assert [int(x) for x in C[0]] == expect, k
+    # p - 1 everywhere, centered -1
+    for k in (one, one + 1, two, two + 1):
+        C = np.full((2, 2), -1.0)
+        _sub_product(C, np.full((2, k), -1.0), np.full((k, 2), -1.0), p)
+        assert (C == (-1 - k + h) % p - h).all()
+
+
+@pytest.mark.parametrize("p", [PRIME, 2147483629])
+def test_gf_rank_matches_reference_across_kernel_limits(p):
+    # full-rank square matrices, one column all p - 1: on both sides of
+    # the leaf's reduction delay and width, and of 2k columns whose
+    # top-level update sums k pivots, on both sides of the one- and
+    # two-reduction block limits
+    one, two = _inner_steps(p)
+    rng = np.random.default_rng(5)
+    widths = (_LEAF_DELAY, _LEAF_DELAY + 1, _LEAF_COLUMNS, _LEAF_COLUMNS + 1)
+    for n in widths + (2 * one, 2 * one + 2, 2 * two, 2 * two + 2):
+        A = rng.integers(0, p, size=(n, n))
+        A[:, 0] = p - 1
+        assert gf_rank(A, p) == gf_rank_reference(A, p) == n
+
+
+@pytest.mark.parametrize("kind", ["blocks", "rotated"])
+def test_gf_rank_with_a_pivot_search_in_every_leaf(kind):
+    # "blocks": zero diagonal blocks, as R has where j = k. The matrix is a
+    # block upper triangular one with its block rows rotated up by one, so
+    # the rows in place at each diagonal block are zero there, and every
+    # leaf but those of the last block column searches for its pivots and
+    # swaps rows. "rotated": an upper triangular matrix with its rows
+    # rotated up by one, so that every column but the last searches.
+    rng = np.random.default_rng(8)
+    K, b = 8, 40
+    U = rng.integers(1, PRIME, size=(K * b, K * b))
+    if kind == "blocks":
+        for a in range(K):
+            U[a * b :, a * b : (a + 1) * b] *= np.arange(a * b, K * b)[:, None] < (a + 1) * b
+        U[:b, (K - 1) * b :] = 0
+        A = np.roll(U, -b, axis=0)
+        assert all(not A[a * b : (a + 1) * b, a * b : (a + 1) * b].any() for a in range(K))
+    else:
+        A = np.roll(np.triu(U), -1, axis=0)
+    assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME) == K * b
+    # two zero columns inside a leaf and a repeated row: rank 317
+    A[:, 5 * b + 3 : 5 * b + 5] = 0
+    A[7] = A[100]
+    assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME) == K * b - 3
 
 
 def test_gf_rank_matches_reference_on_ladder_jacobian():
