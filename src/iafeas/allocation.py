@@ -265,21 +265,31 @@ class PttDefect(RuntimeError):
 def _run_transfer_engine(inst: _Instance, assign: dict):
     """Rebalance ``assign`` in place. Returns (balanced, tree_or_None, transfers).
 
-    Roots are taken lowest first among the overloaded cells; a tree grows
-    one level per round, each round scanning its nodes in the order they
-    joined and each node its held items in item order; a drain moves one
-    unit to the lowest tree cell with slack.
+    Every choice is the lowest one. Roots are the overloaded cells, lowest
+    first. A tree grows one level per round, scanning its nodes in the
+    order they joined and each node's items in item order, so a cell joins
+    under the first node and item that reach it. A drain moves one unit
+    from the root to the lowest tree cell with slack and detaches the
+    subtree below the flipped path.
+
+    No step scans the whole tree or instance. Cells are numbered in sorted
+    order and items in item order, so comparing numbers makes the choices
+    that comparing the tuples would. ``held[c]`` lists the (item, other
+    end) pairs of the items cell c absorbs, in item order, so a round
+    visits only live items, and a flip moves one pair between two lists.
+    ``children`` mirrors ``parent``, so a detach walks only the detached
+    subtree. ``slack`` is a heap of the tree cells with positive pressure,
+    checked when they reach its top: a tree cell's pressure changes only
+    when it is the drained target, which leaves the tree, so the top is
+    the lowest such cell. Only a root gains pressure and only a cell with
+    slack loses it, so the cells overloaded at the start are the roots.
     """
-    # Cells are numbered in sorted order and items in item order, so that
-    # comparing numbers makes the choices that comparing the tuples would.
     cells = sorted(inst.caps)
     index = {cell: i for i, cell in enumerate(cells)}
     items = list(inst.ends)
     ends = [(index[r], index[t]) for r, t in inst.ends.values()]
     on_r = [assign[item] == "r" for item in items]
     pressure = [inst.caps[cell] for cell in cells]
-    # held[c]: the (item, other end) pairs of the items cell c absorbs, in
-    # item order; a flip moves one pair to the other end's list
     held = [[] for _ in cells]
     for i, (r, t) in enumerate(ends):
         cell, other = (r, t) if on_r[i] else (t, r)
@@ -294,19 +304,13 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
     transfers = 0
     rounds = 0
 
-    # Only a root gains pressure and only a cell with slack loses it, so the
-    # overloaded cells are the roots, lowest first, each taken once.
     for root in overloaded:
-        # parent[c] < 0 marks a cell outside the tree; children mirrors
-        # parent, so a detach walks only the detached subtree
+        # parent[c] < 0 marks a cell outside the tree
         parent = [-1] * len(cells)
         via = [-1] * len(cells)
         children = [[] for _ in cells]
         parent[root] = root
         order = [root]
-        # tree cells with positive pressure, checked when they reach the
-        # top: a tree cell's pressure only changes when it is the drained
-        # target, which leaves the tree, so the top is the lowest such cell
         slack = []
 
         while True:
@@ -359,24 +363,23 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
                     children[cur] = []
                     parent[cur] = -1
 
-            if pressure[root] >= 0:
+            if pressure[root] >= 0 or not (grew or drained):
                 break
-            if not grew and not drained:
-                _write_sides(assign, items, on_r)
-                nodes = tuple(cells[c] for c, par in enumerate(parent) if par >= 0)
-                tree = PressureTree(
-                    root=cells[root],
-                    nodes=nodes,
-                    pressures={cells[c]: pressure[c] for c, par in enumerate(parent) if par >= 0},
-                )
-                return False, tree, transfers
-    _write_sides(assign, items, on_r)
-    return True, None, transfers
+        if pressure[root] < 0:
+            break
+    else:
+        root = None
 
-
-def _write_sides(assign: dict, items: list, on_r: list) -> None:
-    for item, r in zip(items, on_r):
-        assign[item] = "r" if r else "t"
+    assign.update((item, "r" if r else "t") for item, r in zip(items, on_r))
+    if root is None:
+        return True, None, transfers
+    nodes = [c for c, par in enumerate(parent) if par >= 0]
+    tree = PressureTree(
+        root=cells[root],
+        nodes=tuple(cells[c] for c in nodes),
+        pressures={cells[c]: pressure[c] for c in nodes},
+    )
+    return False, tree, transfers
 
 
 # ---------------------------------------------------------------------------
