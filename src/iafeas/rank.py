@@ -213,11 +213,11 @@ def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
     entry is 0. Each pivot column stays in place, centered, as the lower
     factor L; the pivot row is scaled by the pivot's inverse, so the upper
     factor has a unit diagonal, and the rows below take the rank-1 update
-    ``row -= L[row, c] * scaled pivot row``. Each update changes an entry
+    ``row -= L[row, c] * scaled pivot row``. Each update moves an entry
     by at most ((p - 1) / 2)**2 < 2**60, so the panel is reduced only every
     ``_LEAF_DELAY`` updates; a column and a pivot row are reduced when
     they are read. Returns the next free pivot row and, if ``inverse``,
-    ``I - L^-1`` for the leaf's pivots, else None.
+    ``I - L^-1`` for the leaf's pivots (centered, float64), else None.
     """
     m = A.shape[0]
     T = np.array(A[r:, c0:c1].T, dtype=np.int64, order="C")
@@ -320,12 +320,12 @@ def _eliminate(A, r, c0, c1, p, pivots, inverse=False):
 def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     """Exact rank over the prime field GF(p).
 
-    Recursive column-halving elimination on centered residues: leaves of
-    at most 32 columns eliminate column by column in int64, where no
-    intermediate exceeds p + 8 * h**2 + h < 2**63, h = (p - 1) / 2; above them,
-    the triangular solve for U12 and the trailing update
-    ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on a left
-    operand split into 16-bit limbs, in blocks of inner terms whose
+    Recursive column-halving elimination on centered residues, of size at
+    most h = (p - 1) / 2. Leaves of at most 32 columns eliminate column by
+    column in int64, where no intermediate exceeds p + 8 * h**2 + h <
+    2**63. Above them, the triangular solve for U12 and the trailing
+    update ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on a
+    left operand split into 16-bit limbs, in blocks of inner terms whose
     partial sums stay within 2**53 - 2p (see the module docstring). So the
     result is exact for every accepted prime.
 
