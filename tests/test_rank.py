@@ -214,9 +214,10 @@ def test_sub_product_exact_on_both_sides_of_each_block_limit(p):
     one, two = _inner_steps(p)
     a, b, term = _worst_product_operands(p)
     assert abs(term) > 0.99 * ((h + _LIMB // 2) // _LIMB + _LIMB // 2) * h
-    ks = {one - 1, one, one + 1, two - 1, two, two + 1, 2 * two + 1}
+    ks = {one - 1, one, one + 1, two - 1, two, two + 1}
     if p != 1048583:
-        ks |= set(range(one + 1, two, 3))
+        # at the small prime the limits are 131039 and 524157 terms
+        ks |= set(range(one + 1, two, 3)) | {2 * two + 1}
     targets = [h, h + 1, -h, -h - 1]
     for k in sorted(ks):
         C = np.array([[float((t + k * term + h) % p - h) for t in targets]])
