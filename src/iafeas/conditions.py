@@ -198,7 +198,9 @@ def check_antenna_budget(cfg: NetworkConfig):
     that first violation is realizable: for T = {i} inside a larger R,
     dropping i from R keeps the union and lowers y, and for R = {x}
     inside a larger T, dropping x from T keeps the union and lowers x;
-    either way an earlier violation would exist.
+    either way an earlier violation would exist. This rule for which group
+    pairs are realizable assumes that every link k != j exists; a network
+    with absent links must extend the rule or skip the check.
 
     A dynamic program over the pairs decides this at every K: each pair
     joins T, R, both or neither, and each of five states (which groups
@@ -221,7 +223,7 @@ def check_antenna_budget(cfg: NetworkConfig):
         rhs=sum(cfg.d(i) for i in set(tx) | set(rx)),
         tx_set=frozenset(tx),
         rx_set=frozenset(rx),
-        links=frozenset((k, j) for k in rx for j in tx if k != j),
+        links=frozenset((k, j) for k, j in cfg.cross_pairs() if k in rx and j in tx),
     )
 
 

@@ -94,7 +94,9 @@ class NetworkConfig:
         return len(set(self.pairs)) == 1
 
     def cross_pairs(self):
-        """Ordered interference pairs (k, j), k != j, in report order."""
+        """Ordered interference links (k, j), k first, then j ascending.
+
+        Every layer reads the set of interfering links from here alone."""
         for k in range(1, self.K + 1):
             for j in range(1, self.K + 1):
                 if j != k:
@@ -155,19 +157,15 @@ def system_shape(cfg: NetworkConfig) -> tuple[int, int]:
     Returns
     -------
     (C, V) : tuple of int
-        C is the number of scalar zero-forcing constraints,
-        ``sum_k sum_{j != k} d_k d_j``. V is the number of free transceiver
-        variables once each beamformer's leading d x d block is pinned,
+        C is the number of scalar zero-forcing constraints, ``d_k d_j``
+        summed over the links (k, j) of :meth:`NetworkConfig.cross_pairs`.
+        V is the number of free transceiver variables once each
+        beamformer's leading d x d block is pinned,
         ``sum_k d_k (M_k + N_k - 2 d_k)``.
     """
-    C = 0
-    V = 0
-    for k in range(1, cfg.K + 1):
-        dk = cfg.d(k)
-        for j in range(1, cfg.K + 1):
-            if j != k:
-                C += dk * cfg.d(j)
-        V += dk * (cfg.M(k) + cfg.N(k) - 2 * dk)
+    d = [0] + [p.d for p in cfg.pairs]
+    C = sum(d[k] * d[j] for k, j in cfg.cross_pairs())
+    V = sum(p.d * (p.M + p.N - 2 * p.d) for p in cfg.pairs)
     return C, V
 
 

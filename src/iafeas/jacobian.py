@@ -1,7 +1,7 @@
 """The alignment coefficient matrix and the constraint residual map.
 
-Every zero-forcing constraint, one per (receiver k, transmitter j, receive
-stream p, transmit stream q) with k != j, is a polynomial in the reduced
+Every zero-forcing constraint, one per link (receiver k, transmitter j),
+receive stream p and transmit stream q, is a polynomial in the reduced
 transceiver variables. Collecting the linear-term coefficients of all C
 constraints over all V variables gives a C x V matrix: the Jacobian of the
 residual map at the identity-pinned origin. Its generic row rank decides
@@ -60,16 +60,14 @@ def _v_offsets(cfg: NetworkConfig, base: int) -> dict:
 
 def row_index(cfg: NetworkConfig, k: int, j: int, p: int, q: int) -> int:
     """1-based row of constraint (k, j, p, q)."""
-    if k == j:
-        raise ValueError("constraints only exist for k != j")
-    for name, idx in (("k", k), ("j", j)):
-        if not 1 <= idx <= cfg.K:
-            raise ValueError(f"{name}={idx} out of range 1..{cfg.K}")
+    offs = _row_offsets(cfg)
+    if (k, j) not in offs:
+        raise ValueError(f"constraints only exist for links, not ({k}, {j})")
     if not 1 <= p <= cfg.d(k):
         raise ValueError(f"p={p} out of range 1..{cfg.d(k)}")
     if not 1 <= q <= cfg.d(j):
         raise ValueError(f"q={q} out of range 1..{cfg.d(j)}")
-    return _row_offsets(cfg)[(k, j)] + (p - 1) * cfg.d(j) + q
+    return offs[(k, j)] + (p - 1) * cfg.d(j) + q
 
 
 def col_index(cfg: NetworkConfig, var) -> int:

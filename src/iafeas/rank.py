@@ -44,10 +44,10 @@ In prime-field mode the C x V matrix A is never formed whole. Row
 (k, j, p, q) puts ``H_kj[d_k:, q]`` in receiver k's decorrelator block for
 stream p, an entry that depends on p only through that placement. So the
 decorrelator columns X of A = [X Y] are block diagonal, with d_k copies
-per receiver of ``G_k[(j, q), n] = H_kj[d_k + n, q]``, a
-sum_{j != k} d_j x (N_k - d_k) matrix. Over any field, rank [X Y] =
-rank X + rank(Q Y) when the rows of Q are a basis of the left null space
-of X: completing Q to an invertible P = [P1; Q] gives
+per receiver of ``G_k[(j, q), n] = H_kj[d_k + n, q]``, which has d_j
+rows for each link (k, j) into receiver k and N_k - d_k columns. Over any
+field, rank [X Y] = rank X + rank(Q Y) when the rows of Q are a basis of
+the left null space of X: completing Q to an invertible P = [P1; Q] gives
 P A = [[P1 X, P1 Y], [0, Q Y]] with P1 X of full row rank, so a vanishing
 combination of the rows has no part from the top block. Hence
 
@@ -60,13 +60,18 @@ kernel ranks R: C - sum_k d_k rank G_k rows and only the precoder
 columns, 760 x 760 instead of 1520 x 1520 at (21x21,2)^20.
 
 Full row rank of one generic draw implies the constraint system is solvable
-for almost every channel realization; the converse does not hold in
-general, so a deficient verdict alone never proves infeasibility.
+for almost every channel realization. In characteristic zero generic
+surjectivity is also necessary (González, Beltrán and Santamaría, and
+Bresler, Cartwright and Tse, IEEE Trans. Inf. Theory 2014). Still, no
+verdict here is INFEASIBLE from a rank-deficient GF(p) or numeric draw: a
+draw can fall below the generic rank by chance, the rank over GF(p) below
+the rank in characteristic zero, and a numeric rank rests on a tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -404,22 +409,23 @@ def _project_decorrelators(
 
     projected = 0
     rows = []
-    for k in range(K):
-        # G_k, and H_kj[:d_k, d_j:] at transmitter slot j
+    # 0-based links, each receiver's together; one without links has no rows
+    links = ((k - 1, j - 1) for k, j in cfg.cross_pairs())
+    for k, into in groupby(links, key=lambda link: link[0]):
+        # G_k, H_kj[:d_k, d_j:] at transmitter slot j, and the slots (j, q)
         blocks = []
         h = np.zeros((d[k], K, W), dtype=np.int64)
-        for j in range(K):
-            if j != k:
-                H = channels.cross[(k + 1, j + 1)]
-                blocks.append(H[d[k] :, : d[j]].T)
-                h[:, j, : vm[j]] = H[: d[k], d[j] :]
+        heard = np.zeros_like(streams)
+        for _, j in into:
+            H = channels.cross[(k + 1, j + 1)]
+            blocks.append(H[d[k] :, : d[j]].T)
+            h[:, j, : vm[j]] = H[: d[k], d[j] :]
+            heard[j] = streams[j]
         rank_k, Z = _left_null_basis(np.concatenate(blocks), p)
         projected += d[k] * rank_k
         if len(Z):
-            own = streams.copy()
-            own[k] = False
             Zp = np.zeros((len(Z), K, D), dtype=np.int64)
-            Zp[:, own] = Z
+            Zp[:, heard] = Z
             T = Zp[None, :, :, :, None] * h[:, None, :, None, :]
             rows.append(T.reshape(d[k] * len(Z), K * D * W))
     R = np.concatenate(rows) if rows else np.zeros((0, K * D * W), dtype=np.int64)

@@ -119,10 +119,10 @@ def alt_min(
     """Alternating leakage minimization with orthonormal transceivers.
 
     Receive filters are the d_k least eigenvectors of the interference
-    covariance sum_{j != k} H_kj V_j V_j^H H_kj^H; transmit filters come
-    from the reciprocal step with the roles swapped. Leakage is recorded
-    after every half-step and never increases. Stops when leakage drops
-    below ``tol``.
+    covariance, H_kj V_j V_j^H H_kj^H summed over the links (k, j) into
+    receiver k; transmit filters come from the reciprocal step with the
+    roles swapped. Leakage is recorded after every half-step and never
+    increases. Stops when leakage drops below ``tol``.
     """
     channels.require_complex()
     channels.require_direct()
@@ -138,30 +138,26 @@ def alt_min(
         V.append(Q[:, : cfg.d(j)])
     U = [np.linalg.qr(channels.direct[k] @ V[k - 1])[0][:, : cfg.d(k)] for k in range(1, K + 1)]
 
+    # k first, then j ascending: Q_k sums over j ascending, B_j over k
+    links = tuple(cfg.cross_pairs())
     history = [_cross_leakage(cfg, channels, U, V)]
     converged = history[0] < tol
     iterations = 0
     while not converged and iterations < max_iters:
         iterations += 1
+        Q = [np.zeros((cfg.N(k), cfg.N(k)), dtype=complex) for k in range(1, K + 1)]
+        for k, j in links:
+            X = channels.cross[(k, j)] @ V[j - 1]
+            Q[k - 1] += X @ X.conj().T
         for k in range(1, K + 1):
-            Q = np.zeros((cfg.N(k), cfg.N(k)), dtype=complex)
-            for j in range(1, K + 1):
-                if j == k:
-                    continue
-                X = channels.cross[(k, j)] @ V[j - 1]
-                Q += X @ X.conj().T
-            _, vecs = np.linalg.eigh(Q)
-            U[k - 1] = vecs[:, : cfg.d(k)]
+            U[k - 1] = np.linalg.eigh(Q[k - 1])[1][:, : cfg.d(k)]
         history.append(_cross_leakage(cfg, channels, U, V))
+        B = [np.zeros((cfg.M(j), cfg.M(j)), dtype=complex) for j in range(1, K + 1)]
+        for k, j in links:
+            X = channels.cross[(k, j)].conj().T @ U[k - 1]
+            B[j - 1] += X @ X.conj().T
         for j in range(1, K + 1):
-            B = np.zeros((cfg.M(j), cfg.M(j)), dtype=complex)
-            for k in range(1, K + 1):
-                if k == j:
-                    continue
-                X = channels.cross[(k, j)].conj().T @ U[k - 1]
-                B += X @ X.conj().T
-            _, vecs = np.linalg.eigh(B)
-            V[j - 1] = vecs[:, : cfg.d(j)]
+            V[j - 1] = np.linalg.eigh(B[j - 1])[1][:, : cfg.d(j)]
         history.append(_cross_leakage(cfg, channels, U, V))
         converged = history[-1] < tol
 

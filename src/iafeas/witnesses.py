@@ -115,15 +115,17 @@ def properness_witness_from_cells(
     of the constraints they must absorb. The shortfall
 
         g = sum_k a_k (N_k - d_k) + sum_j b_j (M_j - d_j)
-            - sum_{k != j} a_k b_j,
+            - sum_{(k, j) in links} a_k b_j,
 
-    with a_k, b_j the per-pair cell counts, is affine in each count, so
-    pushing every count to its better endpoint (0 or d) keeps g negative.
-    At such a vertex, the pairs with both endpoints selected form a link
-    set violating the properness inequality.
+    with a_k, b_j the per-pair cell counts and the links those of
+    :meth:`~iafeas.config.NetworkConfig.cross_pairs`, is affine in each
+    count, so pushing every count to its better endpoint (0 or d) keeps g
+    negative. At such a vertex, the links with both endpoints selected
+    form a link set violating the properness inequality.
 
     Returns None when the input certificate is not actually in deficit.
     """
+    links = tuple(cfg.cross_pairs())
     a = [0] * (cfg.K + 1)
     b = [0] * (cfg.K + 1)
     for k, _p in rx_cells:
@@ -131,30 +133,27 @@ def properness_witness_from_cells(
     for j, _q in tx_cells:
         b[j] += 1
 
-    def g() -> int:
-        val = sum(a[k] * (cfg.N(k) - cfg.d(k)) for k in range(1, cfg.K + 1))
-        val += sum(b[j] * (cfg.M(j) - cfg.d(j)) for j in range(1, cfg.K + 1))
-        for k in range(1, cfg.K + 1):
-            for j in range(1, cfg.K + 1):
-                if j != k:
-                    val -= a[k] * b[j]
-        return val
-
-    if g() >= 0:
+    g = sum(a[k] * (cfg.N(k) - cfg.d(k)) for k in range(1, cfg.K + 1))
+    g += sum(b[j] * (cfg.M(j) - cfg.d(j)) for j in range(1, cfg.K + 1))
+    g -= sum(a[k] * b[j] for k, j in links)
+    if g >= 0:
         return None
 
     # Coordinate sweep: each move picks the endpoint that does not increase
-    # the deficit, so g stays negative throughout.
+    # the deficit, so g stays negative throughout. The a_k coefficients read
+    # only the b_j of their links and vice versa: one pass per side.
+    hear = [0] * (cfg.K + 1)
+    for k, j in links:
+        hear[k] += b[j]
     for k in range(1, cfg.K + 1):
-        coeff = (cfg.N(k) - cfg.d(k)) - sum(b[j] for j in range(1, cfg.K + 1) if j != k)
-        a[k] = 0 if coeff >= 0 else cfg.d(k)
+        a[k] = 0 if cfg.N(k) - cfg.d(k) >= hear[k] else cfg.d(k)
+    reach = [0] * (cfg.K + 1)
+    for k, j in links:
+        reach[j] += a[k]
     for j in range(1, cfg.K + 1):
-        coeff = (cfg.M(j) - cfg.d(j)) - sum(a[k] for k in range(1, cfg.K + 1) if k != j)
-        b[j] = 0 if coeff >= 0 else cfg.d(j)
+        b[j] = 0 if cfg.M(j) - cfg.d(j) >= reach[j] else cfg.d(j)
 
-    rx_idx = {k for k in range(1, cfg.K + 1) if a[k] > 0}
-    tx_idx = {j for j in range(1, cfg.K + 1) if b[j] > 0}
-    links = {(k, j) for k in rx_idx for j in tx_idx if k != j}
+    links = {(k, j) for k, j in links if a[k] and b[j]}
     if not links:
         # cannot happen when g < 0; kept as a guard for malformed input
         return None

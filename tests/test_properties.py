@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iafeas import (
     AllocationPolicy,
@@ -172,3 +172,14 @@ def test_necessary_verdict_is_invariant_under_reciprocity(triples):
     cfg = NetworkConfig.from_tuples(triples)
     reciprocal = NetworkConfig.from_tuples([(n, m, d) for m, n, d in triples])
     assert _verdict_shape(reciprocal) == _verdict_shape(cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_networks, st.sampled_from([2, 3]))
+# the strategy's networks never fail stream support and rarely properness
+@example(NetworkConfig.from_tuples([(3, 1, 2), (2, 2, 1)]), 2)
+@example(NetworkConfig.symmetric(4, 2, 2, 1), 3)
+def test_necessary_verdict_is_invariant_under_scaling(cfg, c):
+    # stream support and the antenna budget inequalities scale by c, and
+    # properness by c**2, so the c-fold network passes and fails alike
+    assert _verdict_shape(scale_config(cfg, c)) == _verdict_shape(cfg)
