@@ -33,7 +33,6 @@ from .conditions import (
 from .config import (
     NetworkConfig,
     PairConfig,
-    ValidationReport,
     config_from_dict,
     config_to_dict,
     load_config_file,
@@ -101,7 +100,6 @@ __all__ = [
     "SubsetWitness",
     "TransceiverSet",
     "UNDETERMINED",
-    "ValidationReport",
     "VerdictReport",
     "allocation_from_json_dict",
     "alt_min",

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import bundle_axis
 from .config import NetworkConfig, validate_config
 from .witnesses import SubsetWitness, properness_witness_from_cells
 
@@ -108,7 +109,7 @@ def allocation_from_json_dict(cfg: NetworkConfig, obj) -> AllocationPolicy:
             f"allocation does not cover the configuration exactly "
             f"(missing {missing}, extra {extra})"
         )
-    return AllocationPolicy.from_sides(cfg, sides)
+    return AllocationPolicy(cfg, {quad: sides[quad] for quad in cfg.quads()})
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ def _instance(cfg: NetworkConfig, bundle: str) -> _Instance:
     capacity M_j - d. Bundled over p is the mirror image. The caller makes
     sure d divides the antenna counts of the split side.
     """
-    if not validate_config(cfg).admissible:
+    if validate_config(cfg):
         # a stream with d_k > min(M_k, N_k) has a negative cap, which no
         # allocation meets and no link subset need expose
         raise ValueError("allocation needs a stream-admissible network")
@@ -404,26 +405,6 @@ class PttResult:
     witness: SubsetWitness | None = None
 
 
-def _bundle_axis(cfg: NetworkConfig) -> tuple:
-    """The divisible family's domain test: (axis, reason).
-
-    Inside the family, where every pair carries the same stream count d,
-    every stream fits and d divides every N_k (axis "q") or else every M_k
-    (axis "p"), it returns (axis, ""); outside it, ("", why not).
-    """
-    ds = {pair.d for pair in cfg.pairs}
-    if len(ds) != 1:
-        return "", "stream counts differ"
-    d = ds.pop()
-    if not validate_config(cfg).admissible:
-        return "", "not stream-admissible"
-    if all(pair.N % d == 0 for pair in cfg.pairs):
-        return "q", ""
-    if all(pair.M % d == 0 for pair in cfg.pairs):
-        return "p", ""
-    return "", "d divides neither all N_k nor all M_k"
-
-
 def _run(cfg: NetworkConfig, bundle: str, assign: dict) -> PttResult:
     """Run the engine from ``assign`` (item -> side, rebalanced in place)
     and give every constraint its item's side."""
@@ -478,7 +459,7 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     deterministic. For d = 1 this is exactly :func:`run_ptt` from
     ``init_allocation(cfg, seed)``.
     """
-    axis, reason = _bundle_axis(cfg)
+    axis, reason = bundle_axis(cfg)
     if not axis:
         raise ValueError(f"bundled allocation needs the divisible family: {reason}")
     return _run(cfg, axis, _coin_flips(_items(cfg, axis), seed))

@@ -13,7 +13,8 @@ Four subcommands:
   Exit 0 once the sweep ran, 3 for an empty grid, ``--workers`` below 1
   or malformed input.
 * ``hall CONFIG.json``: sample channels and print the alignment
-  coefficient matrix in the text dump format.
+  coefficient matrix in the text dump format; exit 3 when some pair
+  cannot carry its streams, as for ``alloc``.
 * ``alloc CONFIG.json``: run the pressure-transfer allocator, bundled on
   the divisible family unless ``--plain`` is given, plain elsewhere;
   balanced runs print the allocation map and exit 0, stuck runs print
@@ -33,14 +34,9 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .allocation import (
-    _bundle_axis,
-    init_allocation,
-    run_ptt,
-    run_ptt_symmetric,
-    verify_allocation,
-)
+from .allocation import init_allocation, run_ptt, run_ptt_symmetric, verify_allocation
 from .channels import sample_channels
+from .conditions import bundle_axis
 from .config import NetworkConfig, load_config_file, system_shape
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
@@ -232,7 +228,7 @@ def _cmd_hall(ns) -> int:
 def _cmd_alloc(ns) -> int:
     cfg, file_seed, _ = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
-    axis, _ = _bundle_axis(cfg)
+    axis, _ = bundle_axis(cfg)
     if axis and not ns.plain:
         res, variant = run_ptt_symmetric(cfg, seed=seed), "bundled"
     else:

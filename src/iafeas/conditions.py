@@ -15,12 +15,14 @@ otherwise a :class:`~iafeas.witnesses.SubsetWitness` pinpointing a
 violated instance. The antenna budget is decided at every K by a dynamic
 program over the pairs, not by enumerating the 4^K group pairs.
 Properness is decided by the transfer engine
-(:func:`~iafeas.allocation.flow_feasibility`).
-:func:`~iafeas.report.necessary_verdict` chains the three. The module
-also houses two closed-form feasibility families: fully symmetric
+(:func:`~iafeas.allocation.flow_feasibility`), which this module never
+runs. :func:`~iafeas.report.necessary_verdict` chains the three. The
+module also houses two closed-form feasibility families: fully symmetric
 networks, and equal-stream networks with divisible antenna counts. On the
-second family properness is sufficient as well as necessary, so inside the
-report its decision is the chain's properness run.
+second family properness is sufficient as well as necessary, so its closed
+form reads the verdict of a properness run that the caller made; its
+domain test, :func:`bundle_axis`, also picks the axis of the bundled
+transfer run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .allocation import _bundle_axis, flow_feasibility
 from .config import NetworkConfig, validate_config
 from .witnesses import (
     ANTENNA_BUDGET,
@@ -45,7 +46,7 @@ def check_stream_support(cfg: NetworkConfig):
     Returns None when every pair passes, else the first violating pair's
     witness.
     """
-    bad = validate_config(cfg).violations
+    bad = validate_config(cfg)
     if not bad:
         return None
     k = bad[0]
@@ -282,19 +283,40 @@ def symmetric_feasible(cfg: NetworkConfig) -> ClosedForm:
     return ClosedForm("symmetric", True, feasible=False, margin=margin, witness=witness)
 
 
-def divisible_feasible(cfg: NetworkConfig) -> ClosedForm:
+def bundle_axis(cfg: NetworkConfig) -> tuple:
+    """The divisible family's domain test: (axis, reason).
+
+    Inside the family, where every pair carries the same stream count d,
+    every stream fits and d divides every N_k (axis "q") or else every M_k
+    (axis "p"), it returns (axis, ""); outside it, ("", why not).
+    """
+    ds = {pair.d for pair in cfg.pairs}
+    if len(ds) != 1:
+        return "", "stream counts differ"
+    d = ds.pop()
+    if validate_config(cfg):
+        return "", "not stream-admissible"
+    if all(pair.N % d == 0 for pair in cfg.pairs):
+        return "q", ""
+    if all(pair.M % d == 0 for pair in cfg.pairs):
+        return "p", ""
+    return "", "d divides neither all N_k nor all M_k"
+
+
+def divisible_feasible(cfg: NetworkConfig, properness) -> ClosedForm:
     """Closed form for equal-stream networks with divisible antennas.
 
     Applies when every pair carries the same stream count d and d divides
-    every N_k (or every M_k). Properness is then sufficient as well as
-    necessary, so the properness run
-    (:func:`~iafeas.allocation.flow_feasibility`) decides it, and a stuck
-    run's witness is a properness violation.
+    every N_k (or every M_k); see :func:`bundle_axis`. Properness is then
+    sufficient as well as necessary, so the properness run decides it.
+    ``properness`` is that run's witness, as
+    :func:`~iafeas.allocation.flow_feasibility` returns it: None when the
+    run balanced, else a properness violation, which the infeasible
+    verdict ships.
     """
-    _, reason = _bundle_axis(cfg)
+    _, reason = bundle_axis(cfg)
     if reason:
         return ClosedForm("divisible", False, reason=reason)
-    _, witness = flow_feasibility(cfg)
-    if witness is None:
+    if properness is None:
         return ClosedForm("divisible", True, feasible=True)
-    return ClosedForm("divisible", True, feasible=False, witness=witness)
+    return ClosedForm("divisible", True, feasible=False, witness=properness)

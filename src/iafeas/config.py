@@ -119,23 +119,14 @@ class NetworkConfig:
         return "{" + body + "}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the per-pair stream fit check.
+def validate_config(cfg: NetworkConfig) -> tuple[int, ...]:
+    """The 1-based pairs that cannot carry their streams, min(M_k, N_k) < d_k.
 
-    ``violations`` lists 1-based pair indices with min(M, N) < d.
+    Empty when the network is stream-admissible.
     """
-
-    admissible: bool
-    violations: tuple[int, ...]
-
-
-def validate_config(cfg: NetworkConfig) -> ValidationReport:
-    """Check that every pair can carry its streams: min(M_k, N_k) >= d_k."""
-    bad = tuple(
+    return tuple(
         k for k in range(1, cfg.K + 1) if min(cfg.M(k), cfg.N(k)) < cfg.d(k)
     )
-    return ValidationReport(admissible=not bad, violations=bad)
 
 
 def scale_config(cfg: NetworkConfig, c: int) -> NetworkConfig:

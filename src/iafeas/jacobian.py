@@ -9,9 +9,10 @@ whether the constraints are independent enough to be solvable, which is
 what the rank engine tests.
 
 Row order: constraints sorted by (k, j, p, q) with the transmit stream q
-fastest. Column order: all decorrelator blocks first (pair ascending,
-antenna index fastest within a stream column), then all precoder blocks in
-the same discipline. Public index maps are 1-based.
+fastest. Column order: the variable order that
+:mod:`~iafeas.transceivers` owns (all decorrelator blocks, then all
+precoder blocks, antenna index fastest within a stream column). Public
+index maps are 1-based.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet
-from .config import NetworkConfig, system_shape
+from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, field_token
-from .transceivers import ReducedTransceivers
+from .transceivers import ReducedTransceivers, block_starts
 
 
 # ---------------------------------------------------------------------------
@@ -37,24 +38,6 @@ def _row_offsets(cfg: NetworkConfig) -> dict:
     for k, j in cfg.cross_pairs():
         offs[(k, j)] = pos
         pos += cfg.d(k) * cfg.d(j)
-    return offs
-
-
-def _u_offsets(cfg: NetworkConfig) -> tuple[dict, int]:
-    offs = {}
-    pos = 0
-    for k in range(1, cfg.K + 1):
-        offs[k] = pos
-        pos += (cfg.N(k) - cfg.d(k)) * cfg.d(k)
-    return offs, pos
-
-
-def _v_offsets(cfg: NetworkConfig, base: int) -> dict:
-    offs = {}
-    pos = base
-    for j in range(1, cfg.K + 1):
-        offs[j] = pos
-        pos += (cfg.M(j) - cfg.d(j)) * cfg.d(j)
     return offs
 
 
@@ -85,7 +68,7 @@ def col_index(cfg: NetworkConfig, var) -> int:
         raise ValueError(f"variable side must be 'u' or 'v', got {side!r}")
     if not 1 <= a <= cfg.K:
         raise ValueError(f"pair index {a} out of range 1..{cfg.K}")
-    uoffs, du = _u_offsets(cfg)
+    starts = block_starts(cfg)
     if side == "u":
         k, n, p = a, b, c
         rows = cfg.N(k) - cfg.d(k)
@@ -93,15 +76,14 @@ def col_index(cfg: NetworkConfig, var) -> int:
             raise ValueError(f"n={n} out of range 1..{rows} for pair {k}")
         if not 1 <= p <= cfg.d(k):
             raise ValueError(f"p={p} out of range 1..{cfg.d(k)}")
-        return uoffs[k] + (p - 1) * rows + n
+        return starts[k - 1] + (p - 1) * rows + n
     j, m, q = a, b, c
     rows = cfg.M(j) - cfg.d(j)
     if not 1 <= m <= rows:
         raise ValueError(f"m={m} out of range 1..{rows} for pair {j}")
     if not 1 <= q <= cfg.d(j):
         raise ValueError(f"q={q} out of range 1..{cfg.d(j)}")
-    voffs = _v_offsets(cfg, du)
-    return voffs[j] + (q - 1) * rows + m
+    return starts[cfg.K + j - 1] + (q - 1) * rows + m
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +132,9 @@ class AlignmentJacobian:
 
 
 def _check_channels(cfg: NetworkConfig, channels: ChannelSet) -> None:
+    if validate_config(cfg):
+        # a pair with d_k > min(M_k, N_k) has no free block to place
+        raise ValueError("the coefficient matrix needs a stream-admissible network")
     if channels.cfg != cfg:
         raise ValueError("channel set was sampled for a different configuration")
 
@@ -169,8 +154,7 @@ def _place(cfg: NetworkConfig, channels: ChannelSet, tilde) -> np.ndarray:
     A = np.zeros((C, V), dtype=dtype)
 
     rowoffs = _row_offsets(cfg)
-    uoffs, du = _u_offsets(cfg)
-    voffs = _v_offsets(cfg, du)
+    starts = block_starts(cfg)
 
     for k, j in cfg.cross_pairs():
         H = channels.cross[(k, j)]
@@ -185,9 +169,9 @@ def _place(cfg: NetworkConfig, channels: ChannelSet, tilde) -> np.ndarray:
             HV = H[:, :dj] + H[:, dj:] @ tilde.v[j - 1]
         r = rowoffs[(k, j)]
         for p in range(dk):
-            ucol = uoffs[k] + p * un
+            ucol = starts[k - 1] + p * un
             for q in range(dj):
-                vcol = voffs[j] + q * vm
+                vcol = starts[cfg.K + j - 1] + q * vm
                 A[r, ucol : ucol + un] = HV[dk:, q]
                 A[r, vcol : vcol + vm] = UH[p, dj:]
                 r += 1

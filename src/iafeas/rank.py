@@ -310,14 +310,7 @@ def _eliminate(A, r, c0, c1, p, pivots, inverse=False):
         k = r1 - r
         U12 = A[r:r1, cm:c1]
         _solve_lower(left, L[:k], U12, p)
-        nz = np.flatnonzero(L[k:].any(axis=1))
-        if nz.size == A.shape[0] - r1:
-            _sub_product(A[r1:, cm:c1], L[k:], U12, p)
-        elif nz.size:
-            rows = r1 + nz
-            A22 = A[rows, cm:c1]
-            _sub_product(A22, L[rows - r], U12, p)
-            A[rows, cm:c1] = A22
+        _sub_product(A[r1:, cm:c1], L[k:], U12, p)
     r2, right = _eliminate(A, r1, cm, c1, p, pivots, inverse)
     return r2, (r1 - r, left, right)
 
@@ -516,24 +509,16 @@ def generic_full_row_rank(
     C, V = system_shape(cfg)
     modulus = validate_field(p) if mode == "gf" else None
 
-    if C > V:
-        return RankVerdict(
-            mode=mode, C=C, V=V, full_row_rank=False, rank=None, trials=0,
-            trial_seeds=(), trial_ranks=(), modulus=modulus,
-            note="more constraints than variables",
-        )
-    if not validate_config(cfg).admissible:
-        return RankVerdict(
-            mode=mode, C=C, V=V, full_row_rank=False, rank=None, trials=0,
-            trial_seeds=(), trial_ranks=(), modulus=modulus,
-            note="stream support fails: some d_k > min(M_k, N_k)",
-        )
-    if C == 0:
-        return RankVerdict(
-            mode=mode, C=C, V=V, full_row_rank=True, rank=0, trials=0,
-            trial_seeds=(), trial_ranks=(), modulus=modulus,
-            note="no cross constraints",
-        )
+    for decided, full, note in (
+        (C > V, False, "more constraints than variables"),
+        (validate_config(cfg), False, "stream support fails: some d_k > min(M_k, N_k)"),
+        (C == 0, True, "no cross constraints"),
+    ):
+        if decided:
+            return RankVerdict(
+                mode=mode, C=C, V=V, full_row_rank=full, rank=0 if full else None,
+                trials=0, trial_seeds=(), trial_ranks=(), modulus=modulus, note=note,
+            )
 
     seeds = _trial_seeds(seed, trials)
     ranks = []

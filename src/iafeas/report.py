@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from .allocation import (
     AllocationPolicy,
     AllocationReport,
-    _bundle_axis,
     flow_feasibility,
     verify_allocation,
 )
 from .conditions import (
-    ClosedForm,
     check_antenna_budget,
     check_stream_support,
+    divisible_feasible,
     symmetric_feasible,
 )
 from .config import NetworkConfig, config_to_dict, system_shape
@@ -197,13 +196,8 @@ def feasibility_report(
     alloc = None
     alloc_report = None
     if necessary.passed:
-        # properness, which the chain has just shown, decides the family
-        _, reason = _bundle_axis(cfg)
-        if reason:
-            divisible = ClosedForm("divisible", False, reason=reason)
-        else:
-            divisible = ClosedForm("divisible", True, feasible=True)
-        closed = (symmetric_feasible(cfg), divisible)
+        # the chain's properness run, which balanced, decides the family
+        closed = (symmetric_feasible(cfg), divisible_feasible(cfg, necessary.witness))
         alloc = necessary.policy
         alloc_report = verify_allocation(cfg, alloc)
 

@@ -195,27 +195,12 @@ def gauss_newton(
     x = init.to_vector()
     F = residuals(cfg, channels, init)
     history = [float(np.sum(np.abs(F) ** 2))]
-    note = ""
-
-    if C == 0:
-        tilde = init
-        tx = tilde.reconstruct()
-        return SolveResult(
-            method="gauss_newton",
-            converged=True,
-            iterations=0,
-            leakage=0.0,
-            leakage_history=(0.0,),
-            transceivers=tx,
-            direct_rank_margin=_direct_margin(cfg, channels, tx.U, tx.V),
-            residual_norm=0.0,
-            tilde=tilde,
-            note="no cross constraints",
-        )
+    note = "" if C else "no cross constraints"
 
     lam = lam0
     iterations = 0
-    converged = float(np.max(np.abs(F))) < tol
+    # with no constraints there is no residual, and any point solves
+    converged = C == 0 or float(np.max(np.abs(F))) < tol
     while not converged and iterations < max_iters:
         iterations += 1
         tilde = ReducedTransceivers.from_vector(cfg, x)
@@ -264,7 +249,7 @@ def gauss_newton(
         leakage_history=tuple(history),
         transceivers=tx,
         direct_rank_margin=_direct_margin(cfg, channels, tx.U, tx.V),
-        residual_norm=float(np.max(np.abs(F))),
+        residual_norm=float(np.max(np.abs(F), initial=0.0)),
         tilde=tilde,
         note=note,
     )

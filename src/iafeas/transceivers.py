@@ -6,6 +6,11 @@ precoder V_j can be normalized to have an identity top block. What remains
 free is the lower (N_k - d_k) x d_k block of U_k and the lower
 (M_j - d_j) x d_j block of V_j.
 
+This module is the one owner of the variable order: every decorrelator
+block first, pair ascending, then every precoder block the same way, each
+flattened column by column. :func:`block_starts` gives where each block
+starts, and the coefficient matrix's columns follow it.
+
 Storage convention: for the decorrelators we store the conjugated lower
 block. Entry ``u[k-1][n-1, p-1]`` is the coefficient that constraint column
 p applies to receive antenna d_k + n, so the alignment residual becomes a
@@ -35,12 +40,22 @@ class TransceiverSet:
         object.__setattr__(self, "V", tuple(np.asarray(v) for v in self.V))
 
 
-def _u_shape(cfg: NetworkConfig, k: int) -> tuple[int, int]:
-    return (cfg.N(k) - cfg.d(k), cfg.d(k))
+def _shapes(cfg: NetworkConfig) -> list:
+    """Block shapes in the variable order: u_1 .. u_K, then v_1 .. v_K."""
+    u = [(pair.N - pair.d, pair.d) for pair in cfg.pairs]
+    return u + [(pair.M - pair.d, pair.d) for pair in cfg.pairs]
 
 
-def _v_shape(cfg: NetworkConfig, j: int) -> tuple[int, int]:
-    return (cfg.M(j) - cfg.d(j), cfg.d(j))
+def block_starts(cfg: NetworkConfig) -> list:
+    """0-based start of each variable block, then the variable count V.
+
+    Entry k - 1 is where decorrelator block u_k starts and entry K + j - 1
+    where precoder block v_j starts; the last entry, 2K, is V.
+    """
+    starts = [0]
+    for rows, cols in _shapes(cfg):
+        starts.append(starts[-1] + rows * cols)
+    return starts
 
 
 @dataclass(frozen=True)
@@ -59,29 +74,22 @@ class ReducedTransceivers:
     def __post_init__(self) -> None:
         u = tuple(np.asarray(blk, dtype=np.complex128) for blk in self.u)
         v = tuple(np.asarray(blk, dtype=np.complex128) for blk in self.v)
-        if len(u) != self.cfg.K or len(v) != self.cfg.K:
+        K = self.cfg.K
+        if len(u) != K or len(v) != K:
             raise ValueError("need one u block and one v block per pair")
-        for k in range(1, self.cfg.K + 1):
-            if u[k - 1].shape != _u_shape(self.cfg, k):
+        for i, (blk, shape) in enumerate(zip(u + v, _shapes(self.cfg))):
+            if blk.shape != shape:
+                side, k = ("u", i + 1) if i < K else ("v", i + 1 - K)
                 raise ValueError(
-                    f"u block {k} has shape {u[k - 1].shape}, "
-                    f"expected {_u_shape(self.cfg, k)}"
-                )
-            if v[k - 1].shape != _v_shape(self.cfg, k):
-                raise ValueError(
-                    f"v block {k} has shape {v[k - 1].shape}, "
-                    f"expected {_v_shape(self.cfg, k)}"
+                    f"{side} block {k} has shape {blk.shape}, expected {shape}"
                 )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
     @classmethod
     def zeros(cls, cfg: NetworkConfig) -> "ReducedTransceivers":
-        return cls(
-            cfg,
-            tuple(np.zeros(_u_shape(cfg, k)) for k in range(1, cfg.K + 1)),
-            tuple(np.zeros(_v_shape(cfg, j)) for j in range(1, cfg.K + 1)),
-        )
+        blocks = [np.zeros(shape) for shape in _shapes(cfg)]
+        return cls(cfg, tuple(blocks[: cfg.K]), tuple(blocks[cfg.K :]))
 
     @classmethod
     def random(cls, cfg: NetworkConfig, rng: np.random.Generator, scale: float = 1.0):
@@ -92,19 +100,15 @@ class ReducedTransceivers:
             im = rng.standard_normal(shape)
             return scale * (re + 1j * im) / np.sqrt(2.0)
 
-        return cls(
-            cfg,
-            tuple(draw(_u_shape(cfg, k)) for k in range(1, cfg.K + 1)),
-            tuple(draw(_v_shape(cfg, j)) for j in range(1, cfg.K + 1)),
-        )
+        blocks = [draw(shape) for shape in _shapes(cfg)]
+        return cls(cfg, tuple(blocks[: cfg.K]), tuple(blocks[cfg.K :]))
 
     def to_vector(self) -> np.ndarray:
-        """Flatten into the canonical variable order.
+        """Flatten into the variable order of the module docstring.
 
-        All decorrelator blocks come first (pairs in ascending order, each
-        flattened column by column, so the antenna index varies fastest),
-        then all precoder blocks in the same discipline. This matches the
-        column order of the alignment coefficient matrix.
+        Each block is flattened column by column, so the antenna index
+        varies fastest. This matches the column order of the alignment
+        coefficient matrix.
         """
         parts = [blk.ravel(order="F") for blk in self.u]
         parts += [blk.ravel(order="F") for blk in self.v]
@@ -114,22 +118,14 @@ class ReducedTransceivers:
     def from_vector(cls, cfg: NetworkConfig, x) -> "ReducedTransceivers":
         """Inverse of :meth:`to_vector`."""
         x = np.asarray(x, dtype=np.complex128).ravel()
-        u = []
-        v = []
-        pos = 0
-        for k in range(1, cfg.K + 1):
-            rows, cols = _u_shape(cfg, k)
-            size = rows * cols
-            u.append(x[pos : pos + size].reshape((rows, cols), order="F"))
-            pos += size
-        for j in range(1, cfg.K + 1):
-            rows, cols = _v_shape(cfg, j)
-            size = rows * cols
-            v.append(x[pos : pos + size].reshape((rows, cols), order="F"))
-            pos += size
-        if pos != x.size:
-            raise ValueError(f"vector has {x.size} entries, expected {pos}")
-        return cls(cfg, tuple(u), tuple(v))
+        starts = block_starts(cfg)
+        if starts[-1] != x.size:
+            raise ValueError(f"vector has {x.size} entries, expected {starts[-1]}")
+        blocks = [
+            x[a:b].reshape(shape, order="F")
+            for a, b, shape in zip(starts, starts[1:], _shapes(cfg))
+        ]
+        return cls(cfg, tuple(blocks[: cfg.K]), tuple(blocks[cfg.K :]))
 
     def reconstruct(self) -> TransceiverSet:
         """Rebuild the full beamformers.

@@ -215,7 +215,7 @@ def test_criterion_9_divisible_family_matches_rank():
             M = int(rng.integers(d, 10))
             pairs.append((M, N, d))
         cfg = NetworkConfig.from_tuples(pairs)
-        cf = divisible_feasible(cfg)
+        cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
         assert cf.applicable, cfg.describe()
         rank = generic_full_row_rank(cfg, seed=0)
         assert cf.feasible == rank.full_row_rank, cfg.describe()

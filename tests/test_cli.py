@@ -254,6 +254,15 @@ def test_hall_prime_dump(tmp_path, capsys):
     assert out.splitlines()[0] == "6 6 prime:2147483647"
 
 
+def test_hall_inadmissible_exits_three(tmp_path, capsys):
+    # pair 2 cannot carry its two streams; its free block would be 0 x 2
+    cfg_file = write_cfg(tmp_path, "bad.json", [(7, 7, 1), (1, 5, 2), (6, 5, 2)])
+    code, out, err = run(capsys, "hall", cfg_file, "--seed", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "error: the coefficient matrix needs a stream-admissible network\n"
+
+
 def test_alloc_balanced(tmp_path, capsys):
     cfg_file = write_cfg(tmp_path, "div.json", [(6, 4, 2)] * 3)
     code, out, _ = run(capsys, "alloc", cfg_file)

@@ -210,25 +210,28 @@ def test_symmetric_closed_form_guards():
 
 
 def test_divisible_closed_form():
-    cf = divisible_feasible(NetworkConfig.symmetric(3, 6, 4, 2))
+    cfg = NetworkConfig.symmetric(3, 6, 4, 2)
+    cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
     assert cf.applicable and cf.feasible
 
-    cf = divisible_feasible(NetworkConfig.symmetric(4, 2, 4, 2))
+    cfg = NetworkConfig.symmetric(4, 2, 4, 2)
+    cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
     assert cf.applicable and cf.feasible is False
     assert cf.witness is not None
     assert cf.witness.holds(NetworkConfig.symmetric(4, 2, 4, 2))
 
     # d = 1 always qualifies
-    assert divisible_feasible(NetworkConfig.from_tuples([(2, 3, 1), (3, 2, 1)])).applicable
+    cfg = NetworkConfig.from_tuples([(2, 3, 1), (3, 2, 1)])
+    assert divisible_feasible(cfg, flow_feasibility(cfg)[1]).applicable
 
     # 2 divides neither 3 nor 3: outside the family (and properness alone
     # would wrongly pass the proper-but-infeasible (3x3,2)^2)
-    cf = divisible_feasible(NetworkConfig.symmetric(2, 3, 3, 2))
+    cfg = NetworkConfig.symmetric(2, 3, 3, 2)
+    cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
     assert not cf.applicable
 
-    assert not divisible_feasible(
-        NetworkConfig.from_tuples([(4, 4, 2), (3, 3, 1)])
-    ).applicable
+    cfg = NetworkConfig.from_tuples([(4, 4, 2), (3, 3, 1)])
+    assert not divisible_feasible(cfg, flow_feasibility(cfg)[1]).applicable
 
 
 def test_divisible_closed_form_matches_rank_spot_checks():
@@ -239,7 +242,7 @@ def test_divisible_closed_form_matches_rank_spot_checks():
         [(3, 2, 1), (2, 2, 1), (2, 3, 1)],
     ]:
         cfg = NetworkConfig.from_tuples(pairs)
-        cf = divisible_feasible(cfg)
+        cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
         assert cf.applicable
         rank = generic_full_row_rank(cfg, seed=3)
         assert cf.feasible == rank.full_row_rank, cfg.describe()

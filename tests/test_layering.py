@@ -1,0 +1,57 @@
+"""Module boundaries inside the package, read from the source with ``ast``.
+
+A module reaches another module's code only through its public names, and
+the closed forms in ``conditions`` sit below the transfer engine in
+``allocation``: the engine imports the family test from them, never the
+other way round.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import iafeas
+
+PACKAGE = Path(iafeas.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imports(path):
+    """(module, name) for every name a file imports from the package.
+
+    ``name`` is None where a whole module is imported.
+    """
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != "iafeas" and not module.startswith("iafeas."):
+                    continue
+                module = module.removeprefix("iafeas").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("iafeas."):
+                    yield alias.name.removeprefix("iafeas."), None
+
+
+def test_every_package_module_is_read():
+    names = {path.name for path in MODULES}
+    assert {"allocation.py", "cli.py", "conditions.py", "report.py"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_name_crosses_a_module(path):
+    crossing = [
+        (module, name)
+        for module, name in _imports(path)
+        if (name or module).startswith("_")
+    ]
+    assert crossing == []
+
+
+def test_conditions_does_not_import_allocation():
+    modules = {module for module, _ in _imports(PACKAGE / "conditions.py")}
+    assert "allocation" not in modules

@@ -106,12 +106,31 @@ def _test_matrix(kind, m, n, p, seed):
         A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.1)
         A[:, rng.random(n) < 0.2] = 0
         return A
+    if kind in ("block", "pivot block"):
+        # zero below the top rows in the left half of the columns, where
+        # the top node finds its pivots (when m >= n, so that the matrix is
+        # not transposed). "block" has more top rows than pivots there, so
+        # some rows below the pivots stay nonzero in the pivot columns;
+        # "pivot block" has only pivot rows on top, so every row below them
+        # is zero there. Both parts are products of a short inner
+        # dimension, so that a wrong update shows in the rank.
+        if kind == "block":
+            top = min(m, (m + n // 2) // 2)
+            inner = (n // 2 + top) // 2
+        else:
+            top = inner = min(m, n // 4)
+        high = rng.integers(0, 1000, size=(m, inner))
+        A = high @ rng.integers(0, 1000, size=(inner, n))
+        low = rng.integers(0, 1000, size=(m - top, n // 8))
+        A[top:] = low @ rng.integers(0, 1000, size=(n // 8, n))
+        A[top:, : n // 2] = 0
+        return A
     return np.full((m, n), p - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["dense", "product", "sparse", "all p-1"]),
+    st.sampled_from(["dense", "product", "sparse", "all p-1", "block", "pivot block"]),
     st.integers(1, 200),
     st.integers(1, 200),
     st.sampled_from([1048583, 2147483629, PRIME]),
@@ -123,6 +142,12 @@ def _test_matrix(kind, m, n, p, seed):
 @example("product", 180, 200, 1048583, 1)
 @example("sparse", 200, 120, 2147483629, 0)
 @example("all p-1", 90, 200, PRIME, 0)
+# pinned zero blocks: inner nodes whose trailing update meets rows that
+# are zero in the pivot columns, some of them or all
+@example("block", 200, 130, PRIME, 0)
+@example("block", 65, 65, 2147483629, 2)
+@example("pivot block", 150, 100, 1048583, 1)
+@example("pivot block", 65, 65, PRIME, 3)
 def test_gf_rank_matches_reference(kind, m, n, p, seed):
     A = _test_matrix(kind, m, n, p, seed)
     assert gf_rank(A, p) == gf_rank_reference(A, p)
