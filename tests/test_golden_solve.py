@@ -1,0 +1,95 @@
+"""Golden `check --solve` reports: the solver section, pinned.
+
+``data/golden_solve.json`` holds, for each configuration, the exit code
+and the JSON report that ``iafeas check CONFIG --seed 0 --mode numeric
+--solve`` printed when the file was made. The cases are the ring
+(2x2,1)^3, which the solvers align; (2x2,1)^4, which fails properness and
+on which both solvers stall; a mixed-stream network; and a single pair,
+whose Gauss-Newton run notes that there are no cross constraints.
+
+Verdicts, iteration counts, ``converged`` and ``agrees`` must match
+exactly; floats match to a relative 1e-9, so that a different BLAS
+thread count cannot fail the test. Regenerate the file with
+``PYTHONPATH=src python tests/test_golden_solve.py`` only when an output
+change is intended.
+"""
+
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from iafeas.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden_solve.json"
+
+CASES = (
+    [(2, 2, 1)] * 3,
+    [(2, 2, 1)] * 4,
+    [(2, 3, 1), (3, 3, 2), (4, 3, 1)],
+    [(2, 2, 1)],
+)
+
+
+def run_check(tmp_dir, pairs):
+    path = Path(tmp_dir) / "cfg.json"
+    path.write_text(json.dumps({"pairs": [{"M": m, "N": n, "d": d} for m, n, d in pairs]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", str(path), "--seed", "0", "--mode", "numeric", "--solve"])
+    return code, json.loads(out.getvalue())
+
+
+def assert_matches(got, want, where="report"):
+    """Equal structure and values; floats to a relative 1e-9."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-9), f"{where}: {got} != {want}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+# a missing file leaves no parametrized case and fails the coverage test
+ENTRIES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[e["check"]["label"] for e in ENTRIES])
+def test_solve_report_matches(entry, tmp_path, monkeypatch):
+    monkeypatch.delenv("IA_KIT_SEED", raising=False)
+    code, report = run_check(tmp_path, [tuple(p) for p in entry["pairs"]])
+    assert code == entry["exit"]
+    assert_matches(report, entry["check"])
+
+
+def test_golden_solve_covers_solved_stalled_and_single_pair():
+    assert len(ENTRIES) == len(CASES)
+    solvers = [e["check"]["solver"] for e in ENTRIES]
+    assert any(s["alt_min"]["converged"] and s["gauss_newton"]["converged"] for s in solvers)
+    assert any(not s["alt_min"]["converged"] and not s["gauss_newton"]["converged"] for s in solvers)
+    assert all(s["agrees"] for s in solvers)
+    single = next(e for e in ENTRIES if len(e["pairs"]) == 1)
+    assert single["check"]["rank"]["note"] == "no cross constraints"
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("IA_KIT_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = []
+        for pairs in CASES:
+            code, report = run_check(tmp, pairs)
+            entries.append({"pairs": pairs, "exit": code, "check": report})
+        GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
