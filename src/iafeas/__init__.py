@@ -10,10 +10,6 @@ coefficient matrix, and numerical solvers for corroboration.
 
 from .allocation import (
     AllocationPolicy,
-    AllocationReport,
-    PressureState,
-    PressureTree,
-    PttResult,
     allocation_from_json_dict,
     flow_feasibility,
     init_allocation,
@@ -24,7 +20,6 @@ from .allocation import (
 )
 from .channels import ChannelSet, sample_channels
 from .conditions import (
-    ClosedForm,
     check_antenna_budget,
     check_stream_support,
     divisible_feasible,
@@ -40,9 +35,7 @@ from .config import (
     system_shape,
     validate_config,
 )
-from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import (
-    AlignmentJacobian,
     build_jacobian,
     col_index,
     parse_dump,
@@ -51,23 +44,8 @@ from .jacobian import (
     row_index,
 )
 from .rank import RankVerdict, generic_full_row_rank, gf_rank
-from .report import (
-    FEASIBLE,
-    INFEASIBLE,
-    UNDETERMINED,
-    NecessaryReport,
-    VerdictReport,
-    feasibility_report,
-    necessary_verdict,
-)
-from .solver import (
-    AlignmentCheck,
-    SolveResult,
-    alt_min,
-    gauss_newton,
-    gauss_newton_multistart,
-    verify_ia,
-)
+from .report import feasibility_report, necessary_verdict
+from .solver import alt_min, gauss_newton, gauss_newton_multistart, verify_ia
 from .transceivers import ReducedTransceivers, TransceiverSet
 from .witnesses import (
     SubsetWitness,
@@ -78,29 +56,14 @@ from .witnesses import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentCheck",
-    "AlignmentJacobian",
     "AllocationPolicy",
-    "AllocationReport",
-    "COMPLEX",
     "ChannelSet",
-    "ClosedForm",
-    "DEFAULT_PRIME",
-    "FEASIBLE",
-    "INFEASIBLE",
-    "NecessaryReport",
     "NetworkConfig",
     "PairConfig",
-    "PressureState",
-    "PressureTree",
-    "PttResult",
     "RankVerdict",
     "ReducedTransceivers",
-    "SolveResult",
     "SubsetWitness",
     "TransceiverSet",
-    "UNDETERMINED",
-    "VerdictReport",
     "allocation_from_json_dict",
     "alt_min",
     "build_jacobian",
@@ -133,7 +96,6 @@ __all__ = [
     "symmetric_feasible",
     "system_shape",
     "validate_config",
-    "validate_field",
     "verify_allocation",
     "verify_ia",
 ]

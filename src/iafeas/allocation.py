@@ -52,25 +52,12 @@ class AllocationPolicy:
     ``sides[quad]`` is "r" when constraint ``quad = (k, j, p, q)`` is
     absorbed by receive stream (k, p) (c^r = 1) and "t" when transmit
     stream (j, q) takes it (c^t = 1). The map is the transfer engine's own
-    state; :meth:`from_sides` validates a map from elsewhere.
+    state; a map from elsewhere enters through
+    :func:`allocation_from_json_dict`, which checks it.
     """
 
     cfg: NetworkConfig
     sides: dict
-
-    @classmethod
-    def from_sides(cls, cfg: NetworkConfig, sides: dict) -> "AllocationPolicy":
-        """Build from a map quad -> "r" | "t" covering every constraint."""
-        checked = {}
-        for quad in cfg.quads():
-            side = sides.get(quad)
-            if side not in ("r", "t"):
-                raise ValueError(f"no side for constraint {quad}")
-            checked[quad] = side
-        if len(sides) != len(checked):
-            extra = set(sides) - set(checked)
-            raise ValueError(f"sides map has unknown constraints: {sorted(extra)}")
-        return cls(cfg=cfg, sides=checked)
 
     @classmethod
     def all_rx(cls, cfg: NetworkConfig) -> "AllocationPolicy":
@@ -479,7 +466,7 @@ def flow_feasibility(cfg: NetworkConfig):
     and every choice of the engine are fixed, so the answer is the same in
     every process.
     """
-    res = _run(cfg, "", dict.fromkeys(_items(cfg, ""), "r"))
+    res = run_ptt(cfg, AllocationPolicy.all_rx(cfg))
     return (res.alloc, None) if res.balanced else (None, res.witness)
 
 

@@ -217,8 +217,8 @@ def _cmd_hall(ns) -> int:
         )
     elif ns.field == "complex":
         field = COMPLEX
-    # ns.field None: keep whatever the config file said (default complex)
-    field = validate_field(field)
+    # ns.field None: keep whatever the config file said (default complex);
+    # sample_channels validates the field
     channels = sample_channels(cfg, seed=seed, field=field)
     jac = build_jacobian(cfg, channels)
     jac.dump(sys.stdout)

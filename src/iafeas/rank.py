@@ -79,6 +79,7 @@ from .channels import ChannelSet, sample_channels
 from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
+from .transceivers import block_starts
 
 #: default number of independent draws in generic rank tests
 DEFAULT_TRIALS = 3
@@ -387,42 +388,40 @@ def _project_decorrelators(
     Returns ``sum_k d_k * rank G_k`` and the reduced precoder matrix R (see
     the module docstring); the rank of the full matrix is the first plus
     ``gf_rank(R)``. R's rows are ordered (k, p, i), its columns are the
-    precoder columns of the full matrix in their order, and its entries are
+    precoder columns of the full matrix, placed by
+    :func:`~iafeas.transceivers.block_starts`, and its entries are
     unreduced products of two residues, below 2**62.
     """
     K = cfg.K
     d = [pair.d for pair in cfg.pairs]
-    vm = [pair.M - pair.d for pair in cfg.pairs]
-    # R is formed on a padded grid: stream slots (j, q) of K x D, precoder
-    # columns (j, q, m) of K x D x W; the masks keep the slots that exist
-    D, W = max(d), max(vm)
-    streams = np.arange(D) < np.array(d)[:, None]
-    free = np.arange(W) < np.array(vm)[:, None]
-    keep = (streams[:, :, None] & free[:, None, :]).ravel()
+    # precoder block v_j spans R's columns starts[j]:starts[j + 1]
+    offsets = block_starts(cfg)[K:]
+    starts = [s - offsets[0] for s in offsets]
 
     projected = 0
     rows = []
     # 0-based links, each receiver's together; one without links has no rows
     links = ((k - 1, j - 1) for k, j in cfg.cross_pairs())
     for k, into in groupby(links, key=lambda link: link[0]):
-        # G_k, H_kj[:d_k, d_j:] at transmitter slot j, and the slots (j, q)
-        blocks = []
-        h = np.zeros((d[k], K, W), dtype=np.int64)
-        heard = np.zeros_like(streams)
-        for _, j in into:
-            H = channels.cross[(k + 1, j + 1)]
-            blocks.append(H[d[k] :, : d[j]].T)
-            h[:, j, : vm[j]] = H[: d[k], d[j] :]
-            heard[j] = streams[j]
-        rank_k, Z = _left_null_basis(np.concatenate(blocks), p)
+        heard = [(j, channels.cross[(k + 1, j + 1)]) for _, j in into]
+        # G_k stacks H_kj[d_k:, :d_j]^T, so Z_k's columns are the slots (j, q)
+        G = np.concatenate([H[d[k] :, : d[j]].T for j, H in heard])
+        rank_k, Z = _left_null_basis(G, p)
         projected += d[k] * rank_k
-        if len(Z):
-            Zp = np.zeros((len(Z), K, D), dtype=np.int64)
-            Zp[:, heard] = Z
-            T = Zp[None, :, :, :, None] * h[:, None, :, None, :]
-            rows.append(T.reshape(d[k] * len(Z), K * D * W))
-    R = np.concatenate(rows) if rows else np.zeros((0, K * D * W), dtype=np.int64)
-    return projected, R if keep.all() else R[:, keep]
+        if not len(Z):
+            continue
+        R_k = np.zeros((d[k] * len(Z), starts[-1]), dtype=np.int64)
+        slot = 0
+        for j, H in heard:
+            # entry ((p, i), (q, m)) is Z_k[i, (j, q)] * H_kj[p, d_j + m]
+            Z_j = Z[:, slot : slot + d[j]]
+            H_j = H[: d[k], d[j] :]
+            block = Z_j[None, :, :, None] * H_j[:, None, None, :]
+            R_k[:, starts[j] : starts[j + 1]] = block.reshape(len(R_k), -1)
+            slot += d[j]
+        rows.append(R_k)
+    R = np.concatenate(rows) if rows else np.zeros((0, starts[-1]), dtype=np.int64)
+    return projected, R
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ class VerdictReport:
 
 def _solver_section(cfg, seed, tol, verdict) -> dict:
     channels = sample_channels(cfg, seed=seed, include_direct=True)
-    am = alt_min(cfg, channels, tol=1e-10)
+    am = alt_min(cfg, channels)
     gn = gauss_newton_multistart(cfg, channels, seed=seed, tol=tol)
     solved = am.converged or gn.converged
     if verdict == FEASIBLE:

@@ -30,6 +30,12 @@ from .transceivers import ReducedTransceivers, TransceiverSet
 
 DEFAULT_STARTS = 5
 
+#: leakage below which :func:`alt_min` stops
+ALT_MIN_TOL = 1e-10
+
+#: iterations of one :func:`gauss_newton` run
+GN_MAX_ITERS = 100
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -69,10 +75,15 @@ class AlignmentCheck:
         return self.aligned and self.rank_ok is not False
 
 
+def _cross_terms(cfg: NetworkConfig, channels: ChannelSet, U, V):
+    """U_k^H H_kj V_j for every link (k, j), in link order."""
+    for k, j in cfg.cross_pairs():
+        yield U[k - 1].conj().T @ channels.cross[(k, j)] @ V[j - 1]
+
+
 def _cross_leakage(cfg: NetworkConfig, channels: ChannelSet, U, V) -> float:
     total = 0.0
-    for k, j in cfg.cross_pairs():
-        T = U[k - 1].conj().T @ channels.cross[(k, j)] @ V[j - 1]
+    for T in _cross_terms(cfg, channels, U, V):
         total += float(np.sum(np.abs(T) ** 2))
     return total
 
@@ -99,8 +110,7 @@ def verify_ia(
     """
     channels.require_complex()
     max_cross = 0.0
-    for k, j in cfg.cross_pairs():
-        T = tx.U[k - 1].conj().T @ channels.cross[(k, j)] @ tx.V[j - 1]
+    for T in _cross_terms(cfg, channels, tx.U, tx.V):
         max_cross = max(max_cross, float(np.linalg.norm(T)))
     aligned = max_cross < tol
     if not channels.direct:
@@ -113,7 +123,6 @@ def alt_min(
     cfg: NetworkConfig,
     channels: ChannelSet,
     max_iters: int = 500,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SolveResult:
     """Alternating leakage minimization with orthonormal transceivers.
@@ -122,7 +131,7 @@ def alt_min(
     covariance, H_kj V_j V_j^H H_kj^H summed over the links (k, j) into
     receiver k; transmit filters come from the reciprocal step with the
     roles swapped. Leakage is recorded after every half-step and never
-    increases. Stops when leakage drops below ``tol``.
+    increases. Stops when leakage drops below ``ALT_MIN_TOL``.
     """
     channels.require_complex()
     channels.require_direct()
@@ -141,7 +150,7 @@ def alt_min(
     # k first, then j ascending: Q_k sums over j ascending, B_j over k
     links = tuple(cfg.cross_pairs())
     history = [_cross_leakage(cfg, channels, U, V)]
-    converged = history[0] < tol
+    converged = history[0] < ALT_MIN_TOL
     iterations = 0
     while not converged and iterations < max_iters:
         iterations += 1
@@ -159,7 +168,7 @@ def alt_min(
         for j in range(1, K + 1):
             V[j - 1] = np.linalg.eigh(B[j - 1])[1][:, : cfg.d(j)]
         history.append(_cross_leakage(cfg, channels, U, V))
-        converged = history[-1] < tol
+        converged = history[-1] < ALT_MIN_TOL
 
     tx = TransceiverSet(U=tuple(U), V=tuple(V))
     return SolveResult(
@@ -177,15 +186,15 @@ def gauss_newton(
     cfg: NetworkConfig,
     channels: ChannelSet,
     init: ReducedTransceivers | None = None,
-    max_iters: int = 100,
     tol: float = 1e-9,
-    lam0: float | None = None,
 ) -> SolveResult:
     """Damped Gauss-Newton on the reduced alignment residual.
 
     Minimum-norm step delta = -J^H (J J^H + lam I)^{-1} F with the damping
-    halved after an accepted step and doubled after a rejected one.
-    Converged when the residual's max modulus falls below ``tol``.
+    halved after an accepted step and doubled after a rejected one; it
+    starts at 1e-3 times the mean squared row norm of the first Jacobian.
+    Converged when the residual's max modulus falls below ``tol``, within
+    ``GN_MAX_ITERS`` iterations.
     """
     channels.require_complex()
     if init is None:
@@ -197,11 +206,11 @@ def gauss_newton(
     history = [float(np.sum(np.abs(F) ** 2))]
     note = "" if C else "no cross constraints"
 
-    lam = lam0
+    lam = None
     iterations = 0
     # with no constraints there is no residual, and any point solves
     converged = C == 0 or float(np.max(np.abs(F))) < tol
-    while not converged and iterations < max_iters:
+    while not converged and iterations < GN_MAX_ITERS:
         iterations += 1
         tilde = ReducedTransceivers.from_vector(cfg, x)
         J = residual_jacobian(cfg, channels, tilde)
@@ -260,14 +269,14 @@ def gauss_newton_multistart(
     channels: ChannelSet,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    max_iters: int = 100,
     tol: float = 1e-9,
 ) -> SolveResult:
     """Gauss-Newton from the origin plus ``starts - 1`` random inits.
 
-    Returns the best run: converged beats not, then smaller residual.
-    Random initial points are drawn from one seeded generator, so the
-    whole sweep is reproducible.
+    Each run takes at most ``GN_MAX_ITERS`` iterations. Returns the best
+    run: converged beats not, then smaller residual. Random initial points
+    are drawn from one seeded generator, so the whole sweep is
+    reproducible.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -276,7 +285,7 @@ def gauss_newton_multistart(
             init = ReducedTransceivers.zeros(cfg)
         else:
             init = ReducedTransceivers.random(cfg, rng, scale=0.5)
-        results.append(gauss_newton(cfg, channels, init=init, max_iters=max_iters, tol=tol))
+        results.append(gauss_newton(cfg, channels, init=init, tol=tol))
         if results[-1].converged:
             break
 

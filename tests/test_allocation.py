@@ -38,28 +38,9 @@ def total_deficit(cfg, alloc):
     return sum(-v for v in list(state.p_r.values()) + list(state.p_t.values()) if v < 0)
 
 
-def test_policy_from_sides_and_accessors():
+def test_policy_all_rx():
     alloc = AllocationPolicy.all_rx(RING)
     assert alloc.sides == {quad: "r" for quad in RING.quads()}
-    assert AllocationPolicy.from_sides(RING, alloc.sides) == alloc
-
-
-def test_policy_rejects_bad_sides():
-    sides = {quad: "r" for quad in RING.quads()}
-    missing = dict(sides)
-    del missing[(1, 2, 1, 1)]
-    with pytest.raises(ValueError, match="no side"):
-        AllocationPolicy.from_sides(RING, missing)
-
-    extra = dict(sides)
-    extra[(9, 1, 1, 1)] = "t"
-    with pytest.raises(ValueError, match="unknown"):
-        AllocationPolicy.from_sides(RING, extra)
-
-    bad = dict(sides)
-    bad[(1, 2, 1, 1)] = "both"
-    with pytest.raises(ValueError, match="no side"):
-        AllocationPolicy.from_sides(RING, bad)
 
 
 def test_json_dict_round_trip():

@@ -3,7 +3,8 @@
 A module reaches another module's code only through its public names, and
 the closed forms in ``conditions`` sit below the transfer engine in
 ``allocation``: the engine imports the family test from them, never the
-other way round.
+other way round. The top-level API holds only names that the demos, the
+tests or the benchmark import from ``iafeas``.
 """
 
 import ast
@@ -15,6 +16,10 @@ import iafeas
 
 PACKAGE = Path(iafeas.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+REPO = Path(__file__).parent.parent
+CALLERS = sorted(
+    path for folder in ("demos", "tests", "perfbench") for path in (REPO / folder).rglob("*.py")
+)
 
 
 def _imports(path):
@@ -55,3 +60,8 @@ def test_no_private_name_crosses_a_module(path):
 def test_conditions_does_not_import_allocation():
     modules = {module for module, _ in _imports(PACKAGE / "conditions.py")}
     assert "allocation" not in modules
+
+
+def test_every_exported_name_is_imported_by_a_caller():
+    imported = {name for path in CALLERS for name, module in _imports(path) if module is None}
+    assert sorted(set(iafeas.__all__) - imported) == []

@@ -7,8 +7,10 @@ from iafeas import (
     ChannelSet,
     NetworkConfig,
     build_jacobian,
+    col_index,
     generic_full_row_rank,
     gf_rank,
+    row_index,
     sample_channels,
     system_shape,
 )
@@ -19,6 +21,7 @@ from iafeas.rank import (
     _SLICE_COLUMNS,
     _center,
     _inner_steps,
+    _left_null_basis,
     _project_decorrelators,
     _split,
     _sub_product,
@@ -454,6 +457,49 @@ def test_projected_rank_equals_full_matrix_rank(cfg, binary, seed, p):
     assert R.shape == (C - projected, precoder_cols)
     full = gf_rank_reference(build_jacobian(cfg, ch).matrix, p)
     assert projected + gf_rank(R, p) == full
+
+
+@pytest.mark.parametrize(
+    "pairs, seed",
+    [
+        # N_1 = d_1 (G_1 has no columns), M_2 = d_2 (v_2 has width 0)
+        (((6, 2, 2), (2, 6, 2), (6, 6, 2), (5, 5, 1)), 1),
+        (((2, 4, 2), (3, 5, 1), (2, 3, 1)), 0),
+        (((4, 3, 1), (5, 4, 2), (2, 2, 2), (4, 6, 3)), 2),
+        (((5, 5, 2), (3, 3, 1), (4, 4, 2)), 3),
+        (((1, 3, 1), (4, 2, 2), (7, 5, 3)), 4),
+        (((3, 3, 1), (3, 3, 1), (5, 3, 2), (3, 5, 2)), 5),
+    ],
+)
+def test_reduced_matrix_rows_are_null_combinations_of_precoder_rows(pairs, seed):
+    # R's rows for receiver k and stream p are Z_k @ Y_kp: Y_kp holds the
+    # precoder columns of rows (k, j, p, q), (j, q) ascending, and the rows
+    # of Z_k span the left null space of G_k, read from the decorrelator
+    # columns of the same rows
+    cfg = NetworkConfig.from_tuples(pairs)
+    ch = sample_channels(cfg, seed, field=PRIME)
+    A = build_jacobian(cfg, ch).matrix
+    precoder = [
+        col_index(cfg, ("v", j, m, q)) - 1
+        for j in range(1, cfg.K + 1)
+        for q in range(1, cfg.d(j) + 1)
+        for m in range(1, cfg.M(j) - cfg.d(j) + 1)
+    ]
+    _, R = _project_decorrelators(cfg, ch, PRIME)
+    top = 0
+    for k in range(1, cfg.K + 1):
+        slots = [(j, q) for i, j in cfg.cross_pairs() if i == k for q in range(1, cfg.d(j) + 1)]
+        for p in range(1, cfg.d(k) + 1):
+            rows = [row_index(cfg, k, j, p, q) - 1 for j, q in slots]
+            decorrelator = [
+                col_index(cfg, ("u", k, n, p)) - 1 for n in range(1, cfg.N(k) - cfg.d(k) + 1)
+            ]
+            _, Z = _left_null_basis(A[np.ix_(rows, decorrelator)], PRIME)
+            Y = A[np.ix_(rows, precoder)]
+            want = Z.astype(object) @ Y.astype(object) % PRIME
+            assert np.array_equal(R[top : top + len(Z)] % PRIME, want.astype(np.int64))
+            top += len(Z)
+    assert top == len(R)
 
 
 @pytest.mark.parametrize(
