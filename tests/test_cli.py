@@ -254,6 +254,33 @@ def test_hall_prime_dump(tmp_path, capsys):
     assert out.splitlines()[0] == "6 6 prime:2147483647"
 
 
+def test_prime_precedence(tmp_path, capsys):
+    """--prime, then the config file's prime, then 2**31 - 1."""
+    plain = write_cfg(tmp_path, "plain.json", [(2, 2, 1)] * 3)
+    filed = write_cfg(tmp_path, "filed.json", [(2, 2, 1)] * 3, field={"prime": 1048583})
+
+    def modulus(*argv):
+        code, out, _ = run(capsys, "check", *argv)
+        assert code == 0
+        return json.loads(out)["rank"]["modulus"]
+
+    assert modulus(plain) == 2147483647
+    assert modulus(filed) == 1048583
+    assert modulus(filed, "--prime", "1048589") == 1048589
+
+    # the prime is validated even where the numeric backend ignores it
+    code, out, err = run(capsys, "check", plain, "--mode", "numeric", "--prime", "97")
+    assert (code, out) == (3, "") and "2**20" in err
+    code, out, err = run(capsys, "sweep", "--K", "3", "--M", "2", "--d", "1",
+                         "--prime", "97")
+    assert (code, out) == (3, "") and "2**20" in err
+
+    # hall --field prime without --prime reads the file's prime
+    code, out, _ = run(capsys, "hall", filed, "--field", "prime")
+    assert code == 0
+    assert out.splitlines()[0] == "6 6 prime:1048583"
+
+
 def test_hall_inadmissible_exits_three(tmp_path, capsys):
     # pair 2 cannot carry its two streams; its free block would be 0 x 2
     cfg_file = write_cfg(tmp_path, "bad.json", [(7, 7, 1), (1, 5, 2), (6, 5, 2)])
