@@ -49,10 +49,7 @@ def check_stream_support(cfg: NetworkConfig):
     bad = validate_config(cfg)
     if not bad:
         return None
-    k = bad[0]
-    return SubsetWitness(
-        kind=STREAM_SUPPORT, lhs=min(cfg.M(k), cfg.N(k)), rhs=cfg.d(k), pair=k
-    )
+    return SubsetWitness.of(cfg, STREAM_SUPPORT, pair=bad[0])
 
 
 # A pair joins the transmit group T, the receive group R, both or neither;
@@ -216,14 +213,10 @@ def check_antenna_budget(cfg: NetworkConfig):
     if t_bits is None:
         return None
     r_bits = _smallest_bits(pairs, [(((t, 0),), ((t, 1),)) for t in t_bits])
-    tx = [k for k, bit in enumerate(t_bits, 1) if bit]
-    rx = [k for k, bit in enumerate(r_bits, 1) if bit]
-    return SubsetWitness(
-        kind=ANTENNA_BUDGET,
-        lhs=max(sum(cfg.M(j) for j in tx), sum(cfg.N(k) for k in rx)),
-        rhs=sum(cfg.d(i) for i in set(tx) | set(rx)),
-        tx_set=frozenset(tx),
-        rx_set=frozenset(rx),
+    tx = frozenset(k for k, bit in enumerate(t_bits, 1) if bit)
+    rx = frozenset(k for k, bit in enumerate(r_bits, 1) if bit)
+    return SubsetWitness.of(
+        cfg, ANTENNA_BUDGET, tx_set=tx, rx_set=rx,
         links=frozenset((k, j) for k, j in cfg.cross_pairs() if k in rx and j in tx),
     )
 

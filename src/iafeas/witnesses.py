@@ -2,7 +2,9 @@
 
 A witness pins down one concrete inequality that the configuration fails,
 so a verdict can be re-derived without rerunning the machinery that found
-it. Three kinds exist:
+it. Each inequality is written once, in :meth:`SubsetWitness.recompute`;
+:meth:`SubsetWitness.of` takes a new witness's sides from there. Three
+kinds exist:
 
 * ``stream_support``: one pair cannot carry its streams,
   min(M_k, N_k) < d_k.
@@ -43,6 +45,13 @@ class SubsetWitness:
     tx_set: frozenset | None = None
     rx_set: frozenset | None = None
     links: frozenset | None = None
+
+    @classmethod
+    def of(cls, cfg: NetworkConfig, kind: str, **index) -> "SubsetWitness":
+        """The witness of ``kind`` on the index data, with its sides
+        recomputed from ``cfg``."""
+        lhs, rhs = cls(kind, 0, 0, **index).recompute(cfg)
+        return cls(kind, lhs, rhs, **index)
 
     def recompute(self, cfg: NetworkConfig) -> tuple[int, int]:
         """Re-derive (lhs, rhs) of the cited inequality from the index data."""
@@ -92,16 +101,9 @@ class SubsetWitness:
 def properness_witness_from_links(cfg: NetworkConfig, links) -> SubsetWitness:
     """Build a properness witness for an explicit link set, with projections."""
     links = frozenset((int(k), int(j)) for k, j in links)
-    rx_proj = frozenset(k for k, _ in links)
-    tx_proj = frozenset(j for _, j in links)
-    w = SubsetWitness(
-        kind=PROPERNESS, lhs=0, rhs=0, links=links,
-        tx_set=tx_proj, rx_set=rx_proj,
-    )
-    lhs, rhs = w.recompute(cfg)
-    return SubsetWitness(
-        kind=PROPERNESS, lhs=lhs, rhs=rhs, links=links,
-        tx_set=tx_proj, rx_set=rx_proj,
+    return SubsetWitness.of(
+        cfg, PROPERNESS, links=links,
+        tx_set=frozenset(j for _, j in links), rx_set=frozenset(k for k, _ in links),
     )
 
 

@@ -4,7 +4,8 @@ A module reaches another module's code only through its public names, and
 the closed forms in ``conditions`` sit below the transfer engine in
 ``allocation``: the engine imports the family test from them, never the
 other way round. The top-level API holds only names that the demos, the
-tests or the benchmark import from ``iafeas``.
+tests or the benchmark import from ``iafeas``. Only ``witnesses`` states a
+witness inequality: other modules build witnesses from index data alone.
 """
 
 import ast
@@ -22,12 +23,16 @@ CALLERS = sorted(
 )
 
 
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def _imports(path):
     """(module, name) for every name a file imports from the package.
 
     ``name`` is None where a whole module is imported.
     """
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _nodes(path):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if not node.level:
@@ -65,3 +70,18 @@ def test_conditions_does_not_import_allocation():
 def test_every_exported_name_is_imported_by_a_caller():
     imported = {name for path in CALLERS for name, module in _imports(path) if module is None}
     assert sorted(set(iafeas.__all__) - imported) == []
+
+
+def test_only_witnesses_calls_the_witness_constructor():
+    def called(node):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    calls = [
+        (path.name, node.lineno)
+        for path in MODULES
+        if path.name != "witnesses.py"
+        for node in _nodes(path)
+        if isinstance(node, ast.Call) and called(node) == "SubsetWitness"
+    ]
+    assert calls == []
