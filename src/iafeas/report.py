@@ -19,6 +19,7 @@ every report carries a soundness bit: a violated necessary condition next
 to a full-rank coefficient matrix (or a sufficiency certificate next to a
 rank-deficient one) would expose a defect, and sweeps count such events.
 Numerical solvers can be attached as corroboration but never decide.
+The necessary checks are named by the kinds of the witnesses they return.
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ from .config import NetworkConfig, config_to_dict, system_shape
 from .channels import sample_channels
 from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
 from .solver import alt_min, gauss_newton_multistart
-from .witnesses import STREAM_SUPPORT, SubsetWitness
+from .witnesses import ANTENNA_BUDGET, PROPERNESS, STREAM_SUPPORT, SubsetWitness
 
 FEASIBLE = "FEASIBLE"
 INFEASIBLE = "INFEASIBLE"
 UNDETERMINED = "UNDETERMINED"
 
-STREAM_CHECK = "stream_support"
-BUDGET_CHECK = "antenna_budget"
-PROPERNESS_CHECK = "properness"
+#: the necessary checks in the order they run, named by witness kind
+CHAIN = (STREAM_SUPPORT, ANTENNA_BUDGET, PROPERNESS)
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,15 @@ def necessary_verdict(cfg: NetworkConfig) -> NecessaryReport:
     Every check runs at every K. The chain stops at the first violation
     and lists the checks after it as skipped.
     """
-    checks = [STREAM_CHECK]
-    w = check_stream_support(cfg)
-    if w is not None:
-        return NecessaryReport(False, w, tuple(checks), (BUDGET_CHECK, PROPERNESS_CHECK))
-
-    checks.append(BUDGET_CHECK)
-    w = check_antenna_budget(cfg)
-    if w is not None:
-        return NecessaryReport(False, w, tuple(checks), (PROPERNESS_CHECK,))
-
-    checks.append(PROPERNESS_CHECK)
-    policy, w = flow_feasibility(cfg)
-    return NecessaryReport(w is None, w, tuple(checks), (), policy)
+    # the checks are looked up at call time, where a tracer can wrap them
+    policy = None
+    witness = check_stream_support(cfg)
+    if witness is None:
+        witness = check_antenna_budget(cfg)
+    if witness is None:
+        policy, witness = flow_feasibility(cfg)
+    ran = CHAIN if witness is None else CHAIN[: CHAIN.index(witness.kind) + 1]
+    return NecessaryReport(witness is None, witness, ran, CHAIN[len(ran):], policy)
 
 
 @dataclass(frozen=True)
@@ -193,13 +189,11 @@ def feasibility_report(
     necessary = necessary_verdict(cfg)
 
     closed: tuple = ()
-    alloc = None
     alloc_report = None
     if necessary.passed:
         # the chain's properness run, which balanced, decides the family
         closed = (symmetric_feasible(cfg), divisible_feasible(cfg, necessary.witness))
-        alloc = necessary.policy
-        alloc_report = verify_allocation(cfg, alloc)
+        alloc_report = verify_allocation(cfg, necessary.policy)
 
     rank = generic_full_row_rank(cfg, trials=trials, mode=mode, seed=seed, p=p)
 
@@ -211,23 +205,18 @@ def feasibility_report(
     if not necessary.passed:
         verdict = INFEASIBLE
         rule = f"necessary:{necessary.witness.kind}"
-        witness = necessary.witness
     elif closed_yes is not None:
         verdict = FEASIBLE
         rule = f"closed-form-{closed_yes.family}"
-        witness = None
     elif certificate:
         verdict = FEASIBLE
         rule = "allocation-certificate"
-        witness = None
     elif rank.full_row_rank:
         verdict = FEASIBLE
         rule = "rank-test"
-        witness = None
     else:
         verdict = UNDETERMINED
         rule = "inconclusive"
-        witness = None
 
     claims_feasible = verdict == FEASIBLE and rule != "rank-test"
     sound = not (
@@ -248,10 +237,10 @@ def feasibility_report(
         cfg=cfg,
         verdict=verdict,
         rule=rule,
-        witness=witness,
+        witness=necessary.witness,
         necessary=necessary,
         closed_forms=closed,
-        allocation=alloc,
+        allocation=necessary.policy,
         allocation_report=alloc_report,
         rank=rank,
         sound=sound,
