@@ -42,6 +42,7 @@ from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
 from .rank import DEFAULT_TRIALS
 from .report import FEASIBLE, INFEASIBLE, UNDETERMINED, feasibility_report
+from .solver import GN_TOL
 
 _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1, UNDETERMINED: 2}
 
@@ -62,6 +63,14 @@ def _resolve_seed(flag_seed, file_seed=None) -> int:
         except ValueError:
             raise CliError(f"IA_KIT_SEED must be an integer, got {env!r}") from None
     return 0
+
+
+def _resolve_prime(flag_prime, file_field=None) -> int:
+    """``--prime``, then the config file's prime, then ``DEFAULT_PRIME``."""
+    prime = flag_prime
+    if prime is None:
+        prime = file_field if isinstance(file_field, int) else DEFAULT_PRIME
+    return validate_field(prime)
 
 
 def _parse_range(text: str, name: str) -> list:
@@ -89,18 +98,12 @@ def _parse_range(text: str, name: str) -> list:
 def _cmd_check(ns) -> int:
     cfg, file_seed, field = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
-    prime = ns.prime
-    if prime is None and isinstance(field, int):
-        prime = field
-    if prime is None:
-        prime = DEFAULT_PRIME
-    validate_field(prime)
     rep = feasibility_report(
         cfg,
         seed=seed,
         mode=ns.mode,
         trials=ns.trials,
-        p=prime,
+        p=_resolve_prime(ns.prime, field),
         solve=ns.solve,
         tol=ns.tol,
     )
@@ -111,13 +114,12 @@ def _cmd_check(ns) -> int:
 
 
 def _sweep_worker(args) -> dict:
-    pairs, seed, mode, trials, prime = args
-    cfg = NetworkConfig.from_tuples(pairs)
+    cfg, seed, mode, trials, prime = args
     rep = feasibility_report(cfg, seed=seed, mode=mode, trials=trials, p=prime)
     c, v = system_shape(cfg)
     return {
         "label": cfg.describe(),
-        "pairs": [list(t) for t in pairs],
+        "pairs": [[p.M, p.N, p.d] for p in cfg.pairs],
         "verdict": rep.verdict,
         "rule": rep.rule,
         "sound": rep.sound,
@@ -140,10 +142,9 @@ def _sweep_jobs(ns) -> list:
             if not isinstance(pairs, list):
                 raise CliError(f"config entry {entry!r} has no pair list")
             try:
-                cfg = NetworkConfig.from_tuples(tuple(tuple(p) for p in pairs))
+                jobs.append(NetworkConfig.from_tuples(tuple(p) for p in pairs))
             except (TypeError, ValueError) as exc:
                 raise CliError(f"bad config entry {entry!r}: {exc}") from None
-            jobs.append(tuple((cfg.M(i), cfg.N(i), cfg.d(i)) for i in range(1, cfg.K + 1)))
         return jobs
 
     if ns.K is None or ns.M is None or ns.d is None:
@@ -152,16 +153,13 @@ def _sweep_jobs(ns) -> list:
     Ms = _parse_range(ns.M, "M")
     Ns = _parse_range(ns.N, "N") if ns.N else None
     ds = _parse_range(ns.d, "d")
+    # the config types reject a K or a count below 1
     jobs = []
     for K in Ks:
-        if K < 1:
-            raise CliError("--K must be positive")
         for M in Ms:
             for N in Ns if Ns is not None else [M]:
                 for d in ds:
-                    if M < 1 or N < 1 or d < 1:
-                        raise CliError("grid values must be positive")
-                    jobs.append(tuple((M, N, d) for _ in range(K)))
+                    jobs.append(NetworkConfig.symmetric(K, M, N, d))
     return jobs
 
 
@@ -172,9 +170,8 @@ def _cmd_sweep(ns) -> int:
     if not jobs:
         raise CliError("sweep grid is empty")
     seed = _resolve_seed(ns.seed)
-    prime = ns.prime if ns.prime is not None else DEFAULT_PRIME
-    validate_field(prime)
-    args = [(pairs, seed, ns.mode, ns.trials, prime) for pairs in jobs]
+    prime = _resolve_prime(ns.prime)
+    args = [(cfg, seed, ns.mode, ns.trials, prime) for cfg in jobs]
     # The pool starts every worker up front, so it gets no more of them
     # than there are cores or chunks. A report takes milliseconds, so
     # single-task round trips to the pool would cost as much as the work;
@@ -212,9 +209,7 @@ def _cmd_hall(ns) -> int:
     cfg, file_seed, field = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
     if ns.field == "prime":
-        field = ns.prime if ns.prime is not None else (
-            field if isinstance(field, int) else DEFAULT_PRIME
-        )
+        field = _resolve_prime(ns.prime, field)
     elif ns.field == "complex":
         field = COMPLEX
     # ns.field None: keep whatever the config file said (default complex);
@@ -283,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("config", help="configuration JSON file")
     common(p_check)
     p_check.add_argument("--solve", action="store_true", help="attach solver runs")
-    p_check.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+    p_check.add_argument("--tol", type=float, default=GN_TOL, help="solver tolerance")
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="verdicts over a configuration grid")

@@ -41,7 +41,7 @@ from .conditions import (
 from .config import NetworkConfig, config_to_dict, system_shape
 from .channels import sample_channels
 from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
-from .solver import alt_min, gauss_newton_multistart
+from .solver import GN_TOL, alt_min, gauss_newton_multistart
 from .witnesses import ANTENNA_BUDGET, PROPERNESS, STREAM_SUPPORT, SubsetWitness
 
 FEASIBLE = "FEASIBLE"
@@ -176,7 +176,7 @@ def feasibility_report(
     trials: int = DEFAULT_TRIALS,
     p: int = DEFAULT_PRIME,
     solve: bool = False,
-    tol: float = 1e-9,
+    tol: float = GN_TOL,
 ) -> VerdictReport:
     """Full verdict on one configuration.
 

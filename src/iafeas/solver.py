@@ -36,6 +36,9 @@ ALT_MIN_TOL = 1e-10
 #: iterations of one :func:`gauss_newton` run
 GN_MAX_ITERS = 100
 
+#: residual max modulus below which :func:`gauss_newton` stops
+GN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -186,7 +189,7 @@ def gauss_newton(
     cfg: NetworkConfig,
     channels: ChannelSet,
     init: ReducedTransceivers | None = None,
-    tol: float = 1e-9,
+    tol: float = GN_TOL,
 ) -> SolveResult:
     """Damped Gauss-Newton on the reduced alignment residual.
 
@@ -269,7 +272,7 @@ def gauss_newton_multistart(
     channels: ChannelSet,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = GN_TOL,
 ) -> SolveResult:
     """Gauss-Newton from the origin plus ``starts - 1`` random inits.
 
@@ -290,6 +293,6 @@ def gauss_newton_multistart(
             break
 
     def order(r: SolveResult):
-        return (not r.converged, r.residual_norm if r.residual_norm is not None else np.inf)
+        return (not r.converged, r.residual_norm)
 
     return min(results, key=order)

@@ -443,6 +443,12 @@ def test_sweep_bad_grids(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--K", "x", "--M", "2", "--d", "1")
     assert code == 3
 
+    # the config types validate the grid
+    code, _, err = run(capsys, "sweep", "--K", "0", "--M", "2", "--d", "1")
+    assert (code, err) == (3, "error: K must be at least 1\n")
+    code, _, err = run(capsys, "sweep", "--K", "2", "--M", "0:2", "--d", "1")
+    assert (code, err) == (3, "error: M must be a positive integer, got 0\n")
+
     lst = tmp_path / "list.json"
     lst.write_text(json.dumps([{"streams": 2}]))
     code, _, _ = run(capsys, "sweep", "--configs", str(lst))
