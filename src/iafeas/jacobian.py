@@ -153,9 +153,9 @@ def _place(cfg: NetworkConfig, channels: ChannelSet, tilde) -> np.ndarray:
     dtype = np.complex128 if channels.is_complex else np.int64
     A = np.zeros((C, V), dtype=dtype)
 
-    rowoffs = _row_offsets(cfg)
     starts = block_starts(cfg)
 
+    r = 0
     for k, j in cfg.cross_pairs():
         H = channels.cross[(k, j)]
         dk, dj = cfg.d(k), cfg.d(j)
@@ -167,7 +167,6 @@ def _place(cfg: NetworkConfig, channels: ChannelSet, tilde) -> np.ndarray:
         if tilde is not None:
             UH = H[:dk, :] + tilde.u[k - 1].T @ H[dk:, :]
             HV = H[:, :dj] + H[:, dj:] @ tilde.v[j - 1]
-        r = rowoffs[(k, j)]
         for p in range(dk):
             ucol = starts[k - 1] + p * un
             for q in range(dj):
@@ -207,7 +206,7 @@ def residuals(
     channels.require_complex()
     C, _ = system_shape(cfg)
     F = np.zeros(C, dtype=np.complex128)
-    rowoffs = _row_offsets(cfg)
+    base = 0
     for k, j in cfg.cross_pairs():
         H = channels.cross[(k, j)]
         dk, dj = cfg.d(k), cfg.d(j)
@@ -219,8 +218,8 @@ def residuals(
             + H[:dk, dj:] @ T
             + W.T @ H[dk:, dj:] @ T
         )
-        base = rowoffs[(k, j)]
         F[base : base + dk * dj] = block.ravel(order="C")
+        base += dk * dj
     return F
 
 
