@@ -506,13 +506,10 @@ class AllocationReport:
 
     def to_dict(self) -> dict:
         return {
-            # a policy holds one side per constraint
-            "complementary": True,
             "rx_capacity_ok": self.rx_capacity_ok,
             "tx_capacity_ok": self.tx_capacity_ok,
             "uniform_over_q": self.uniform_over_q,
             "uniform_over_p": self.uniform_over_p,
-            "certificate": self.certificate,
             "rx_overloads": [list(x) for x in self.rx_overloads],
             "tx_overloads": [list(x) for x in self.tx_overloads],
         }

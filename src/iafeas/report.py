@@ -120,7 +120,6 @@ class VerdictReport:
         alloc = None
         if self.allocation is not None:
             alloc = {
-                "source": "transfer",
                 "certificate": self.allocation_report.certificate,
                 "report": self.allocation_report.to_dict(),
                 "policy": self.allocation.to_json_dict(),
@@ -152,6 +151,14 @@ def _solver_section(cfg, seed, tol, verdict) -> dict:
         agrees = not solved
     else:
         agrees = None
+    gauss_newton = {
+        "converged": gn.converged,
+        "iterations": gn.iterations,
+        "residual_norm": gn.residual_norm,
+        "margin": gn.direct_rank_margin,
+    }
+    if gn.note:
+        gauss_newton["note"] = gn.note
     return {
         "alt_min": {
             "converged": am.converged,
@@ -159,12 +166,7 @@ def _solver_section(cfg, seed, tol, verdict) -> dict:
             "leakage": am.leakage,
             "margin": am.direct_rank_margin,
         },
-        "gauss_newton": {
-            "converged": gn.converged,
-            "iterations": gn.iterations,
-            "residual_norm": gn.residual_norm,
-            "margin": gn.direct_rank_margin,
-        },
+        "gauss_newton": gauss_newton,
         "agrees": agrees,
     }
 

@@ -48,8 +48,7 @@ class SubsetWitness:
 
     @classmethod
     def of(cls, cfg: NetworkConfig, kind: str, **index) -> "SubsetWitness":
-        """The witness of ``kind`` on the index data, with its sides
-        recomputed from ``cfg``."""
+        """The witness of ``kind`` on the index data, sides from :meth:`recompute`."""
         lhs, rhs = cls(kind, 0, 0, **index).recompute(cfg)
         return cls(kind, lhs, rhs, **index)
 
