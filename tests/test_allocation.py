@@ -105,8 +105,6 @@ def test_fixture_mixed_pair_allocation():
 
     dumped = report.to_dict()
     json.dumps(dumped)
-    assert dumped["complementary"] is True
-    assert dumped["certificate"] is False
     assert dumped["rx_overloads"] == [[3, 1, 1, 0], [3, 2, 1, 0]]
 
 

@@ -4,8 +4,9 @@
 and the JSON report that ``iafeas check CONFIG --seed 0 --mode numeric
 --solve`` printed when the file was made. The cases are the ring
 (2x2,1)^3, which the solvers align; (2x2,1)^4, which fails properness and
-on which both solvers stall; a mixed-stream network; and a single pair,
-whose Gauss-Newton run notes that there are no cross constraints.
+on which both solvers stall and the Gauss-Newton section notes why; a
+mixed-stream network; and a single pair, whose Gauss-Newton section notes
+that there are no cross constraints.
 
 Verdicts, iteration counts, ``converged`` and ``agrees`` must match
 exactly; floats match to a relative 1e-9, so that a different BLAS
