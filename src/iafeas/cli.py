@@ -65,7 +65,7 @@ def _resolve_seed(flag_seed, file_seed=None) -> int:
     return 0
 
 
-def _resolve_prime(flag_prime, file_field=None) -> int:
+def _resolve_prime(flag_prime, file_field) -> int:
     """``--prime``, then the config file's prime, then ``DEFAULT_PRIME``."""
     prime = flag_prime
     if prime is None:
@@ -170,7 +170,7 @@ def _cmd_sweep(ns) -> int:
     if not jobs:
         raise CliError("sweep grid is empty")
     seed = _resolve_seed(ns.seed)
-    prime = _resolve_prime(ns.prime)
+    prime = _resolve_prime(ns.prime, None)
     args = [(cfg, seed, ns.mode, ns.trials, prime) for cfg in jobs]
     # The pool starts every worker up front, so it gets no more of them
     # than there are cores or chunks. A report takes milliseconds, so
