@@ -32,17 +32,14 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from .allocation import init_allocation, run_ptt, run_ptt_symmetric, verify_allocation
 from .channels import sample_channels
 from .conditions import bundle_axis
-from .config import NetworkConfig, load_config_file, system_shape
+from .config import NetworkConfig, load_config_file, read_json, system_shape
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
-from .rank import DEFAULT_TRIALS
 from .report import FEASIBLE, INFEASIBLE, UNDETERMINED, feasibility_report
-from .solver import GN_TOL
 
 _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1, UNDETERMINED: 2}
 
@@ -51,18 +48,18 @@ class CliError(Exception):
     """Malformed input: bad config, bad flag value, empty grid."""
 
 
-def _resolve_seed(flag_seed, file_seed=None) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if file_seed is not None:
-        return file_seed
-    env = os.environ.get("IA_KIT_SEED")
-    if env is not None:
+def _resolve_seed(flag_seed, file_seed) -> int:
+    """``--seed``, then the config file's seed, then ``IA_KIT_SEED``, then 0."""
+    seed = flag_seed if flag_seed is not None else file_seed
+    if seed is None:
+        env = os.environ.get("IA_KIT_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError(f"IA_KIT_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise CliError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_prime(flag_prime, file_field) -> int:
@@ -102,10 +99,8 @@ def _cmd_check(ns) -> int:
         cfg,
         seed=seed,
         mode=ns.mode,
-        trials=ns.trials,
         p=_resolve_prime(ns.prime, field),
         solve=ns.solve,
-        tol=ns.tol,
     )
     print(json.dumps(rep.to_dict(), indent=2))
     if not rep.sound:
@@ -114,8 +109,8 @@ def _cmd_check(ns) -> int:
 
 
 def _sweep_worker(args) -> dict:
-    cfg, seed, mode, trials, prime = args
-    rep = feasibility_report(cfg, seed=seed, mode=mode, trials=trials, p=prime)
+    cfg, seed, mode, prime = args
+    rep = feasibility_report(cfg, seed=seed, mode=mode, p=prime)
     c, v = system_shape(cfg)
     return {
         "label": cfg.describe(),
@@ -130,10 +125,7 @@ def _sweep_worker(args) -> dict:
 
 def _sweep_jobs(ns) -> list:
     if ns.configs:
-        try:
-            data = json.loads(Path(ns.configs).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config list {ns.configs}: {exc}") from None
+        data = read_json(ns.configs)
         if not isinstance(data, list):
             raise CliError("--configs file must hold a JSON list")
         jobs = []
@@ -169,9 +161,9 @@ def _cmd_sweep(ns) -> int:
     jobs = _sweep_jobs(ns)
     if not jobs:
         raise CliError("sweep grid is empty")
-    seed = _resolve_seed(ns.seed)
+    seed = _resolve_seed(ns.seed, None)
     prime = _resolve_prime(ns.prime, None)
-    args = [(cfg, seed, ns.mode, ns.trials, prime) for cfg in jobs]
+    args = [(cfg, seed, ns.mode, prime) for cfg in jobs]
     # The pool starts every worker up front, so it gets no more of them
     # than there are cores or chunks. A report takes milliseconds, so
     # single-task round trips to the pool would cost as much as the work;
@@ -271,14 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--mode", choices=("gf", "numeric"), default="gf", help="rank backend"
         )
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--prime", type=int, default=None, help="finite field modulus")
 
     p_check = sub.add_parser("check", help="verdict for one configuration")
     p_check.add_argument("config", help="configuration JSON file")
     common(p_check)
     p_check.add_argument("--solve", action="store_true", help="attach solver runs")
-    p_check.add_argument("--tol", type=float, default=GN_TOL, help="solver tolerance")
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="verdicts over a configuration grid")

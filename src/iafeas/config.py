@@ -217,13 +217,15 @@ def config_to_dict(cfg: NetworkConfig, seed=None, field=COMPLEX) -> dict:
     return out
 
 
-def load_config_file(path) -> tuple[NetworkConfig, "int | None", object]:
-    """Read and parse a JSON configuration file."""
+def read_json(path):
+    """Parse a JSON file; failing to read or parse it raises ``ValueError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from None
-    return config_from_dict(obj)
+
+
+def load_config_file(path) -> tuple[NetworkConfig, "int | None", object]:
+    """Read and parse a JSON configuration file."""
+    return config_from_dict(read_json(path))

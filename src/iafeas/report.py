@@ -40,8 +40,8 @@ from .conditions import (
 )
 from .config import NetworkConfig, config_to_dict, system_shape
 from .channels import sample_channels
-from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
-from .solver import GN_TOL, alt_min, gauss_newton_multistart
+from .rank import DEFAULT_PRIME, RankVerdict, generic_full_row_rank
+from .solver import alt_min, gauss_newton_multistart
 from .witnesses import ANTENNA_BUDGET, PROPERNESS, STREAM_SUPPORT, SubsetWitness
 
 FEASIBLE = "FEASIBLE"
@@ -106,14 +106,22 @@ class VerdictReport:
     cfg: NetworkConfig
     verdict: str
     rule: str
-    witness: SubsetWitness | None
     necessary: NecessaryReport
     closed_forms: tuple
-    allocation: AllocationPolicy | None
     allocation_report: AllocationReport | None
     rank: RankVerdict
     sound: bool
     solver: dict | None = None
+
+    @property
+    def witness(self) -> SubsetWitness | None:
+        """The necessary chain's first violation, None when it passed."""
+        return self.necessary.witness
+
+    @property
+    def allocation(self) -> AllocationPolicy | None:
+        """The allocation the chain's properness run found."""
+        return self.necessary.policy
 
     def to_dict(self) -> dict:
         c, v = system_shape(self.cfg)
@@ -140,10 +148,10 @@ class VerdictReport:
         }
 
 
-def _solver_section(cfg, seed, tol, verdict) -> dict:
+def _solver_section(cfg, seed, verdict) -> dict:
     channels = sample_channels(cfg, seed=seed, include_direct=True)
     am = alt_min(cfg, channels)
-    gn = gauss_newton_multistart(cfg, channels, seed=seed, tol=tol)
+    gn = gauss_newton_multistart(cfg, channels, seed=seed)
     solved = am.converged or gn.converged
     if verdict == FEASIBLE:
         agrees = solved
@@ -175,10 +183,8 @@ def feasibility_report(
     cfg: NetworkConfig,
     seed: int = 0,
     mode: str = "gf",
-    trials: int = DEFAULT_TRIALS,
     p: int = DEFAULT_PRIME,
     solve: bool = False,
-    tol: float = GN_TOL,
 ) -> VerdictReport:
     """Full verdict on one configuration.
 
@@ -197,7 +203,7 @@ def feasibility_report(
         closed = (symmetric_feasible(cfg), divisible_feasible(cfg, necessary.witness))
         alloc_report = verify_allocation(cfg, necessary.policy)
 
-    rank = generic_full_row_rank(cfg, trials=trials, mode=mode, seed=seed, p=p)
+    rank = generic_full_row_rank(cfg, mode=mode, seed=seed, p=p)
 
     closed_yes = next(
         (cf for cf in closed if cf.applicable and cf.feasible), None
@@ -231,7 +237,7 @@ def feasibility_report(
         # the chain runs stream support first and records its witness
         w = necessary.witness
         if w is None or w.kind != STREAM_SUPPORT:
-            solver = _solver_section(cfg, seed, tol, verdict)
+            solver = _solver_section(cfg, seed, verdict)
         else:
             solver = {"skipped": "stream support fails; solvers need d <= min(M, N)"}
 
@@ -239,10 +245,8 @@ def feasibility_report(
         cfg=cfg,
         verdict=verdict,
         rule=rule,
-        witness=necessary.witness,
         necessary=necessary,
         closed_forms=closed,
-        allocation=necessary.policy,
         allocation_report=alloc_report,
         rank=rank,
         sound=sound,

@@ -189,14 +189,13 @@ def gauss_newton(
     cfg: NetworkConfig,
     channels: ChannelSet,
     init: ReducedTransceivers | None = None,
-    tol: float = GN_TOL,
 ) -> SolveResult:
     """Damped Gauss-Newton on the reduced alignment residual.
 
     Minimum-norm step delta = -J^H (J J^H + lam I)^{-1} F with the damping
     halved after an accepted step and doubled after a rejected one; it
     starts at 1e-3 times the mean squared row norm of the first Jacobian.
-    Converged when the residual's max modulus falls below ``tol``, within
+    Converged when the residual's max modulus falls below ``GN_TOL``, within
     ``GN_MAX_ITERS`` iterations.
     """
     channels.require_complex()
@@ -212,7 +211,7 @@ def gauss_newton(
     lam = None
     iterations = 0
     # with no constraints there is no residual, and any point solves
-    converged = C == 0 or float(np.max(np.abs(F))) < tol
+    converged = C == 0 or float(np.max(np.abs(F))) < GN_TOL
     while not converged and iterations < GN_MAX_ITERS:
         iterations += 1
         tilde = ReducedTransceivers.from_vector(cfg, x)
@@ -249,7 +248,7 @@ def gauss_newton(
         if not accepted:
             note = "stalled: no damping level reduced the residual"
             break
-        converged = float(np.max(np.abs(F))) < tol
+        converged = float(np.max(np.abs(F))) < GN_TOL
 
     tilde = ReducedTransceivers.from_vector(cfg, x)
     tx = tilde.reconstruct()
@@ -272,7 +271,6 @@ def gauss_newton_multistart(
     channels: ChannelSet,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    tol: float = GN_TOL,
 ) -> SolveResult:
     """Gauss-Newton from the origin plus ``starts - 1`` random inits.
 
@@ -288,7 +286,7 @@ def gauss_newton_multistart(
             init = ReducedTransceivers.zeros(cfg)
         else:
             init = ReducedTransceivers.random(cfg, rng, scale=0.5)
-        results.append(gauss_newton(cfg, channels, init=init, tol=tol))
+        results.append(gauss_newton(cfg, channels, init=init))
         if results[-1].converged:
             break
 
