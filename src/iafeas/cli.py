@@ -13,15 +13,16 @@ Four subcommands:
   Exit 0 once the sweep ran, 3 for an empty grid, ``--workers`` below 1
   or malformed input.
 * ``hall CONFIG.json``: sample channels and print the alignment
-  coefficient matrix in the text dump format; exit 3 when some pair
-  cannot carry its streams, as for ``alloc``.
+  coefficient matrix in the text dump format (``--prime`` implies
+  ``--field prime``); exit 3 when some pair cannot carry its streams.
 * ``alloc CONFIG.json``: run the pressure-transfer allocator, bundled on
   the divisible family unless ``--plain`` is given, plain elsewhere;
   balanced runs print the allocation map and exit 0, stuck runs print
   the witness and exit 1.
 
 Seed precedence everywhere: ``--seed`` flag, then the config file's
-``seed`` entry, then the ``IA_KIT_SEED`` environment variable, then 0.
+``seed`` entry, then the ``IA_KIT_SEED`` environment variable, then 0; a
+negative seed exits 3. A closed stdout ends any command quietly, exit 0.
 """
 
 from __future__ import annotations
@@ -200,7 +201,9 @@ def _cmd_sweep(ns) -> int:
 def _cmd_hall(ns) -> int:
     cfg, file_seed, field = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
-    if ns.field == "prime":
+    if ns.field == "complex" and ns.prime is not None:
+        raise CliError("--prime selects the prime field, not --field complex")
+    if ns.field == "prime" or ns.prime is not None:
         field = _resolve_prime(ns.prime, field)
     elif ns.field == "complex":
         field = COMPLEX
@@ -314,6 +317,10 @@ def main(argv=None) -> int:
         return 3
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader left; send the interpreter's final flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception:
         traceback.print_exc()
         return 4

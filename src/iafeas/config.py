@@ -166,6 +166,8 @@ def system_shape(cfg: NetworkConfig) -> tuple[int, int]:
 # {"pairs": [{"M": 2, "N": 2, "d": 1}, ...],
 #  "seed": 7,                      optional
 #  "field": "complex"}             optional; or {"prime": 2147483647}
+#
+# Any other key, at the top level or in a pair, is malformed input.
 # ---------------------------------------------------------------------------
 
 
@@ -177,6 +179,9 @@ def config_from_dict(obj) -> tuple[NetworkConfig, "int | None", object]:
     """
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
+    unknown = sorted(set(obj) - {"pairs", "seed", "field"})
+    if unknown:
+        raise ValueError(f"config has unknown keys {unknown}")
     if "pairs" not in obj:
         raise ValueError('config is missing the "pairs" list')
     raw_pairs = obj["pairs"]
@@ -184,12 +189,9 @@ def config_from_dict(obj) -> tuple[NetworkConfig, "int | None", object]:
         raise ValueError('"pairs" must be a non-empty list')
     pairs = []
     for i, entry in enumerate(raw_pairs, start=1):
-        if not isinstance(entry, dict):
-            raise ValueError(f"pair {i} must be an object with M, N, d")
-        try:
-            pairs.append(PairConfig(entry["M"], entry["N"], entry["d"]))
-        except KeyError as exc:
-            raise ValueError(f"pair {i} is missing key {exc}") from None
+        if not isinstance(entry, dict) or set(entry) != {"M", "N", "d"}:
+            raise ValueError(f"pair {i} needs exactly the keys M, N, d, got {entry!r}")
+        pairs.append(PairConfig(entry["M"], entry["N"], entry["d"]))
     cfg = NetworkConfig(tuple(pairs))
 
     seed = obj.get("seed")
