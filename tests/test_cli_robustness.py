@@ -55,15 +55,19 @@ def test_deeply_nested_json_exits_three(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--solve", "--tol", "inf"], ["--tol", "1e-9"], ["--trials", "3"]]
+    "argv",
+    [
+        ["check", "CONFIG", "--solve", "--tol", "inf"],
+        ["check", "CONFIG", "--tol", "1e-9"],
+        ["check", "CONFIG", "--trials", "3"],
+        ["sweep", "--K", "3", "--M", "2", "--d", "1", "--trials", "3"],
+    ],
 )
-def test_removed_solver_and_trial_flags_exit_three(tmp_path, capsys, flags):
+def test_removed_solver_and_trial_flags_exit_three(tmp_path, capsys, argv):
     cfg = write(tmp_path, "ring.json", ring(3, 2, 2, 1))
-    code, out, err = run(capsys, "check", cfg, *flags)
+    code, out, err = run(capsys, *[cfg if a == "CONFIG" else a for a in argv])
     assert (code, out) == (3, "")
     assert "unrecognized arguments" in err
-    code, out, _ = run(capsys, "sweep", "--K", "3", "--M", "2", "--d", "1", "--trials", "3")
-    assert (code, out) == (3, "")
 
 
 def test_negative_seed_exits_three(tmp_path, capsys, monkeypatch):
