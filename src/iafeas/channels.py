@@ -4,6 +4,13 @@ Cross links H_kj (transmitter j into receiver k, k != j) drive every
 feasibility test in this package. Direct links H_kk only matter to the
 iterative solvers, so they are sampled from an independent substream and
 only on request; asking for them never changes the cross-link draw.
+
+A prime-field realization draws all its cross-link entries with one
+generator call, in ``cfg.cross_pairs()`` order: the first N_k * M_j
+entries are H_kj of the first link, row by row, the next ones the second
+link's, and so on. Each ``cross[(k, j)]`` is a view of its block of that
+one array. A complex realization draws link by link, real parts then
+imaginary parts, in the same order.
 """
 
 from __future__ import annotations
@@ -98,9 +105,18 @@ def sample_channels(
     cross_ss, direct_ss = root.spawn(2)
 
     rng = np.random.default_rng(cross_ss)
-    cross = {}
-    for k, j in cfg.cross_pairs():
-        cross[(k, j)] = _draw(rng, cfg.N(k), cfg.M(j), field)
+    links = list(cfg.cross_pairs())
+    if field == COMPLEX:
+        cross = {(k, j): _draw(rng, cfg.N(k), cfg.M(j), field) for k, j in links}
+    else:
+        # one call for every link; each block is a view (module docstring)
+        sizes = [cfg.N(k) * cfg.M(j) for k, j in links]
+        flat = rng.integers(0, field, size=sum(sizes), dtype=np.int64)
+        cross = {}
+        start = 0
+        for (k, j), size in zip(links, sizes):
+            cross[(k, j)] = flat[start : start + size].reshape(cfg.N(k), cfg.M(j))
+            start += size
 
     direct = {}
     if include_direct:

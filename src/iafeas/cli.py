@@ -22,7 +22,9 @@ Four subcommands:
 
 Seed precedence everywhere: ``--seed`` flag, then the config file's
 ``seed`` entry, then the ``IA_KIT_SEED`` environment variable, then 0; a
-negative seed exits 3. A closed stdout ends any command quietly, exit 0.
+negative seed exits 3. A configuration too large to draw channels for in
+memory exits 3 with its size. A closed stdout ends any command quietly,
+exit 0.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .allocation import init_allocation, run_ptt, run_ptt_symmetric, verify_allocation
 from .channels import sample_channels
@@ -71,6 +73,20 @@ def _resolve_prime(flag_prime, file_field) -> int:
     return validate_field(prime)
 
 
+@contextmanager
+def _fits_in_memory(cfg: NetworkConfig):
+    """Turn running out of memory on ``cfg`` into malformed input."""
+    try:
+        yield
+    except MemoryError:
+        c, v = system_shape(cfg)
+        entries = sum(cfg.N(k) * cfg.M(j) for k, j in cfg.cross_pairs())
+        raise CliError(
+            f"{cfg.describe()} is too large: out of memory with {entries} "
+            f"channel entries per draw and a {c} x {v} coefficient matrix"
+        ) from None
+
+
 def _parse_range(text: str, name: str) -> list:
     """Parse "lo:hi" (inclusive) or a single integer."""
     parts = text.split(":")
@@ -96,13 +112,9 @@ def _parse_range(text: str, name: str) -> list:
 def _cmd_check(ns) -> int:
     cfg, file_seed, field = load_config_file(ns.config)
     seed = _resolve_seed(ns.seed, file_seed)
-    rep = feasibility_report(
-        cfg,
-        seed=seed,
-        mode=ns.mode,
-        p=_resolve_prime(ns.prime, field),
-        solve=ns.solve,
-    )
+    prime = _resolve_prime(ns.prime, field)
+    with _fits_in_memory(cfg):
+        rep = feasibility_report(cfg, seed=seed, mode=ns.mode, p=prime, solve=ns.solve)
     print(json.dumps(rep.to_dict(), indent=2))
     if not rep.sound:
         return 4
@@ -111,7 +123,8 @@ def _cmd_check(ns) -> int:
 
 def _sweep_worker(args) -> dict:
     cfg, seed, mode, prime = args
-    rep = feasibility_report(cfg, seed=seed, mode=mode, p=prime)
+    with _fits_in_memory(cfg):
+        rep = feasibility_report(cfg, seed=seed, mode=mode, p=prime)
     c, v = system_shape(cfg)
     return {
         "label": cfg.describe(),
@@ -173,6 +186,9 @@ def _cmd_sweep(ns) -> int:
     chunksize = max(1, len(args) // (4 * workers))
     workers = min(workers, -(-len(args) // chunksize))
     if workers > 1:
+        # imported here: a cold ``check`` does not pay for the pool's import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             lines = list(ex.map(_sweep_worker, args, chunksize=chunksize))
     else:
@@ -209,8 +225,9 @@ def _cmd_hall(ns) -> int:
         field = COMPLEX
     # ns.field None: keep whatever the config file said (default complex);
     # sample_channels validates the field
-    channels = sample_channels(cfg, seed=seed, field=field)
-    jac = build_jacobian(cfg, channels)
+    with _fits_in_memory(cfg):
+        channels = sample_channels(cfg, seed=seed, field=field)
+        jac = build_jacobian(cfg, channels)
     jac.dump(sys.stdout)
     return 0
 

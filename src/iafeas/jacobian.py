@@ -18,6 +18,7 @@ index maps are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +33,9 @@ from .transceivers import ReducedTransceivers, block_starts
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _row_offsets(cfg: NetworkConfig) -> dict:
+    """First row (0-based) of each link's block; cached, so never mutate."""
     offs = {}
     pos = 0
     for k, j in cfg.cross_pairs():

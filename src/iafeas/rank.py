@@ -432,7 +432,11 @@ class RankVerdict:
     decided without building a matrix). ``trial_seeds`` and ``trial_ranks``
     record the per-draw outcomes. ``tolerance`` is set in numeric mode,
     ``modulus`` in prime-field mode, where ``error_bound`` additionally
-    bounds the probability that a deficient verdict is a sampling artifact.
+    bounds the probability that a deficient verdict is a sampling artifact,
+    by (C/p)^trials. A report whose counting witness already decides
+    INFEASIBLE asks for one draw, since the test is then only a soundness
+    cross-check and one draw exposes a full generic rank with probability
+    at least 1 - C/p; its ``error_bound`` is C/p.
     """
 
     mode: str

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iafeas import NetworkConfig, sample_channels
 
@@ -57,6 +58,35 @@ def test_prime_field_entries():
         assert H.max() < PRIME
     with pytest.raises(ValueError):
         ch.require_complex()
+
+
+pairs = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 2))
+networks = st.lists(pairs, min_size=1, max_size=4).map(NetworkConfig.from_tuples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks, st.integers(0, 2**32))
+def test_prime_field_draw_is_one_array_in_link_order(cfg, seed):
+    ch = sample_channels(cfg, seed=seed, field=PRIME)
+    links = list(cfg.cross_pairs())
+    assert list(ch.cross) == links
+    for (k, j), H in ch.cross.items():
+        assert H.shape == (cfg.N(k), cfg.M(j))
+        assert H.dtype == np.int64
+        assert 0 <= H.min() and H.max() < PRIME
+    # the blocks, row by row in link order, are one draw of the cross substream
+    cross_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    total = sum(cfg.N(k) * cfg.M(j) for k, j in links)
+    flat = np.random.default_rng(cross_ss).integers(0, PRIME, size=total, dtype=np.int64)
+    got = [H.ravel() for H in ch.cross.values()]
+    assert np.array_equal(np.concatenate(got) if got else flat[:0], flat)
+
+    again = sample_channels(cfg, seed=seed, field=PRIME)
+    with_direct = sample_channels(cfg, seed=seed, field=PRIME, include_direct=True)
+    for key, H in ch.cross.items():
+        assert np.array_equal(again.cross[key], H)
+        assert np.array_equal(with_direct.cross[key], H)
+    assert set(with_direct.direct) == set(range(1, cfg.K + 1))
 
 
 def test_require_direct():

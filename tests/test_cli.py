@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -124,6 +125,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.stderr == ""
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "FEASIBLE"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only sweep --workers needs the pool; a cold check should not import it
+    env = dict(os.environ, PYTHONPATH=str(Path(iafeas.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, iafeas.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_check_output_does_not_depend_on_hash_seed(tmp_path):
@@ -401,7 +413,8 @@ def test_sweep_pool_is_capped_by_cores_and_chunks(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(iafeas.cli, "ProcessPoolExecutor", RecordingPool)
+    # _cmd_sweep imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     grid = ("sweep", "--K", "3", "--M", "2:4", "--d", "1")  # 3 configs
     _, serial, _ = run(capsys, *grid)
 

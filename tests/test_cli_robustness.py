@@ -14,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import iafeas
+import iafeas.cli
+import iafeas.rank
 from iafeas import parse_dump
 from iafeas.cli import main
 
@@ -106,6 +108,28 @@ def test_unknown_config_keys_exit_three(tmp_path, capsys):
     code, out, err = run(capsys, "check", pair)
     assert (code, out) == (3, "")
     assert "'x': 1" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "hall"])
+def test_out_of_memory_draw_exits_three(tmp_path, capsys, monkeypatch, command):
+    # numpy raises MemoryError when a draw cannot be allocated; the stand-in
+    # raises it without allocating anything
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 447. GiB for an array")
+
+    monkeypatch.setattr(iafeas.rank, "sample_channels", out_of_memory)
+    monkeypatch.setattr(iafeas.cli, "sample_channels", out_of_memory)
+    huge = ring(3, 100_000, 100_000, 1)
+    if command == "sweep":
+        argv = ["sweep", "--configs", write(tmp_path, "list.json", [[[100_000, 100_000, 1]] * 3])]
+    else:
+        argv = [command, write(tmp_path, "huge.json", huge)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: (100000x100000,1)^3 is too large: out of memory with 60000000000 "
+        "channel entries per draw and a 6 x 599994 coefficient matrix\n"
+    )
 
 
 def test_closed_stdout_is_a_quiet_exit(tmp_path):

@@ -11,7 +11,9 @@ from iafeas import (
     col_index,
     config_from_dict,
     config_to_dict,
+    feasibility_report,
     flow_feasibility,
+    generic_full_row_rank,
     init_allocation,
     necessary_verdict,
     pressures,
@@ -22,6 +24,8 @@ from iafeas import (
     system_shape,
     verify_allocation,
 )
+
+from iafeas.rank import DEFAULT_PRIME
 
 from helpers import max_allocation
 
@@ -183,3 +187,21 @@ def test_necessary_verdict_is_invariant_under_scaling(cfg, c):
     # stream support and the antenna budget inequalities scale by c, and
     # properness by c**2, so the c-fold network passes and fails alike
     assert _verdict_shape(scale_config(cfg, c)) == _verdict_shape(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+# two or more pairs, so that witnesses with C <= V come up often
+@given(st.lists(pairs, min_size=2, max_size=5).map(NetworkConfig.from_tuples),
+       st.integers(0, 2**20))
+@example(NetworkConfig.from_tuples([(3, 3, 2), (3, 3, 2), (5, 5, 1)]), 0)
+def test_a_witnessed_infeasible_takes_one_rank_draw(cfg, seed):
+    rep = feasibility_report(cfg, seed=seed)
+    C, V = system_shape(cfg)
+    if rep.witness is not None and C <= V:
+        # the rank test only cross-checks the witness, with one draw
+        assert rep.sound
+        assert rep.rank.trials == 1
+        assert rep.rank.error_bound == C / DEFAULT_PRIME
+        assert rep.rank == generic_full_row_rank(cfg, trials=1, seed=seed)
+    else:
+        assert rep.rank == generic_full_row_rank(cfg, seed=seed)
