@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,14 +35,14 @@ from .transceivers import ReducedTransceivers, block_starts
 
 
 @lru_cache(maxsize=64)
-def _row_offsets(cfg: NetworkConfig) -> dict:
-    """First row (0-based) of each link's block; cached, so never mutate."""
+def _row_offsets(cfg: NetworkConfig) -> MappingProxyType:
+    """First row (0-based) of each link's block, computed once per config."""
     offs = {}
     pos = 0
     for k, j in cfg.cross_pairs():
         offs[(k, j)] = pos
         pos += cfg.d(k) * cfg.d(j)
-    return offs
+    return MappingProxyType(offs)
 
 
 def row_index(cfg: NetworkConfig, k: int, j: int, p: int, q: int) -> int:

@@ -434,9 +434,8 @@ class RankVerdict:
     ``modulus`` in prime-field mode, where ``error_bound`` additionally
     bounds the probability that a deficient verdict is a sampling artifact,
     by (C/p)^trials. A report whose counting witness already decides
-    INFEASIBLE asks for one draw, since the test is then only a soundness
-    cross-check and one draw exposes a full generic rank with probability
-    at least 1 - C/p; its ``error_bound`` is C/p.
+    INFEASIBLE takes one draw, which only cross-checks the witness (see
+    :mod:`~iafeas.report`), so its ``error_bound`` is C/p.
     """
 
     mode: str
