@@ -59,6 +59,31 @@ GF(p). One small elimination per receiver gives rank G_k and Z_k, and the
 kernel ranks R: C - sum_k d_k rank G_k rows and only the precoder
 columns, 760 x 760 instead of 1520 x 1520 at (21x21,2)^20.
 
+A full-rank draw certifies because a specialization can never exceed the
+generic rank, so any channel point certifies, a structured one included.
+Where the test looks for full rank, the rank is taken at a group point
+first. Let G = prod_q (Z_q)^{a_q} be the largest elementary abelian group
+with every q dividing both p - 1 and the gcd of the pair-type
+multiplicities, and let it act freely on the pairs: each type's pairs,
+in pair order, fall into consecutive orbits of |G| pairs, element x
+taking a representative to the orbit's x-th pair. The group point keeps
+the drawn links out of each representative and sets H_{gk,gj} = H_kj for
+the rest. Then G_gk is G_k with its rows permuted, and the rows of R for
+receiver gk are those for k with the transmitters shifted by g, so R is
+block circulant over G: its block between receivers g k and transmitters
+h j is T_{h - g}, the representatives' rows at transmitters (h - g) j.
+Over GF(p), where q | p - 1 gives each Z_q the characters x -> w^(c x)
+for a primitive q-th root w, the character transform splits R into one
+block R_chi = sum_x chi(x) T_x per character chi, each |G| times smaller
+on each side (Davis, *Circulant Matrices*, 1979), and
+
+    rank A = |G| sum_{k rep} d_k rank G_k + sum_chi rank R_chi.
+
+A deficient group point is no evidence of deficiency: the point is a
+special one, and its rank may fall below a full generic rank. So a
+deficient group point falls back to random draws, and a test that looks
+for deficiency (the cross-check of a counting witness) never uses one.
+
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization. In characteristic zero generic
 surjectivity is also necessary (González, Beltrán and Santamaría, and
@@ -72,6 +97,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from math import gcd, prod
 
 import numpy as np
 
@@ -79,7 +105,6 @@ from .channels import ChannelSet, sample_channels
 from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
-from .transceivers import block_starts
 
 #: default number of independent draws in generic rank tests
 DEFAULT_TRIALS = 3
@@ -381,7 +406,7 @@ def _left_null_basis(G: np.ndarray, p: int) -> tuple[int, np.ndarray]:
 
 
 def _project_decorrelators(
-    cfg: NetworkConfig, channels: ChannelSet, p: int
+    cfg: NetworkConfig, channels: ChannelSet, p: int, orbits=None
 ) -> tuple[int, np.ndarray]:
     """Split the coefficient matrix's rank into a sum over GF(p).
 
@@ -391,17 +416,29 @@ def _project_decorrelators(
     precoder columns of the full matrix, placed by
     :func:`~iafeas.transceivers.block_starts`, and its entries are
     unreduced products of two residues, below 2**62.
+
+    With ``orbits`` (1-based, see :func:`_group_point`), only the orbit
+    representatives are receivers k, and the transmitter at position x of
+    an orbit takes column slab x of R, at its representative's place in
+    the slab, so that slab x holds the module docstring's T_x.
     """
-    K = cfg.K
     d = [pair.d for pair in cfg.pairs]
-    # precoder block v_j spans R's columns starts[j]:starts[j + 1]
-    offsets = block_starts(cfg)[K:]
-    starts = [s - offsets[0] for s in offsets]
+    orbits = orbits or [(k,) for k in range(1, cfg.K + 1)]
+    # precoder block v_j spans R's columns starts[j]:starts[j] + d_j (M_j - d_j)
+    widths = [pair.d * (pair.M - pair.d) for pair in cfg.pairs]
+    slab = sum(widths[orbit[0] - 1] for orbit in orbits)
+    starts = [0] * cfg.K
+    place = 0
+    for orbit in orbits:
+        for x, j in enumerate(orbit):
+            starts[j - 1] = x * slab + place
+        place += widths[orbit[0] - 1]
+    reps = {orbit[0] for orbit in orbits}
 
     projected = 0
     rows = []
     # 0-based links, each receiver's together; one without links has no rows
-    links = ((k - 1, j - 1) for k, j in cfg.cross_pairs())
+    links = ((k - 1, j - 1) for k, j in cfg.cross_pairs() if k in reps)
     for k, into in groupby(links, key=lambda link: link[0]):
         heard = [(j, channels.cross[(k + 1, j + 1)]) for _, j in into]
         # G_k stacks H_kj[d_k:, :d_j]^T, so Z_k's columns are the slots (j, q)
@@ -410,18 +447,93 @@ def _project_decorrelators(
         projected += d[k] * rank_k
         if not len(Z):
             continue
-        R_k = np.zeros((d[k] * len(Z), starts[-1]), dtype=np.int64)
+        R_k = np.zeros((d[k] * len(Z), len(orbits[0]) * slab), dtype=np.int64)
         slot = 0
         for j, H in heard:
             # entry ((p, i), (q, m)) is Z_k[i, (j, q)] * H_kj[p, d_j + m]
             Z_j = Z[:, slot : slot + d[j]]
             H_j = H[: d[k], d[j] :]
             block = Z_j[None, :, :, None] * H_j[:, None, None, :]
-            R_k[:, starts[j] : starts[j + 1]] = block.reshape(len(R_k), -1)
+            R_k[:, starts[j] : starts[j] + widths[j]] = block.reshape(len(R_k), -1)
             slot += d[j]
         rows.append(R_k)
-    R = np.concatenate(rows) if rows else np.zeros((0, starts[-1]), dtype=np.int64)
-    return projected, R
+    if not rows:
+        return projected, np.zeros((0, len(orbits[0]) * slab), dtype=np.int64)
+    return projected, np.concatenate(rows)
+
+
+def _group_point(cfg: NetworkConfig, p: int):
+    """The group of the module docstring's group point, None if trivial.
+
+    Returns ``(orders, orbits)``: the prime orders of G's cyclic factors,
+    ascending, and its orbits as tuples of 1-based pairs ordered by their
+    representative, the first pair. Element x, written in the mixed radix
+    of ``orders`` with the first factor's digit most significant, takes
+    the representative to the orbit's x-th pair.
+    """
+    by_type = {}
+    for k, pair in enumerate(cfg.pairs, start=1):
+        by_type.setdefault(pair, []).append(k)
+    left = gcd(*map(len, by_type.values()))
+    orders = []
+    q = 2
+    while left > 1:
+        while left % q == 0:
+            left //= q
+            if (p - 1) % q == 0:
+                orders.append(q)
+        q += 1
+    if not orders:
+        return None
+    n = prod(orders)
+    orbits = sorted(tuple(ks[i : i + n]) for ks in by_type.values() for i in range(0, len(ks), n))
+    return tuple(orders), tuple(orbits)
+
+
+def _fold(R: np.ndarray, orders, p: int) -> list:
+    """The blocks ``R_chi = sum_x chi(x) T_x``, one per character of G.
+
+    ``T_x`` is slab x of R's columns (see :func:`_project_decorrelators`).
+    For Z_q, chi_c(x) = w**(c x) with w = a**((p - 1) / q) for the smallest
+    a >= 2 giving w != 1; G's table is the Kronecker product of its
+    factors'. The sums are float64 products on the split table.
+    """
+    n = prod(orders)
+    if n == 1:
+        return [R]
+    table = np.ones((1, 1), dtype=np.int64)
+    for q in orders:
+        a = 2
+        while pow(a, (p - 1) // q, p) == 1:
+            a += 1
+        w = pow(a, (p - 1) // q, p)
+        powers = [[pow(w, c * x, p) for x in range(q)] for c in range(q)]
+        table = np.kron(table, np.array(powers, dtype=np.int64)) % p
+    rows, width = len(R), R.shape[1] // n
+    # S[x] is T_x flattened; folded[c] = sum_x table[c, x] * S[x], each
+    # block of inner terms as exact as in _sub_product (module docstring)
+    S = (R % p).reshape(rows, n, width).transpose(1, 0, 2).reshape(n, -1)
+    S = _center(S.astype(np.float64), p)
+    S16 = _center(S * float(_LIMB), p)
+    hi, lo = _split(_center(table.astype(np.float64), p))
+    folded = np.zeros_like(S)
+    step = _inner_steps(p)[0]
+    for i in range(0, n, step):
+        folded += hi[:, i : i + step] @ S16[i : i + step]
+        folded += lo[:, i : i + step] @ S[i : i + step]
+        _center(folded, p)
+    return list(folded.astype(np.int64).reshape(n, rows, width))
+
+
+def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, p: int, group=None) -> int:
+    """Rank over GF(p) of the coefficient matrix at ``channels``.
+
+    With ``group`` from :func:`_group_point`, at the group point those
+    channels define: only the representatives' links are read.
+    """
+    orders, orbits = group or ((), None)
+    projected, R = _project_decorrelators(cfg, channels, p, orbits)
+    return prod(orders) * projected + sum(gf_rank(R_chi, p) for R_chi in _fold(R, orders, p))
 
 
 @dataclass(frozen=True)
@@ -435,7 +547,9 @@ class RankVerdict:
     bounds the probability that a deficient verdict is a sampling artifact,
     by (C/p)^trials. A report whose counting witness already decides
     INFEASIBLE takes one draw, which only cross-checks the witness (see
-    :mod:`~iafeas.report`), so its ``error_bound`` is C/p.
+    :mod:`~iafeas.report`), so its ``error_bound`` is C/p. ``group`` is
+    ``(orders, orbits)`` of :func:`_group_point` when the one trial was a
+    full-rank group point, drawn from its trial seed.
     """
 
     mode: str
@@ -450,6 +564,7 @@ class RankVerdict:
     modulus: int | None = None
     error_bound: float | None = None
     note: str = ""
+    group: tuple | None = None
 
     @property
     def status(self) -> str:
@@ -472,6 +587,9 @@ class RankVerdict:
         else:
             out["modulus"] = self.modulus
             out["error_bound"] = self.error_bound
+        if self.group:
+            orders, orbits = self.group
+            out["group"] = {"orders": list(orders), "orbits": [list(o) for o in orbits]}
         if self.note:
             out["note"] = self.note
         return out
@@ -488,6 +606,7 @@ def generic_full_row_rank(
     mode: str = "gf",
     seed: int = 0,
     p: int = DEFAULT_PRIME,
+    group_point: bool = False,
 ) -> RankVerdict:
     """Decide whether the coefficient matrix generically has full row rank.
 
@@ -503,6 +622,11 @@ def generic_full_row_rank(
     variables); so is a pair with d_k > min(M_k, N_k), whose transceivers
     cannot carry d_k streams, so the matrix is not defined; otherwise
     C == 0 is trivially full.
+
+    ``group_point`` asks, in prime-field mode, for the rank at the group
+    point of the first trial seed first (module docstring). If it is full,
+    that one trial decides and the verdict records the group; if not, the
+    random draws decide as without it, and ``note`` says so.
     """
     if mode not in ("numeric", "gf"):
         raise ValueError(f"mode must be 'numeric' or 'gf', got {mode!r}")
@@ -525,15 +649,22 @@ def generic_full_row_rank(
     seeds = _trial_seeds(seed, trials)
     ranks = []
     used = []
+    note = ""
+    group = _group_point(cfg, modulus) if group_point and mode == "gf" else None
+    if group is not None:
+        # only a full group point decides (module docstring)
+        ch = sample_channels(cfg, seeds[0], field=modulus)
+        if _gf_rank_at(cfg, ch, modulus, group) == C:
+            ranks, used = [C], [seeds[0]]
+        else:
+            group, note = None, "the group point is deficient; random draws decide"
     tol = None
-    for ts in seeds:
+    for ts in () if ranks else seeds:
         if mode == "numeric":
             ch = sample_channels(cfg, ts, field=COMPLEX)
             r, tol = _svd_rank(build_jacobian(cfg, ch).matrix)
         else:
-            ch = sample_channels(cfg, ts, field=modulus)
-            projected, R = _project_decorrelators(cfg, ch, modulus)
-            r = projected + gf_rank(R, modulus)
+            r = _gf_rank_at(cfg, sample_channels(cfg, ts, field=modulus), modulus)
         ranks.append(r)
         used.append(ts)
         if r == C:
@@ -555,4 +686,6 @@ def generic_full_row_rank(
         tolerance=tol,
         modulus=modulus,
         error_bound=error_bound,
+        note=note,
+        group=group,
     )

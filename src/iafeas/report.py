@@ -209,7 +209,10 @@ def feasibility_report(
 
     # a witness already decides: one draw cross-checks it (module docstring)
     trials = DEFAULT_TRIALS if necessary.passed else 1
-    rank = generic_full_row_rank(cfg, trials=trials, mode=mode, seed=seed, p=p)
+    # a passed chain looks for full rank, which a group point can certify
+    rank = generic_full_row_rank(
+        cfg, trials=trials, mode=mode, seed=seed, p=p, group_point=necessary.passed
+    )
 
     closed_yes = next(
         (cf for cf in closed if cf.applicable and cf.feasible), None

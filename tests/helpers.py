@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from iafeas import (
+    ChannelSet,
     NetworkConfig,
     RankVerdict,
     ReducedTransceivers,
@@ -13,11 +14,12 @@ from iafeas import (
     generic_full_row_rank,
     properness_witness_from_links,
     residuals,
+    sample_channels,
     scale_config,
     system_shape,
 )
 from iafeas.allocation import PressureTree, PttDefect
-from iafeas.rank import _svd_rank
+from iafeas.rank import DEFAULT_PRIME, _svd_rank
 
 MAX_ENUM_PAIRS = 4
 
@@ -93,6 +95,46 @@ def gf_rank_reference(matrix, p):
         A[rows] = (A[rows] - A[rows, c][:, None] * A[r][None, :]) % p
         r += 1
     return r
+
+
+def structured_channels(cfg, seed, group, p=DEFAULT_PRIME):
+    """The group point of a report's rank section, rebuilt from its JSON.
+
+    ``group`` is the section's ``"group"`` entry: the orders of G's cyclic
+    factors and the 1-based orbits. Pair x of an orbit is element x of G,
+    written in the mixed radix of the orders with the first factor's digit
+    most significant, applied to the orbit's first pair. The links out of
+    each first pair come from the prime-field draw of ``seed``, and
+    H_{gk,gj} = H_kj defines the rest: H_{k,j} = H_{r,j'} for k = g r, r
+    the first pair of k's orbit, and j' = (-g) j.
+    """
+    orders = group["orders"]
+    place = {}
+    for orbit in group["orbits"]:
+        for x, k in enumerate(orbit):
+            place[k] = (tuple(orbit), x)
+
+    def digits(x):
+        out = []
+        for q in reversed(orders):
+            out.append(x % q)
+            x //= q
+        return out[::-1]
+
+    def number(ds):
+        x = 0
+        for q, digit in zip(orders, ds):
+            x = x * q + digit % q
+        return x
+
+    drawn = sample_channels(cfg, seed, field=p).cross
+    cross = {}
+    for k, j in cfg.cross_pairs():
+        orbit_k, g = place[k]
+        orbit_j, h = place[j]
+        shifted = number([b - a for a, b in zip(digits(g), digits(h))])
+        cross[(k, j)] = drawn[(orbit_k[0], orbit_j[shifted])]
+    return ChannelSet(cfg=cfg, field=p, seed=seed, cross=cross, direct={})
 
 
 def trial_division_is_prime(n):

@@ -204,4 +204,6 @@ def test_a_witnessed_infeasible_takes_one_rank_draw(cfg, seed):
         assert rep.rank.error_bound == C / DEFAULT_PRIME
         assert rep.rank == generic_full_row_rank(cfg, trials=1, seed=seed)
     else:
-        assert rep.rank == generic_full_row_rank(cfg, seed=seed)
+        assert rep.rank == generic_full_row_rank(
+            cfg, seed=seed, group_point=rep.witness is None
+        )

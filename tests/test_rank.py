@@ -1,3 +1,7 @@
+import json
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -8,6 +12,7 @@ from iafeas import (
     NetworkConfig,
     build_jacobian,
     col_index,
+    feasibility_report,
     generic_full_row_rank,
     gf_rank,
     row_index,
@@ -20,6 +25,9 @@ from iafeas.rank import (
     _LIMB,
     _SLICE_COLUMNS,
     _center,
+    _fold,
+    _gf_rank_at,
+    _group_point,
     _inner_steps,
     _left_null_basis,
     _project_decorrelators,
@@ -27,7 +35,7 @@ from iafeas.rank import (
     _sub_product,
 )
 
-from helpers import gf_rank_reference, numeric_rank, random_config
+from helpers import gf_rank_reference, numeric_rank, random_config, structured_channels
 
 PRIME = (1 << 31) - 1
 
@@ -540,3 +548,191 @@ def test_gf_mode_ranks_the_reduced_matrix_once_per_trial(monkeypatch):
         for shape, ts in zip(calls, v.trial_seeds):
             ch = sample_channels(cfg, ts, field=PRIME)
             assert shape[0] == v.C - _g_rank_sum(cfg, ch, PRIME)
+
+
+# ---------------------------------------------------------------------------
+# the group point: one folded block per character
+# ---------------------------------------------------------------------------
+
+
+def _mixed_rung(k, ds):
+    """The ladder's mixed networks: streams cycle through ``ds``."""
+    pairs = []
+    for i in range(k):
+        d = ds[i % len(ds)]
+        m = ((k + 1) * d + 1) // 2 + i % 2
+        pairs.append((m, (k + 1) * d + 1 - m, d))
+    return NetworkConfig.from_tuples(pairs)
+
+
+@pytest.mark.parametrize(
+    "cfg, orders",
+    [
+        (NetworkConfig.symmetric(20, 21, 21, 2), (2, 2)),  # 5 does not divide p - 1
+        (NetworkConfig.symmetric(16, 17, 17, 2), (2, 2, 2, 2)),
+        (NetworkConfig.symmetric(15, 8, 8, 1), (3,)),
+        (_mixed_rung(12, (1, 2)), (2, 3)),
+        (_mixed_rung(14, (1, 2, 3)), None),
+        (NetworkConfig.symmetric(13, 8, 8, 1), None),
+        (NetworkConfig.symmetric(5, 3, 3, 1), None),
+        (NetworkConfig.from_tuples([(2, 2, 1), (3, 3, 1), (2, 2, 1)]), None),
+    ],
+)
+def test_group_point_takes_the_largest_usable_group(cfg, orders):
+    group = _group_point(cfg, PRIME)
+    if orders is None:
+        assert group is None
+        return
+    assert group[0] == orders
+    n = int(np.prod(orders))
+    orbits = group[1]
+    # consecutive chunks of each type's pairs, ordered by representative
+    assert sorted(k for orbit in orbits for k in orbit) == list(range(1, cfg.K + 1))
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
+    for orbit in orbits:
+        assert len(orbit) == n and len({cfg.pairs[k - 1] for k in orbit}) == 1
+        same = [k for k in range(1, cfg.K + 1) if cfg.pairs[k - 1] == cfg.pairs[orbit[0] - 1]]
+        start = same.index(orbit[0])
+        assert list(orbit) == same[start : start + n] and start % n == 0
+
+
+@pytest.mark.parametrize(
+    "orders, p", [((2,) * 6, PRIME), ((3, 7), PRIME), ((2, 3), 1048583), ((2, 2, 2), PRIME)]
+)
+def test_fold_matches_the_character_sums(orders, p):
+    # (Z_2)^6 has more characters than one reduced block of inner terms
+    n = int(np.prod(orders))
+    rng = np.random.default_rng(n)
+    rows, width = 3, 4
+    R = rng.integers(0, 1 << 62, size=(rows, n * width), dtype=np.int64)
+    roots = []
+    for q in orders:
+        a = 2
+        while pow(a, (p - 1) // q, p) == 1:
+            a += 1
+        roots.append(pow(a, (p - 1) // q, p))
+    chars = [[1] * n for _ in range(n)]
+    for c in range(n):
+        for x in range(n):
+            cx, xx = c, x
+            for q, w in reversed(list(zip(orders, roots))):
+                chars[c][x] = chars[c][x] * pow(w, (cx % q) * (xx % q), p) % p
+                cx, xx = cx // q, xx // q
+    blocks = _fold(R, orders, p)
+    assert len(blocks) == n
+    for c, block in enumerate(blocks):
+        want = [
+            [sum(chars[c][x] * int(R[r, x * width + m]) for x in range(n)) % p
+             for m in range(width)]
+            for r in range(rows)
+        ]
+        assert np.array_equal(block % p, np.array(want, dtype=np.int64))
+
+
+@st.composite
+def _repeated_types(draw):
+    """One to three types, each repeated 2, 3, 4 or 6 times, in random order."""
+    mult = draw(st.sampled_from([2, 3, 4, 6]))
+    kinds = draw(st.integers(1, 3 if mult <= 2 else 1 if mult == 6 else 2))
+    pairs = []
+    for _ in range(kinds):
+        d = draw(st.integers(1, 2))
+        pairs += [(d + draw(st.integers(0, 3)), d + draw(st.integers(0, 3)), d)] * mult
+    order = draw(st.permutations(range(len(pairs))))
+    return NetworkConfig.from_tuples([pairs[i] for i in order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeated_types(), st.integers(0, 2**32 - 1), st.sampled_from([1048583, PRIME]))
+@example(NetworkConfig.symmetric(3, 2, 2, 1), 0, PRIME)
+@example(NetworkConfig.symmetric(4, 6, 4, 2), 0, PRIME)
+@example(NetworkConfig.symmetric(6, 5, 5, 1), 2, PRIME)
+# N = d and M = d: receivers without rows and transmitters without columns
+@example(NetworkConfig.from_tuples([(3, 1, 1), (1, 3, 1)] * 2), 1, PRIME)
+@example(NetworkConfig.from_tuples([(2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)]), 0, PRIME)
+def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p):
+    C, V = system_shape(cfg)
+    assume(0 < C <= min(V, 150))
+    group = _group_point(cfg, p)
+    assume(group is not None)
+    as_json = {"orders": list(group[0]), "orbits": [list(o) for o in group[1]]}
+    point = structured_channels(cfg, seed, as_json, p)
+    full = gf_rank_reference(build_jacobian(cfg, point).matrix, p)
+    assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=p), p, group) == full
+
+    # a full group point is rebuilt from the rank section's JSON alone
+    verdict = generic_full_row_rank(cfg, seed=seed, p=p, group_point=True)
+    section = json.loads(json.dumps(verdict.to_dict()))
+    if "group" in section:
+        assert section["group"] == as_json and section["trial_ranks"] == [C]
+        point = structured_channels(cfg, section["trial_seeds"][0], section["group"], p)
+        assert gf_rank_reference(build_jacobian(cfg, point).matrix, p) == C
+
+
+def _outcome(cfg, seed):
+    rep = feasibility_report(cfg, seed=seed)
+    return rep.verdict, rep.rule, rep.sound
+
+
+@settings(max_examples=40, deadline=None)
+@given(_repeated_types(), st.integers(0, 2**20), st.randoms(use_true_random=False))
+@example(NetworkConfig.symmetric(4, 6, 4, 2), 0, random.Random(0))
+def test_group_points_move_no_verdict_rule_or_soundness(cfg, seed, rnd):
+    order = list(range(cfg.K))
+    rnd.shuffle(order)
+    relabelled = NetworkConfig(tuple(cfg.pairs[i] for i in order))
+    for network in (cfg, relabelled):
+        with_groups = _outcome(network, seed)
+        with mock.patch.object(iafeas.rank, "_group_point", lambda cfg, p: None):
+            assert _outcome(network, seed) == with_groups
+
+
+def test_a_witnessed_infeasible_keeps_random_draws():
+    # the antenna budget decides; a group point could never expose a defect
+    cfg = NetworkConfig.symmetric(3, 4, 8, 3)
+    assert system_shape(cfg) == (54, 54)
+    assert _group_point(cfg, PRIME) == ((3,), ((1, 2, 3),))
+    rep = feasibility_report(cfg, seed=0)
+    assert rep.witness.kind == "antenna_budget"
+    assert rep.rank.trials == 1 and rep.rank.group is None
+    assert "group" not in rep.to_dict()["rank"]
+    assert rep.rank == generic_full_row_rank(cfg, trials=1, seed=0)
+
+
+def _random_draw_report(cfg, seed):
+    with mock.patch.object(iafeas.rank, "_group_point", lambda cfg, p: None):
+        return feasibility_report(cfg, seed=seed).to_dict()
+
+
+_FALLBACK_NOTE = "the group point is deficient; random draws decide"
+
+
+def test_a_deficient_group_point_falls_back_to_the_random_draws():
+    # passes every counting test, has Z_2 and is deficient at every point
+    cfg = NetworkConfig.from_tuples([(2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)])
+    assert _group_point(cfg, PRIME) is not None
+    got = feasibility_report(cfg, seed=0).to_dict()
+    assert (got["verdict"], got["rank"]["trial_ranks"]) == ("UNDETERMINED", [24, 24, 24])
+    assert got["rank"].pop("note") == _FALLBACK_NOTE
+    assert json.dumps(got) == json.dumps(_random_draw_report(cfg, 0))
+
+
+@pytest.mark.parametrize("pairs", [((2, 2, 1),) * 3, ((6, 4, 2),) * 4, ((8, 8, 2),) * 6])
+def test_a_forced_deficient_group_point_falls_back_to_a_full_draw(pairs, monkeypatch):
+    # no generically full network with a deficient group point is known, so
+    # the fold is made to lose one block's rank
+    cfg = NetworkConfig.from_tuples(pairs)
+    fold = iafeas.rank._fold
+
+    def lossy(R, orders, p):
+        blocks = fold(R, orders, p)
+        if orders:
+            blocks[-1] = blocks[-1] * 0
+        return blocks
+
+    monkeypatch.setattr(iafeas.rank, "_fold", lossy)
+    got = feasibility_report(cfg, seed=0).to_dict()
+    assert got["verdict"] == "FEASIBLE" and got["rank"]["full_row_rank"]
+    assert "group" not in got["rank"]
+    assert got["rank"].pop("note") == _FALLBACK_NOTE
+    assert json.dumps(got) == json.dumps(_random_draw_report(cfg, 0))
