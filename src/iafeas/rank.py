@@ -96,6 +96,7 @@ the rank in characteristic zero, and a numeric rank rests on a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from math import gcd, prod
 
@@ -490,17 +491,15 @@ def _group_point(cfg: NetworkConfig, p: int):
     return tuple(orders), tuple(orbits)
 
 
-def _fold(R: np.ndarray, orders, p: int) -> list:
-    """The blocks ``R_chi = sum_x chi(x) T_x``, one per character of G.
+@lru_cache(maxsize=64)
+def _characters(orders: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """G's character table over GF(p), centered and split into limbs.
 
-    ``T_x`` is slab x of R's columns (see :func:`_project_decorrelators`).
-    For Z_q, chi_c(x) = w**(c x) with w = a**((p - 1) / q) for the smallest
-    a >= 2 giving w != 1; G's table is the Kronecker product of its
-    factors'. The sums are float64 products on the split table.
+    Row c, column x holds chi_c(x). For Z_q, chi_c(x) = w**(c x) with
+    w = a**((p - 1) / q) for the smallest a >= 2 giving w != 1; G's table
+    is the Kronecker product of its factors'. The limbs are read-only,
+    since every caller shares them.
     """
-    n = prod(orders)
-    if n == 1:
-        return [R]
     table = np.ones((1, 1), dtype=np.int64)
     for q in orders:
         a = 2
@@ -509,13 +508,28 @@ def _fold(R: np.ndarray, orders, p: int) -> list:
         w = pow(a, (p - 1) // q, p)
         powers = [[pow(w, c * x, p) for x in range(q)] for c in range(q)]
         table = np.kron(table, np.array(powers, dtype=np.int64)) % p
+    limbs = _split(_center(table.astype(np.float64), p))
+    for limb in limbs:
+        limb.setflags(write=False)
+    return limbs
+
+
+def _fold(R: np.ndarray, orders: tuple, p: int) -> list:
+    """The blocks ``R_chi = sum_x chi(x) T_x``, one per character of G.
+
+    ``T_x`` is slab x of R's columns (see :func:`_project_decorrelators`);
+    the sums are float64 products on the split character table.
+    """
+    n = prod(orders)
+    if n == 1:
+        return [R]
     rows, width = len(R), R.shape[1] // n
     # S[x] is T_x flattened; folded[c] = sum_x table[c, x] * S[x], each
     # block of inner terms as exact as in _sub_product (module docstring)
     S = (R % p).reshape(rows, n, width).transpose(1, 0, 2).reshape(n, -1)
     S = _center(S.astype(np.float64), p)
     S16 = _center(S * float(_LIMB), p)
-    hi, lo = _split(_center(table.astype(np.float64), p))
+    hi, lo = _characters(orders, p)
     folded = np.zeros_like(S)
     step = _inner_steps(p)[0]
     for i in range(0, n, step):

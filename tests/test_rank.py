@@ -631,9 +631,9 @@ def test_fold_matches_the_character_sums(orders, p):
 
 @st.composite
 def _repeated_types(draw):
-    """One to three types, each repeated 2, 3, 4 or 6 times, in random order."""
+    """Types repeated 2, 3, 4 or 6 times, at most 8 pairs, in random order."""
     mult = draw(st.sampled_from([2, 3, 4, 6]))
-    kinds = draw(st.integers(1, 3 if mult <= 2 else 1 if mult == 6 else 2))
+    kinds = draw(st.integers(1, 8 // mult))
     pairs = []
     for _ in range(kinds):
         d = draw(st.integers(1, 2))
