@@ -434,6 +434,7 @@ def _project_decorrelators(
         for x, j in enumerate(orbit):
             starts[j - 1] = x * slab + place
         place += widths[orbit[0] - 1]
+    cols = len(orbits[0]) * slab
     reps = {orbit[0] for orbit in orbits}
 
     projected = 0
@@ -448,7 +449,7 @@ def _project_decorrelators(
         projected += d[k] * rank_k
         if not len(Z):
             continue
-        R_k = np.zeros((d[k] * len(Z), len(orbits[0]) * slab), dtype=np.int64)
+        R_k = np.zeros((d[k] * len(Z), cols), dtype=np.int64)
         slot = 0
         for j, H in heard:
             # entry ((p, i), (q, m)) is Z_k[i, (j, q)] * H_kj[p, d_j + m]
@@ -458,9 +459,8 @@ def _project_decorrelators(
             R_k[:, starts[j] : starts[j] + widths[j]] = block.reshape(len(R_k), -1)
             slot += d[j]
         rows.append(R_k)
-    if not rows:
-        return projected, np.zeros((0, len(orbits[0]) * slab), dtype=np.int64)
-    return projected, np.concatenate(rows)
+    R = np.concatenate(rows) if rows else np.zeros((0, cols), dtype=np.int64)
+    return projected, R
 
 
 def _group_point(cfg: NetworkConfig, p: int):
