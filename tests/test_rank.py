@@ -631,19 +631,24 @@ def test_fold_matches_the_character_sums(orders, p):
 
 @st.composite
 def _repeated_types(draw):
-    """Types repeated 2, 3, 4 or 6 times, at most 8 pairs, in random order."""
+    """Types repeated 2, 3, 4 or 6 times, at most 8 pairs, in random order.
+
+    Antennas are d plus a slack of up to K d, so that C <= V is common.
+    """
     mult = draw(st.sampled_from([2, 3, 4, 6]))
     kinds = draw(st.integers(1, 8 // mult))
     pairs = []
     for _ in range(kinds):
         d = draw(st.integers(1, 2))
-        pairs += [(d + draw(st.integers(0, 3)), d + draw(st.integers(0, 3)), d)] * mult
+        slack = st.integers(0, mult * kinds * d)
+        pairs += [(d + draw(slack), d + draw(slack), d)] * mult
     order = draw(st.permutations(range(len(pairs))))
     return NetworkConfig.from_tuples([pairs[i] for i in order])
 
 
 @settings(max_examples=60, deadline=None)
-@given(_repeated_types(), st.integers(0, 2**32 - 1), st.sampled_from([1048583, PRIME]))
+# 6 divides p - 1 at both primes, so every multiplicity drawn gives a group
+@given(_repeated_types(), st.integers(0, 2**32 - 1), st.sampled_from([1048609, PRIME]))
 @example(NetworkConfig.symmetric(3, 2, 2, 1), 0, PRIME)
 @example(NetworkConfig.symmetric(4, 6, 4, 2), 0, PRIME)
 @example(NetworkConfig.symmetric(6, 5, 5, 1), 2, PRIME)
@@ -652,9 +657,8 @@ def _repeated_types(draw):
 @example(NetworkConfig.from_tuples([(2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)]), 0, PRIME)
 def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p):
     C, V = system_shape(cfg)
-    assume(0 < C <= min(V, 150))
+    assume(0 < C <= V)
     group = _group_point(cfg, p)
-    assume(group is not None)
     as_json = {"orders": list(group[0]), "orbits": [list(o) for o in group[1]]}
     point = structured_channels(cfg, seed, as_json, p)
     full = gf_rank_reference(build_jacobian(cfg, point).matrix, p)
