@@ -5,9 +5,18 @@
 for the first 300 draws of ``helpers.random_config`` (numpy seed
 ``DIGEST_SEED``, K 2-8, M, N <= 8, d <= 3), where ``i`` is the draw's
 index. A change that moves any report byte on these configurations fails
-here and names the first configuration that moved. Regenerate the file
-with ``PYTHONPATH=src python tests/test_report_digests.py`` only when a
-report format change is intended.
+here and names the first configuration that moved.
+
+Few of those draws repeat a pair type, so ``data/group_report_digests.json``
+pins the rank test's group point the same way: ``FALLBACKS``, whose group
+point is deficient, then ``GROUP_COUNT`` draws of :func:`group_config`
+(numpy seed ``GROUP_SEED``). Each entry also records the path its rank
+section took: ``group`` (a full group point decided), ``fallback`` (a
+deficient group point, random draws decided) or ``random``.
+
+Regenerate both files with ``PYTHONPATH=src python
+tests/test_report_digests.py`` only when a report format change is
+intended.
 """
 
 import hashlib
@@ -16,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from iafeas import feasibility_report
+from iafeas import NetworkConfig, feasibility_report
 
 from helpers import random_config
 
@@ -24,24 +33,82 @@ DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 DIGEST_SEED = 20260
 DIGEST_COUNT = 300
 
+GROUP_DIGESTS = Path(__file__).parent / "data" / "group_report_digests.json"
+GROUP_SEED = 20261
+GROUP_COUNT = 56
+#: generically deficient networks that pass every counting check
+FALLBACKS = (
+    ((2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)),
+    ((1, 2, 1), (1, 2, 1), (5, 5, 2), (5, 5, 2)),
+    ((2, 1, 1), (5, 5, 2), (2, 1, 1), (5, 5, 2)),
+    ((4, 2, 2), (4, 2, 2), (10, 10, 4), (10, 10, 4)),
+)
+
+
+def _entry(cfg, seed):
+    report = feasibility_report(cfg, seed=seed).to_dict()
+    text = json.dumps(report, sort_keys=True)
+    return {"label": cfg.describe(), "sha256": hashlib.sha256(text.encode()).hexdigest()}, report
+
 
 def report_digests():
     rng = np.random.default_rng(DIGEST_SEED)
     out = []
     for i in range(DIGEST_COUNT):
         cfg = random_config(rng, k_lo=2, k_hi=8, mn_hi=8, d_hi=3)
-        text = json.dumps(feasibility_report(cfg, seed=i).to_dict(), sort_keys=True)
-        out.append({"label": cfg.describe(), "sha256": hashlib.sha256(text.encode()).hexdigest()})
+        out.append(_entry(cfg, i)[0])
     return out
 
 
-def test_report_digests_are_unchanged():
-    expected = json.loads(DIGESTS.read_text())
-    got = report_digests()
+def group_config(rng):
+    """2, 3, 4 or 6 pairs of each of up to 4 types, at most 8, shuffled.
+
+    d is 1 or 2 and each antenna count d plus a slack of K d / 4 to K d,
+    so that most draws pass the necessary chain.
+    """
+    mult = int(rng.choice([2, 3, 4, 6]))
+    kinds = int(rng.integers(1, 8 // mult + 1))
+    K = mult * kinds
+    pairs = []
+    for _ in range(kinds):
+        d = int(rng.integers(1, 3))
+        M, N = (d + int(rng.integers(K * d // 4, K * d + 1)) for _ in "MN")
+        pairs += [(M, N, d)] * mult
+    return NetworkConfig.from_tuples([pairs[i] for i in rng.permutation(K)])
+
+
+def group_report_digests():
+    rng = np.random.default_rng(GROUP_SEED)
+    cfgs = [NetworkConfig.from_tuples(pairs) for pairs in FALLBACKS]
+    cfgs += [group_config(rng) for _ in range(GROUP_COUNT)]
+    out = []
+    for i, cfg in enumerate(cfgs):
+        entry, report = _entry(cfg, i)
+        rank = report["rank"]
+        fallback = "group point" in rank.get("note", "")
+        entry["path"] = "group" if "group" in rank else "fallback" if fallback else "random"
+        out.append(entry)
+    return out
+
+
+def _assert_pinned(got, expected):
     assert len(got) == len(expected)
     for i, (g, e) in enumerate(zip(got, expected)):
         assert g == e, f"draw {i}: report of {g['label']} differs from the pinned digest"
 
 
+def test_report_digests_are_unchanged():
+    _assert_pinned(report_digests(), json.loads(DIGESTS.read_text()))
+
+
+def test_group_point_report_digests_are_unchanged():
+    expected = json.loads(GROUP_DIGESTS.read_text())
+    paths = [e["path"] for e in expected]
+    # the pinned list covers both outcomes of the group point
+    assert paths.count("group") >= 40 and paths.count("fallback") >= 1
+    _assert_pinned(group_report_digests(), expected)
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(report_digests(), indent=1) + "\n")
+    GROUP_DIGESTS.write_text(json.dumps(group_report_digests(), indent=1) + "\n")
