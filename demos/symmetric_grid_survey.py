@@ -25,7 +25,7 @@ for d in (1, 2):
             cfg = NetworkConfig.symmetric(K, M, N, d)
             margin = M + N - (K + 1) * d
             cf = symmetric_feasible(cfg)
-            rank = generic_full_row_rank(cfg, trials=2, seed=0)
+            rank = generic_full_row_rank(cfg, seed=0)
             ok = cf.feasible == rank.full_row_rank == (margin >= 0)
             total += 1
             agree += ok

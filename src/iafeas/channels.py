@@ -5,12 +5,12 @@ feasibility test in this package. Direct links H_kk only matter to the
 iterative solvers, so they are sampled from an independent substream and
 only on request; asking for them never changes the cross-link draw.
 
-A prime-field realization draws all its cross-link entries with one
-generator call, in ``cfg.cross_pairs()`` order: the first N_k * M_j
-entries are H_kj of the first link, row by row, the next ones the second
-link's, and so on. Each ``cross[(k, j)]`` is a view of its block of that
-one array. A complex realization draws link by link, real parts then
-imaginary parts, in the same order.
+A realization draws all its cross links with one generator call, in
+``cfg.cross_pairs()`` order, and the direct links with another, pair by
+pair. Over a prime field the first N_k * M_j entries are H_kj of the
+first link, row by row, the next ones the second link's, and so on, and
+each block is a view of that one array. A complex block takes twice as
+many normals, its real parts row by row and then its imaginary parts.
 """
 
 from __future__ import annotations
@@ -67,12 +67,22 @@ class ChannelSet:
             )
 
 
-def _draw(rng: np.random.Generator, rows: int, cols: int, field) -> np.ndarray:
+def _draw(rng: np.random.Generator, shapes, field) -> list:
+    """One block per shape, all from one generator call (module docstring)."""
+    sizes = [rows * cols for rows, cols in shapes]
     if field == COMPLEX:
-        re = rng.standard_normal((rows, cols))
-        im = rng.standard_normal((rows, cols))
-        return (re + 1j * im) / np.sqrt(2.0)
-    return rng.integers(0, field, size=(rows, cols), dtype=np.int64)
+        step, flat = 2, rng.standard_normal(2 * sum(sizes))
+    else:
+        step, flat = 1, rng.integers(0, field, size=sum(sizes), dtype=np.int64)
+    blocks = []
+    start = 0
+    for shape, size in zip(shapes, sizes):
+        block = flat[start : start + step * size]
+        if field == COMPLEX:
+            block = (block[:size] + 1j * block[size:]) / np.sqrt(2.0)
+        blocks.append(block.reshape(shape))
+        start += step * size
+    return blocks
 
 
 def sample_channels(
@@ -104,24 +114,14 @@ def sample_channels(
     root = np.random.SeedSequence(seed)
     cross_ss, direct_ss = root.spawn(2)
 
-    rng = np.random.default_rng(cross_ss)
     links = list(cfg.cross_pairs())
-    if field == COMPLEX:
-        cross = {(k, j): _draw(rng, cfg.N(k), cfg.M(j), field) for k, j in links}
-    else:
-        # one call for every link; each block is a view (module docstring)
-        sizes = [cfg.N(k) * cfg.M(j) for k, j in links]
-        flat = rng.integers(0, field, size=sum(sizes), dtype=np.int64)
-        cross = {}
-        start = 0
-        for (k, j), size in zip(links, sizes):
-            cross[(k, j)] = flat[start : start + size].reshape(cfg.N(k), cfg.M(j))
-            start += size
+    shapes = [(cfg.N(k), cfg.M(j)) for k, j in links]
+    cross = dict(zip(links, _draw(np.random.default_rng(cross_ss), shapes, field)))
 
     direct = {}
     if include_direct:
-        rng_d = np.random.default_rng(direct_ss)
-        for k in range(1, cfg.K + 1):
-            direct[k] = _draw(rng_d, cfg.N(k), cfg.M(k), field)
+        shapes = [(cfg.N(k), cfg.M(k)) for k in range(1, cfg.K + 1)]
+        blocks = _draw(np.random.default_rng(direct_ss), shapes, field)
+        direct = dict(enumerate(blocks, start=1))
 
     return ChannelSet(cfg=cfg, field=field, seed=seed, cross=cross, direct=direct)

@@ -8,8 +8,9 @@ at a random channel draw:
 * ``gf``: exact Gaussian elimination over a prime field. A random integer
   specialization can only underestimate the generic rank, never exceed it,
   so a single full-rank draw is a certificate while a deficient draw is
-  wrong with probability at most C/p. The prime-field verdict is treated
-  as authoritative whenever the two engines disagree.
+  wrong with probability at most C/p.
+
+A test runs one engine, chosen by its ``mode``; nothing compares the two.
 
 The prime-field kernel works on centered residues, the representatives
 in [-h, h] with h = (p - 1) / 2 < 2**30, and halves the column range
@@ -81,8 +82,9 @@ on each side (Davis, *Circulant Matrices*, 1979), and
 
 A deficient group point is no evidence of deficiency: the point is a
 special one, and its rank may fall below a full generic rank. So a
-deficient group point falls back to random draws, and a test that looks
-for deficiency (the cross-check of a counting witness) never uses one.
+deficient group point falls back to the random draw it was built from,
+and a test that looks for deficiency (the cross-check of a counting
+witness) never uses one.
 
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization. In characteristic zero generic
@@ -413,15 +415,15 @@ def _project_decorrelators(
 
     Returns ``sum_k d_k * rank G_k`` and the reduced precoder matrix R (see
     the module docstring); the rank of the full matrix is the first plus
-    ``gf_rank(R)``. R's rows are ordered (k, p, i), its columns are the
-    precoder columns of the full matrix, placed by
-    :func:`~iafeas.transceivers.block_starts`, and its entries are
-    unreduced products of two residues, below 2**62.
+    ``gf_rank(R)``. R's rows are ordered (k, p, i) and its entries are
+    unreduced products of two residues, below 2**62. Its columns are the
+    precoder columns, laid out here in slabs: the transmitter at position
+    x of an orbit takes column slab x, at its representative's place in
+    the slab, so that slab x holds the module docstring's T_x.
 
     With ``orbits`` (1-based, see :func:`_group_point`), only the orbit
-    representatives are receivers k, and the transmitter at position x of
-    an orbit takes column slab x of R, at its representative's place in
-    the slab, so that slab x holds the module docstring's T_x.
+    representatives are receivers k. Without them every pair is its own
+    orbit, and the one slab puts the precoder blocks in pair order.
     """
     d = [pair.d for pair in cfg.pairs]
     orbits = orbits or [(k,) for k in range(1, cfg.K + 1)]
@@ -556,14 +558,13 @@ class RankVerdict:
 
     ``rank`` is the best rank seen across trials (None when the test was
     decided without building a matrix). ``trial_seeds`` and ``trial_ranks``
-    record the per-draw outcomes. ``tolerance`` is set in numeric mode,
-    ``modulus`` in prime-field mode, where ``error_bound`` additionally
-    bounds the probability that a deficient verdict is a sampling artifact,
-    by (C/p)^trials. A report whose counting witness already decides
-    INFEASIBLE takes one draw, which only cross-checks the witness (see
-    :mod:`~iafeas.report`), so its ``error_bound`` is C/p. ``group`` is
-    ``(orders, orbits)`` of :func:`_group_point` when the one trial was a
-    full-rank group point, drawn from its trial seed.
+    record the per-draw outcomes, and ``trials`` counts them. ``tolerance``
+    is set in numeric mode, ``modulus`` in prime-field mode, where
+    ``error_bound`` additionally bounds the probability that a deficient
+    verdict is a sampling artifact, by (C/p)^trials; a cross-check takes
+    one draw, so its bound is C/p. ``group`` is ``(orders, orbits)`` of
+    :func:`_group_point` when the one trial was a full-rank group point,
+    drawn from its trial seed.
     """
 
     mode: str
@@ -571,7 +572,6 @@ class RankVerdict:
     V: int
     full_row_rank: bool
     rank: int | None
-    trials: int
     trial_seeds: tuple[int, ...]
     trial_ranks: tuple[int, ...]
     tolerance: float | None = None
@@ -579,6 +579,10 @@ class RankVerdict:
     error_bound: float | None = None
     note: str = ""
     group: tuple | None = None
+
+    @property
+    def trials(self) -> int:
+        return len(self.trial_ranks)
 
     @property
     def status(self) -> str:
@@ -616,36 +620,36 @@ def _trial_seeds(seed: int, trials: int) -> tuple[int, ...]:
 
 def generic_full_row_rank(
     cfg: NetworkConfig,
-    trials: int = DEFAULT_TRIALS,
     mode: str = "gf",
     seed: int = 0,
     p: int = DEFAULT_PRIME,
-    group_point: bool = False,
+    cross_check: bool = False,
 ) -> RankVerdict:
     """Decide whether the coefficient matrix generically has full row rank.
 
-    Draws up to ``trials`` independent channel realizations (seeds derived
-    deterministically from ``seed``) and ranks each matrix; in prime-field
-    mode through the decorrelator projection of the module docstring,
-    which gives the same rank without forming the matrix. The first
-    full-rank draw settles the verdict, since a specialization can never
-    exceed the generic rank; repeated deficient draws shrink the chance
-    that deficiency is bad luck rather than structure.
+    Draws up to ``DEFAULT_TRIALS`` independent channel realizations (seeds
+    derived deterministically from ``seed``) and ranks each matrix; in
+    prime-field mode through the decorrelator projection of the module
+    docstring, which gives the same rank without forming the matrix. The
+    first full-rank draw settles the verdict, since a specialization can
+    never exceed the generic rank; repeated deficient draws shrink the
+    chance that deficiency is bad luck rather than structure.
+
+    In prime-field mode the first draw is ranked at its group point first
+    (module docstring). If that is full, the one trial decides and the
+    verdict records the group; if not, the draw itself is ranked, the
+    random draws decide, and ``note`` says so. ``cross_check`` asks for
+    one draw and no group point: the cross-check of a counting witness
+    (see :mod:`~iafeas.report`) looks for deficiency, which a group point
+    never shows.
 
     Shortcuts: C > V is deficient without sampling (more constraints than
     variables); so is a pair with d_k > min(M_k, N_k), whose transceivers
     cannot carry d_k streams, so the matrix is not defined; otherwise
     C == 0 is trivially full.
-
-    ``group_point`` asks, in prime-field mode, for the rank at the group
-    point of the first trial seed first (module docstring). If it is full,
-    that one trial decides and the verdict records the group; if not, the
-    random draws decide as without it, and ``note`` says so.
     """
     if mode not in ("numeric", "gf"):
         raise ValueError(f"mode must be 'numeric' or 'gf', got {mode!r}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     C, V = system_shape(cfg)
     modulus = validate_field(p) if mode == "gf" else None
 
@@ -657,30 +661,26 @@ def generic_full_row_rank(
         if decided:
             return RankVerdict(
                 mode=mode, C=C, V=V, full_row_rank=full, rank=0 if full else None,
-                trials=0, trial_seeds=(), trial_ranks=(), modulus=modulus, note=note,
+                trial_seeds=(), trial_ranks=(), modulus=modulus, note=note,
             )
 
-    seeds = _trial_seeds(seed, trials)
+    seeds = _trial_seeds(seed, 1 if cross_check else DEFAULT_TRIALS)
+    group = None if cross_check or mode != "gf" else _group_point(cfg, modulus)
     ranks = []
-    used = []
     note = ""
-    group = _group_point(cfg, modulus) if group_point and mode == "gf" else None
-    if group is not None:
-        # only a full group point decides (module docstring)
-        ch = sample_channels(cfg, seeds[0], field=modulus)
-        if _gf_rank_at(cfg, ch, modulus, group) == C:
-            ranks, used = [C], [seeds[0]]
-        else:
-            group, note = None, "the group point is deficient; random draws decide"
     tol = None
-    for ts in () if ranks else seeds:
+    for ts in seeds:
         if mode == "numeric":
             ch = sample_channels(cfg, ts, field=COMPLEX)
             r, tol = _svd_rank(build_jacobian(cfg, ch).matrix)
         else:
-            r = _gf_rank_at(cfg, sample_channels(cfg, ts, field=modulus), modulus)
+            ch = sample_channels(cfg, ts, field=modulus)
+            r = _gf_rank_at(cfg, ch, modulus, group)
+            if group is not None and r < C:
+                # only a full group point decides (module docstring)
+                group, note = None, "the group point is deficient; random draws decide"
+                r = _gf_rank_at(cfg, ch, modulus)
         ranks.append(r)
-        used.append(ts)
         if r == C:
             break
 
@@ -694,8 +694,7 @@ def generic_full_row_rank(
         V=V,
         full_row_rank=full,
         rank=max(ranks),
-        trials=len(ranks),
-        trial_seeds=tuple(used),
+        trial_seeds=seeds[: len(ranks)],
         trial_ranks=tuple(ranks),
         tolerance=tol,
         modulus=modulus,

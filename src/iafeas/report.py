@@ -19,9 +19,9 @@ every report carries a soundness bit: a violated necessary condition next
 to a full-rank coefficient matrix (or a sufficiency certificate next to a
 rank-deficient one) would expose a defect, and sweeps count such events.
 Next to a counting witness the rank test is only that cross-check, so it
-takes one draw instead of ``DEFAULT_TRIALS``: were the generic rank full,
-one uniform GF(p) draw would be full with probability at least 1 - C/p
-(Schwartz-Zippel), so further deficient draws expose no more defects.
+takes one uniform draw: were the generic rank full, that draw would be
+full with probability at least 1 - C/p (Schwartz-Zippel), so further
+deficient draws expose no more defects.
 Numerical solvers can be attached as corroboration but never decide.
 The necessary checks are named by the kinds of the witnesses they return.
 """
@@ -44,7 +44,7 @@ from .conditions import (
 )
 from .config import NetworkConfig, config_to_dict, system_shape
 from .channels import sample_channels
-from .rank import DEFAULT_PRIME, DEFAULT_TRIALS, RankVerdict, generic_full_row_rank
+from .rank import DEFAULT_PRIME, RankVerdict, generic_full_row_rank
 from .solver import alt_min, gauss_newton_multistart
 from .witnesses import ANTENNA_BUDGET, PROPERNESS, STREAM_SUPPORT, SubsetWitness
 
@@ -208,10 +208,8 @@ def feasibility_report(
         alloc_report = verify_allocation(cfg, necessary.policy)
 
     # a witness already decides: one draw cross-checks it (module docstring)
-    trials = DEFAULT_TRIALS if necessary.passed else 1
-    # a passed chain looks for full rank, which a group point can certify
     rank = generic_full_row_rank(
-        cfg, trials=trials, mode=mode, seed=seed, p=p, group_point=necessary.passed
+        cfg, mode=mode, seed=seed, p=p, cross_check=not necessary.passed
     )
 
     closed_yes = next(

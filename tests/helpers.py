@@ -19,6 +19,7 @@ from iafeas import (
     system_shape,
 )
 from iafeas.allocation import PressureTree, PttDefect
+from iafeas.fields import COMPLEX
 from iafeas.rank import DEFAULT_PRIME, _svd_rank
 
 MAX_ENUM_PAIRS = 4
@@ -95,6 +96,34 @@ def gf_rank_reference(matrix, p):
         A[rows] = (A[rows] - A[rows, c][:, None] * A[r][None, :]) % p
         r += 1
     return r
+
+
+def per_link_channels(cfg, seed, field, include_direct=False):
+    """A channel draw made link by link: the oracle for ``sample_channels``.
+
+    Returns ``(cross, direct)``. Each cross link in ``cfg.cross_pairs()``
+    order, then each direct link in pair order, takes its own generator
+    calls: one ``integers`` call over a prime field, and over the complex
+    field one ``standard_normal`` call for the real parts and one for the
+    imaginary parts. PCG64 gives the same numbers from many calls as from
+    one, so the package's one-call draw must match this bit for bit.
+    """
+    cross_ss, direct_ss = np.random.SeedSequence(seed).spawn(2)
+
+    def draw(rng, rows, cols):
+        if field == COMPLEX:
+            re = rng.standard_normal((rows, cols))
+            im = rng.standard_normal((rows, cols))
+            return (re + 1j * im) / np.sqrt(2.0)
+        return rng.integers(0, field, size=(rows, cols), dtype=np.int64)
+
+    rng = np.random.default_rng(cross_ss)
+    cross = {(k, j): draw(rng, cfg.N(k), cfg.M(j)) for k, j in cfg.cross_pairs()}
+    direct = {}
+    if include_direct:
+        rng = np.random.default_rng(direct_ss)
+        direct = {k: draw(rng, cfg.N(k), cfg.M(k)) for k in range(1, cfg.K + 1)}
+    return cross, direct
 
 
 def structured_channels(cfg, seed, group, p=DEFAULT_PRIME):

@@ -57,7 +57,7 @@ def test_criterion_1_symmetric_closed_form_grid():
                 for N in range(2 * d, 9):
                     cfg = NetworkConfig.symmetric(K, M, N, d)
                     margin = M + N - (K + 1) * d
-                    rank = generic_full_row_rank(cfg, trials=3, mode="gf", seed=0)
+                    rank = generic_full_row_rank(cfg, mode="gf", seed=0)
                     assert rank.full_row_rank == (margin >= 0), cfg.describe()
                     cf = symmetric_feasible(cfg)
                     assert cf.applicable and cf.margin == margin, cfg.describe()
@@ -73,7 +73,7 @@ def test_criterion_2_square_boundary_network():
     cfg = NetworkConfig.symmetric(4, 7, 8, 3)
     assert system_shape(cfg) == (108, 108)
     for mode in ("gf", "numeric"):
-        rank = generic_full_row_rank(cfg, trials=3, mode=mode, seed=0)
+        rank = generic_full_row_rank(cfg, mode=mode, seed=0)
         assert rank.full_row_rank, mode
     res = gauss_newton_multistart(cfg, sample_channels(cfg, seed=0), starts=5, seed=0)
     assert res.converged and res.residual_norm < 1e-8

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from iafeas import NetworkConfig, sample_channels
 
+from helpers import per_link_channels
+
 PRIME = (1 << 31) - 1
 
 
@@ -87,6 +89,22 @@ def test_prime_field_draw_is_one_array_in_link_order(cfg, seed):
         assert np.array_equal(again.cross[key], H)
         assert np.array_equal(with_direct.cross[key], H)
     assert set(with_direct.direct) == set(range(1, cfg.K + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(pairs, min_size=1, max_size=6).map(NetworkConfig.from_tuples),
+    st.integers(0, 2**32),
+    st.sampled_from(["complex", PRIME, 1048583]),
+    st.booleans(),
+)
+def test_draw_matches_the_per_link_reference(cfg, seed, field, include_direct):
+    ch = sample_channels(cfg, seed=seed, field=field, include_direct=include_direct)
+    cross, direct = per_link_channels(cfg, seed, field, include_direct)
+    for got, want in ((ch.cross, cross), (ch.direct, direct)):
+        assert list(got) == list(want)
+        for key, H in want.items():
+            assert got[key].dtype == H.dtype and got[key].tobytes() == H.tobytes()
 
 
 def test_require_direct():

@@ -202,8 +202,8 @@ def test_a_witnessed_infeasible_takes_one_rank_draw(cfg, seed):
         assert rep.sound
         assert rep.rank.trials == 1
         assert rep.rank.error_bound == C / DEFAULT_PRIME
-        assert rep.rank == generic_full_row_rank(cfg, trials=1, seed=seed)
+        assert rep.rank == generic_full_row_rank(cfg, seed=seed, cross_check=True)
     else:
         assert rep.rank == generic_full_row_rank(
-            cfg, seed=seed, group_point=rep.witness is None
+            cfg, seed=seed, cross_check=rep.witness is not None
         )

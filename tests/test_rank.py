@@ -361,11 +361,11 @@ def test_generic_rank_proper_but_deficient():
     # deficient, the classic gap between properness and feasibility
     cfg = NetworkConfig.symmetric(2, 3, 3, 2)
     for mode in ("gf", "numeric"):
-        v = generic_full_row_rank(cfg, mode=mode, trials=3, seed=1)
+        v = generic_full_row_rank(cfg, mode=mode, seed=1)
         assert not v.full_row_rank, mode
         assert len(v.trial_ranks) == 3
         assert all(r < v.C for r in v.trial_ranks)
-    gf = generic_full_row_rank(cfg, mode="gf", trials=3, seed=1)
+    gf = generic_full_row_rank(cfg, mode="gf", seed=1)
     assert gf.error_bound is not None
     assert gf.error_bound <= (gf.C / gf.modulus) ** 3
 
@@ -540,10 +540,12 @@ def test_gf_mode_ranks_the_reduced_matrix_once_per_trial(monkeypatch):
         return kernel(matrix, *args, **kwargs)
 
     monkeypatch.setattr(iafeas.rank, "gf_rank", counting)
+    # random draws only: the first trial is not ranked at a group point
+    monkeypatch.setattr(iafeas.rank, "_group_point", lambda cfg, p: None)
     for pairs in [((3, 3, 2),) * 2, ((1, 1, 1), (4, 4, 2), (4, 4, 2)), ((4, 4, 1),) * 4]:
         cfg = NetworkConfig.from_tuples(pairs)
         calls.clear()
-        v = generic_full_row_rank(cfg, mode="gf", seed=3, trials=3)
+        v = generic_full_row_rank(cfg, mode="gf", seed=3)
         assert len(calls) == v.trials
         for shape, ts in zip(calls, v.trial_seeds):
             ch = sample_channels(cfg, ts, field=PRIME)
@@ -665,7 +667,7 @@ def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p
     assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=p), p, group) == full
 
     # a full group point is rebuilt from the rank section's JSON alone
-    verdict = generic_full_row_rank(cfg, seed=seed, p=p, group_point=True)
+    verdict = generic_full_row_rank(cfg, seed=seed, p=p)
     section = json.loads(json.dumps(verdict.to_dict()))
     if "group" in section:
         assert section["group"] == as_json and section["trial_ranks"] == [C]
@@ -700,7 +702,7 @@ def test_a_witnessed_infeasible_keeps_random_draws():
     assert rep.witness.kind == "antenna_budget"
     assert rep.rank.trials == 1 and rep.rank.group is None
     assert "group" not in rep.to_dict()["rank"]
-    assert rep.rank == generic_full_row_rank(cfg, trials=1, seed=0)
+    assert rep.rank == generic_full_row_rank(cfg, seed=0, cross_check=True)
 
 
 def _random_draw_report(cfg, seed):
@@ -719,6 +721,22 @@ def test_a_deficient_group_point_falls_back_to_the_random_draws():
     assert (got["verdict"], got["rank"]["trial_ranks"]) == ("UNDETERMINED", [24, 24, 24])
     assert got["rank"].pop("note") == _FALLBACK_NOTE
     assert json.dumps(got) == json.dumps(_random_draw_report(cfg, 0))
+
+
+def test_a_deficient_group_point_reuses_its_draw(monkeypatch):
+    # the fallback ranks the first trial's own draw: three trials, three draws
+    cfg = NetworkConfig.from_tuples([(2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)])
+    seeds = []
+    draw = iafeas.rank.sample_channels
+
+    def counting(cfg, seed, **kwargs):
+        seeds.append(seed)
+        return draw(cfg, seed, **kwargs)
+
+    monkeypatch.setattr(iafeas.rank, "sample_channels", counting)
+    rank = feasibility_report(cfg, seed=0).rank
+    assert rank.note == _FALLBACK_NOTE and rank.trials == 3
+    assert tuple(seeds) == rank.trial_seeds
 
 
 @pytest.mark.parametrize("pairs", [((2, 2, 1),) * 3, ((6, 4, 2),) * 4, ((8, 8, 2),) * 6])
