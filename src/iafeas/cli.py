@@ -7,11 +7,11 @@ Four subcommands:
   2 undetermined, 3 malformed input, 4 internal error, which includes a
   report whose soundness bit is false (the JSON is still printed).
 * ``sweep``: verdicts over a grid of symmetric configurations (or a JSON
-  list of explicit ones), one compact JSON line per configuration plus a
-  footer with counts. ``--workers N`` runs the reports in a process pool
-  of at most N workers, no more than the cores or the chunks of work.
-  Exit 0 once the sweep ran, 3 for an empty grid, ``--workers`` below 1
-  or malformed input.
+  list of ``[M, N, d]`` pair lists, bare or as ``{"pairs": [...]}``), one
+  compact JSON line per configuration plus a footer with counts.
+  ``--workers N`` runs the reports in a process pool of at most N workers,
+  no more than the cores or the chunks of work. Exit 0 once the sweep
+  ran, 3 for an empty grid, ``--workers`` below 1 or malformed input.
 * ``hall CONFIG.json``: sample channels and print the alignment
   coefficient matrix in the text dump format (``--prime`` implies
   ``--field prime``); exit 3 when some pair cannot carry its streams.
@@ -144,9 +144,14 @@ def _sweep_jobs(ns) -> list:
             raise CliError("--configs file must hold a JSON list")
         jobs = []
         for entry in data:
+            unknown = sorted(set(entry) - {"pairs"}) if isinstance(entry, dict) else ()
+            if unknown:
+                raise CliError(f'config entry has unknown keys {unknown}; it takes only "pairs"')
             pairs = entry.get("pairs") if isinstance(entry, dict) else entry
-            if not isinstance(pairs, list):
-                raise CliError(f"config entry {entry!r} has no pair list")
+            if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 3 for p in pairs
+            ):
+                raise CliError(f"bad config entry {entry!r}: pairs are [M, N, d] lists")
             try:
                 jobs.append(NetworkConfig.from_tuples(tuple(p) for p in pairs))
             except (TypeError, ValueError) as exc:

@@ -1,7 +1,7 @@
 """Rank tests for the alignment coefficient matrix.
 
 Two engines decide whether the C x V coefficient matrix has full row rank
-at a random channel draw:
+at a random channel draw, and a test runs the one its ``mode`` names:
 
 * ``numeric``: singular values of the complex matrix against an SVD
   tolerance, fast but subject to conditioning.
@@ -9,8 +9,6 @@ at a random channel draw:
   specialization can only underestimate the generic rank, never exceed it,
   so a single full-rank draw is a certificate while a deficient draw is
   wrong with probability at most C/p.
-
-A test runs one engine, chosen by its ``mode``; nothing compares the two.
 
 The prime-field kernel works on centered residues, the representatives
 in [-h, h] with h = (p - 1) / 2 < 2**30, and halves the column range
@@ -82,9 +80,8 @@ on each side (Davis, *Circulant Matrices*, 1979), and
 
 A deficient group point is no evidence of deficiency: the point is a
 special one, and its rank may fall below a full generic rank. So a
-deficient group point falls back to the random draw it was built from,
-and a test that looks for deficiency (the cross-check of a counting
-witness) never uses one.
+deficient group point falls back to random draws, and a test that looks
+for deficiency (the cross-check of a counting witness) never uses one.
 
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization. In characteristic zero generic
@@ -423,7 +420,8 @@ def _project_decorrelators(
 
     With ``orbits`` (1-based, see :func:`_group_point`), only the orbit
     representatives are receivers k. Without them every pair is its own
-    orbit, and the one slab puts the precoder blocks in pair order.
+    orbit, and the one slab holds the precoder blocks in pair order, the
+    order of :func:`~iafeas.transceivers.block_starts`.
     """
     d = [pair.d for pair in cfg.pairs]
     orbits = orbits or [(k,) for k in range(1, cfg.K + 1)]
@@ -666,9 +664,7 @@ def generic_full_row_rank(
 
     seeds = _trial_seeds(seed, 1 if cross_check else DEFAULT_TRIALS)
     group = None if cross_check or mode != "gf" else _group_point(cfg, modulus)
-    ranks = []
-    note = ""
-    tol = None
+    ranks, note, tol = [], "", None
     for ts in seeds:
         if mode == "numeric":
             ch = sample_channels(cfg, ts, field=COMPLEX)

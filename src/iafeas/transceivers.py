@@ -9,8 +9,8 @@ free is the lower (N_k - d_k) x d_k block of U_k and the lower
 This module is the one owner of the variable order: every decorrelator
 block first, pair ascending, then every precoder block the same way, each
 flattened column by column. :func:`block_starts` gives where each block
-starts; the coefficient matrix's columns follow it, and so do the
-precoder columns of the reduced matrix R that the rank test ranks.
+starts; the coefficient matrix's columns follow it, but the rank test
+lays out the precoder columns of its reduced matrix R itself.
 
 Storage convention: for the decorrelators we store the conjugated lower
 block. Entry ``u[k-1][n-1, p-1]`` is the coefficient that constraint column

@@ -110,6 +110,21 @@ def test_unknown_config_keys_exit_three(tmp_path, capsys):
     assert "'x': 1" in err and err.count("\n") == 1
 
 
+def test_sweep_entries_take_only_pair_lists(tmp_path, capsys):
+    extra = write(tmp_path, "extra.json", [{"pairs": [[2, 2, 1]] * 3, "seed": 5, "bogus": 1}])
+    code, out, err = run(capsys, "sweep", "--configs", extra)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: config entry has unknown keys ['bogus', 'seed']; it takes only \"pairs\"\n"
+    )
+
+    # check's pair objects, and pairs of the wrong length
+    for entry in (ring(3, 2, 2, 1), [[2, 2, 1], [2, 2]]):
+        code, out, err = run(capsys, "sweep", "--configs", write(tmp_path, "list.json", [entry]))
+        assert (code, out) == (3, "")
+        assert err.endswith(": pairs are [M, N, d] lists\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["check", "sweep", "hall"])
 def test_out_of_memory_draw_exits_three(tmp_path, capsys, monkeypatch, command):
     # numpy raises MemoryError when a draw cannot be allocated; the stand-in
