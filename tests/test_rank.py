@@ -702,6 +702,8 @@ def test_a_witnessed_infeasible_keeps_random_draws():
     assert rep.witness.kind == "antenna_budget"
     assert rep.rank.trials == 1 and rep.rank.group is None
     assert "group" not in rep.to_dict()["rank"]
+    # no group point was tried, so none fell back
+    assert "note" not in rep.to_dict()["rank"]
     assert rep.rank == generic_full_row_rank(cfg, seed=0, cross_check=True)
 
 
