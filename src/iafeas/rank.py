@@ -638,8 +638,8 @@ def generic_full_row_rank(
     verdict records the group; if not, the draw itself is ranked, the
     random draws decide, and ``note`` says so. ``cross_check`` asks for
     one draw and no group point: the cross-check of a counting witness
-    (see :mod:`~iafeas.report`) looks for deficiency, which a group point
-    never shows.
+    (see :mod:`~iafeas.report`) looks for deficiency, and a deficient
+    group point proves none.
 
     Shortcuts: C > V is deficient without sampling (more constraints than
     variables); so is a pair with d_k > min(M_k, N_k), whose transceivers
