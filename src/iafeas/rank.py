@@ -61,27 +61,32 @@ columns, 760 x 760 instead of 1520 x 1520 at (21x21,2)^20.
 A full-rank draw certifies because a specialization can never exceed the
 generic rank, so any channel point certifies, a structured one included.
 Where the test looks for full rank, the rank is taken at a group point
-first. Let G = prod_q (Z_q)^{a_q} be the largest elementary abelian group
-with every q dividing both p - 1 and the gcd of the pair-type
-multiplicities, and let it act freely on the pairs: each type's pairs,
-in pair order, fall into consecutive orbits of |G| pairs, element x
-taking a representative to the orbit's x-th pair. The group point keeps
+first, over a prime of its own. Let g be the gcd of the pair-type
+multiplicities and r the product of the distinct primes dividing g. The
+point's prime p' is p if r divides p - 1, and otherwise the largest prime
+p' <= p with p' = 1 (mod r) and p' >= 2**20, or p if there is none. Let
+G = prod_q (Z_q)^{a_q} be the largest elementary abelian group with
+every q dividing both p' - 1 and g, and let it act freely on the pairs:
+each type's pairs, in pair order, fall into consecutive orbits of |G|
+pairs, element x taking a representative to the orbit's x-th pair. The group point keeps
 the drawn links out of each representative and sets H_{gk,gj} = H_kj for
 the rest. Then G_gk is G_k with its rows permuted, and the rows of R for
 receiver gk are those for k with the transmitters shifted by g, so R is
 block circulant over G: its block between receivers g k and transmitters
 h j is T_{h - g}, the representatives' rows at transmitters (h - g) j.
-Over GF(p), where q | p - 1 gives each Z_q the characters x -> w^(c x)
+Over GF(p'), where q | p' - 1 gives each Z_q the characters x -> w^(c x)
 for a primitive q-th root w, the character transform splits R into one
 block R_chi = sum_x chi(x) T_x per character chi, each |G| times smaller
 on each side (Davis, *Circulant Matrices*, 1979), and
 
     rank A = |G| sum_{k rep} d_k rank G_k + sum_chi rank R_chi.
 
-A deficient group point is no evidence of deficiency: the point is a
-special one, and its rank may fall below a full generic rank. So a
-deficient group point falls back to random draws, and a test that looks
-for deficiency (the cross-check of a counting witness) never uses one.
+A full rank over GF(p') certifies like one over GF(p), since a minor that
+is nonzero mod p' is a nonzero integer polynomial. A deficient group
+point is no evidence of deficiency: the point is a special one, and its
+rank may fall below a full generic rank. So a deficient group point falls
+back to random draws over GF(p), and a test that looks for deficiency
+(the cross-check of a counting witness) never uses one.
 
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization. In characteristic zero generic
@@ -103,7 +108,7 @@ import numpy as np
 
 from .channels import ChannelSet, sample_channels
 from .config import NetworkConfig, system_shape, validate_config
-from .fields import COMPLEX, DEFAULT_PRIME, validate_field
+from .fields import COMPLEX, DEFAULT_PRIME, MIN_PRIME, is_prime, validate_field
 from .jacobian import build_jacobian
 
 #: default number of independent draws in generic rank tests
@@ -463,32 +468,50 @@ def _project_decorrelators(
     return projected, R
 
 
+@lru_cache(maxsize=64)
+def _group_prime(r: int, p: int) -> int:
+    """The prime p' of a group point whose group orders divide ``r``.
+
+    p itself if r divides p - 1; otherwise the largest prime p' <= p with
+    p' = 1 (mod r) and p' >= 2**20, or p if there is none.
+    """
+    if (p - 1) % r == 0:
+        return p
+    for candidate in range(p - (p - 1) % r, MIN_PRIME - 1, -r):
+        if is_prime(candidate):
+            return candidate
+    return p
+
+
 def _group_point(cfg: NetworkConfig, p: int):
     """The group of the module docstring's group point, None if trivial.
 
-    Returns ``(orders, orbits)``: the prime orders of G's cyclic factors,
-    ascending, and its orbits as tuples of 1-based pairs ordered by their
-    representative, the first pair. Element x, written in the mixed radix
-    of ``orders`` with the first factor's digit most significant, takes
-    the representative to the orbit's x-th pair.
+    Returns ``(orders, orbits, prime)``: the prime orders of G's cyclic
+    factors, ascending, its orbits as tuples of 1-based pairs ordered by
+    their representative, the first pair, and the prime p' of the field
+    the point is drawn and ranked over. Element x, written in the mixed
+    radix of ``orders`` with the first factor's digit most significant,
+    takes the representative to the orbit's x-th pair.
     """
     by_type = {}
     for k, pair in enumerate(cfg.pairs, start=1):
         by_type.setdefault(pair, []).append(k)
     left = gcd(*map(len, by_type.values()))
-    orders = []
+    # the prime factors of the gcd, with multiplicity, ascending
+    factors = []
     q = 2
     while left > 1:
         while left % q == 0:
             left //= q
-            if (p - 1) % q == 0:
-                orders.append(q)
+            factors.append(q)
         q += 1
+    prime = _group_prime(prod(set(factors)), p)
+    orders = [q for q in factors if (prime - 1) % q == 0]
     if not orders:
         return None
     n = prod(orders)
     orbits = sorted(tuple(ks[i : i + n]) for ks in by_type.values() for i in range(0, len(ks), n))
-    return tuple(orders), tuple(orbits)
+    return tuple(orders), tuple(orbits), prime
 
 
 @lru_cache(maxsize=64)
@@ -543,9 +566,10 @@ def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, p: int, group=None) ->
     """Rank over GF(p) of the coefficient matrix at ``channels``.
 
     With ``group`` from :func:`_group_point`, at the group point those
-    channels define: only the representatives' links are read.
+    channels define: only the representatives' links are read, and ``p``
+    is the group's prime.
     """
-    orders, orbits = group or ((), None)
+    orders, orbits = group[:2] if group else ((), None)
     projected, R = _project_decorrelators(cfg, channels, p, orbits)
     return prod(orders) * projected + sum(gf_rank(R_chi, p) for R_chi in _fold(R, orders, p))
 
@@ -560,9 +584,10 @@ class RankVerdict:
     is set in numeric mode, ``modulus`` in prime-field mode, where
     ``error_bound`` additionally bounds the probability that a deficient
     verdict is a sampling artifact, by (C/p)^trials; a cross-check takes
-    one draw, so its bound is C/p. ``group`` is ``(orders, orbits)`` of
-    :func:`_group_point` when the one trial was a full-rank group point,
-    drawn from its trial seed.
+    one draw, so its bound is C/p. ``group`` is ``(orders, orbits, prime)``
+    of :func:`_group_point` when the one trial was a full-rank group point,
+    drawn from its trial seed over GF(prime); the JSON records the prime
+    only where it differs from ``modulus``.
     """
 
     mode: str
@@ -604,8 +629,10 @@ class RankVerdict:
             out["modulus"] = self.modulus
             out["error_bound"] = self.error_bound
         if self.group:
-            orders, orbits = self.group
+            orders, orbits, prime = self.group
             out["group"] = {"orders": list(orders), "orbits": [list(o) for o in orbits]}
+            if prime != self.modulus:
+                out["group"]["prime"] = prime
         if self.note:
             out["note"] = self.note
         return out
@@ -633,10 +660,12 @@ def generic_full_row_rank(
     never exceed the generic rank; repeated deficient draws shrink the
     chance that deficiency is bad luck rather than structure.
 
-    In prime-field mode the first draw is ranked at its group point first
-    (module docstring). If that is full, the one trial decides and the
-    verdict records the group; if not, the draw itself is ranked, the
-    random draws decide, and ``note`` says so. ``cross_check`` asks for
+    In prime-field mode the first trial seed is first drawn and ranked at
+    its group point, over the group's own prime p' (module docstring). If
+    that is full, the one trial decides and the verdict records the group
+    and p'; if not, the random draws over GF(p) decide, the first of them
+    that same draw when p' = p and a redraw of the seed at p otherwise,
+    and ``note`` says so. ``cross_check`` asks for
     one draw and no group point: the cross-check of a counting witness
     (see :mod:`~iafeas.report`) looks for deficiency, and a deficient
     group point proves none.
@@ -670,11 +699,14 @@ def generic_full_row_rank(
             ch = sample_channels(cfg, ts, field=COMPLEX)
             r, tol = _svd_rank(build_jacobian(cfg, ch).matrix)
         else:
-            ch = sample_channels(cfg, ts, field=modulus)
-            r = _gf_rank_at(cfg, ch, modulus, group)
+            field = group[2] if group else modulus
+            ch = sample_channels(cfg, ts, field=field)
+            r = _gf_rank_at(cfg, ch, field, group)
             if group is not None and r < C:
                 # only a full group point decides (module docstring)
                 group, note = None, "the group point is deficient; random draws decide"
+                if field != modulus:
+                    ch = sample_channels(cfg, ts, field=modulus)
                 r = _gf_rank_at(cfg, ch, modulus)
         ranks.append(r)
         if r == C:

@@ -135,8 +135,11 @@ def structured_channels(cfg, seed, group, p=DEFAULT_PRIME):
     most significant, applied to the orbit's first pair. The links out of
     each first pair come from the prime-field draw of ``seed``, and
     H_{gk,gj} = H_kj defines the rest: H_{k,j} = H_{r,j'} for k = g r, r
-    the first pair of k's orbit, and j' = (-g) j.
+    the first pair of k's orbit, and j' = (-g) j. The draw is over the
+    group's own prime, the entry's ``"prime"``, which is recorded only
+    where it differs from the report's modulus ``p``.
     """
+    p = group.get("prime", p)
     orders = group["orders"]
     place = {}
     for orbit in group["orbits"]:

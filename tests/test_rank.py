@@ -28,6 +28,7 @@ from iafeas.rank import (
     _fold,
     _gf_rank_at,
     _group_point,
+    _group_prime,
     _inner_steps,
     _left_null_basis,
     _project_decorrelators,
@@ -35,7 +36,13 @@ from iafeas.rank import (
     _sub_product,
 )
 
-from helpers import gf_rank_reference, numeric_rank, random_config, structured_channels
+from helpers import (
+    gf_rank_reference,
+    numeric_rank,
+    random_config,
+    structured_channels,
+    trial_division_is_prime,
+)
 
 PRIME = (1 << 31) - 1
 
@@ -570,13 +577,14 @@ def _mixed_rung(k, ds):
 @pytest.mark.parametrize(
     "cfg, orders",
     [
-        (NetworkConfig.symmetric(20, 21, 21, 2), (2, 2)),  # 5 does not divide p - 1
+        # 5 does not divide p - 1: the group takes a prime of its own
+        (NetworkConfig.symmetric(20, 21, 21, 2), (2, 2, 5)),
         (NetworkConfig.symmetric(16, 17, 17, 2), (2, 2, 2, 2)),
-        (NetworkConfig.symmetric(15, 8, 8, 1), (3,)),
+        (NetworkConfig.symmetric(15, 8, 8, 1), (3, 5)),
         (_mixed_rung(12, (1, 2)), (2, 3)),
         (_mixed_rung(14, (1, 2, 3)), None),
-        (NetworkConfig.symmetric(13, 8, 8, 1), None),
-        (NetworkConfig.symmetric(5, 3, 3, 1), None),
+        (NetworkConfig.symmetric(13, 8, 8, 1), (13,)),
+        (NetworkConfig.symmetric(5, 3, 3, 1), (5,)),
         (NetworkConfig.from_tuples([(2, 2, 1), (3, 3, 1), (2, 2, 1)]), None),
     ],
 )
@@ -586,6 +594,8 @@ def test_group_point_takes_the_largest_usable_group(cfg, orders):
         assert group is None
         return
     assert group[0] == orders
+    # the characters of every factor live in the group's own field
+    assert all((group[2] - 1) % q == 0 for q in orders)
     n = int(np.prod(orders))
     orbits = group[1]
     # consecutive chunks of each type's pairs, ordered by representative
@@ -596,6 +606,34 @@ def test_group_point_takes_the_largest_usable_group(cfg, orders):
         same = [k for k in range(1, cfg.K + 1) if cfg.pairs[k - 1] == cfg.pairs[orbit[0] - 1]]
         start = same.index(orbit[0])
         assert list(orbit) == same[start : start + n] and start % n == 0
+
+
+@pytest.mark.parametrize("p", [PRIME, 1048609, 1048583])
+@pytest.mark.parametrize("r", [2, 5, 10, 13, 15, 30])
+def test_group_prime_is_the_largest_prime_that_fits(r, p):
+    prime = _group_prime(r, p)
+    if (p - 1) % r == 0:
+        assert prime == p
+        return
+    if prime != p:
+        assert trial_division_is_prime(prime) and prime % r == 1 and 1 << 20 <= prime < p
+    # no larger prime = 1 (mod r) at or below p; if none was taken, none in range
+    above = range(prime + 1 if prime != p else 1 << 20, p + 1)
+    assert not any(trial_division_is_prime(c) for c in above if c % r == 1)
+
+
+def test_a_group_without_a_prime_in_range_stays_at_p():
+    # 1048576 and 1048581 are the only numbers = 1 (mod 5) in [2**20, p],
+    # and 1048581 alone = 1 (mod 10); neither is prime
+    p = 1048583
+    assert _group_prime(5, p) == _group_prime(10, p) == p
+    assert _group_point(NetworkConfig.symmetric(5, 3, 3, 1), p) is None
+    # 2 divides p - 1, so multiplicity 10 keeps Z_2 at p
+    cfg = NetworkConfig.symmetric(10, 6, 6, 1)
+    orbits = tuple((k, k + 1) for k in range(1, 11, 2))
+    assert _group_point(cfg, p) == ((2,), orbits, p)
+    section = generic_full_row_rank(cfg, p=p).to_dict()
+    assert section["group"] == {"orders": [2], "orbits": [list(o) for o in orbits]}
 
 
 @pytest.mark.parametrize(
@@ -633,12 +671,13 @@ def test_fold_matches_the_character_sums(orders, p):
 
 @st.composite
 def _repeated_types(draw):
-    """Types repeated 2, 3, 4 or 6 times, at most 8 pairs, in random order.
+    """Types repeated 2, 3, 4, 5, 6 or 10 times, in random order.
 
-    Antennas are d plus a slack of up to K d, so that C <= V is common.
+    At most 8 pairs, or 10 pairs of one type. Antennas are d plus a slack
+    of up to K d, so that C <= V is common.
     """
-    mult = draw(st.sampled_from([2, 3, 4, 6]))
-    kinds = draw(st.integers(1, 8 // mult))
+    mult = draw(st.sampled_from([2, 3, 4, 5, 6, 10]))
+    kinds = draw(st.integers(1, max(1, 8 // mult)))
     pairs = []
     for _ in range(kinds):
         d = draw(st.integers(1, 2))
@@ -649,9 +688,14 @@ def _repeated_types(draw):
 
 
 @settings(max_examples=60, deadline=None)
-# 6 divides p - 1 at both primes, so every multiplicity drawn gives a group
+# 6 divides p - 1 at both primes, and 5 does not, but at both there is a
+# prime = 1 (mod 10) of the group's own: every multiplicity drawn gives a group
 @given(_repeated_types(), st.integers(0, 2**32 - 1), st.sampled_from([1048609, PRIME]))
 @example(NetworkConfig.symmetric(3, 2, 2, 1), 0, PRIME)
+@example(NetworkConfig.symmetric(5, 3, 3, 1), 0, PRIME)
+@example(NetworkConfig.symmetric(5, 3, 3, 1), 0, 1048609)
+@example(NetworkConfig.symmetric(10, 6, 6, 1), 1, PRIME)
+@example(NetworkConfig.from_tuples([(6, 5, 1), (8, 8, 1)] * 5), 3, 1048609)
 @example(NetworkConfig.symmetric(4, 6, 4, 2), 0, PRIME)
 @example(NetworkConfig.symmetric(6, 5, 5, 1), 2, PRIME)
 # N = d and M = d: receivers without rows and transmitters without columns
@@ -661,18 +705,23 @@ def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p
     C, V = system_shape(cfg)
     assume(0 < C <= V)
     group = _group_point(cfg, p)
-    as_json = {"orders": list(group[0]), "orbits": [list(o) for o in group[1]]}
+    orders, orbits, prime = group
+    as_json = {"orders": list(orders), "orbits": [list(o) for o in orbits]}
+    if prime != p:
+        as_json["prime"] = prime
     point = structured_channels(cfg, seed, as_json, p)
-    full = gf_rank_reference(build_jacobian(cfg, point).matrix, p)
-    assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=p), p, group) == full
+    assert point.field == prime
+    full = gf_rank_reference(build_jacobian(cfg, point).matrix, prime)
+    assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=prime), prime, group) == full
 
-    # a full group point is rebuilt from the rank section's JSON alone
+    # a full group point is rebuilt from the rank section's JSON alone, its
+    # own prime included
     verdict = generic_full_row_rank(cfg, seed=seed, p=p)
     section = json.loads(json.dumps(verdict.to_dict()))
     if "group" in section:
         assert section["group"] == as_json and section["trial_ranks"] == [C]
         point = structured_channels(cfg, section["trial_seeds"][0], section["group"], p)
-        assert gf_rank_reference(build_jacobian(cfg, point).matrix, p) == C
+        assert gf_rank_reference(build_jacobian(cfg, point).matrix, point.field) == C
 
 
 def _outcome(cfg, seed):
@@ -697,7 +746,7 @@ def test_a_witnessed_infeasible_keeps_random_draws():
     # the antenna budget decides; a group point could never expose a defect
     cfg = NetworkConfig.symmetric(3, 4, 8, 3)
     assert system_shape(cfg) == (54, 54)
-    assert _group_point(cfg, PRIME) == ((3,), ((1, 2, 3),))
+    assert _group_point(cfg, PRIME) == ((3,), ((1, 2, 3),), PRIME)
     rep = feasibility_report(cfg, seed=0)
     assert rep.witness.kind == "antenna_budget"
     assert rep.rank.trials == 1 and rep.rank.group is None
@@ -741,7 +790,34 @@ def test_a_deficient_group_point_reuses_its_draw(monkeypatch):
     assert tuple(seeds) == rank.trial_seeds
 
 
-@pytest.mark.parametrize("pairs", [((2, 2, 1),) * 3, ((6, 4, 2),) * 4, ((8, 8, 2),) * 6])
+def test_a_deficient_group_point_at_its_own_prime_redraws_at_p(monkeypatch):
+    # the group point's draw is over p', so the fallback draws the first
+    # trial seed again at p: three trials, four draws
+    cfg = NetworkConfig.symmetric(5, 4, 4, 1)
+    orders, _, prime = _group_point(cfg, PRIME)
+    assert orders == (5,) and prime != PRIME
+    draws = []
+    draw = iafeas.rank.sample_channels
+    rank_at = iafeas.rank._gf_rank_at
+
+    def counting(cfg, seed, field):
+        draws.append((seed, field))
+        return draw(cfg, seed, field=field)
+
+    def deficient(*args):
+        # every point loses one rank, so every trial runs
+        return rank_at(*args) - 1
+
+    monkeypatch.setattr(iafeas.rank, "sample_channels", counting)
+    monkeypatch.setattr(iafeas.rank, "_gf_rank_at", deficient)
+    rank = generic_full_row_rank(cfg, seed=0)
+    assert rank.note == _FALLBACK_NOTE and rank.trials == 3 and rank.group is None
+    assert draws == [(rank.trial_seeds[0], prime)] + [(ts, PRIME) for ts in rank.trial_seeds]
+
+
+@pytest.mark.parametrize(
+    "pairs", [((2, 2, 1),) * 3, ((6, 4, 2),) * 4, ((8, 8, 2),) * 6, ((4, 4, 1),) * 5]
+)
 def test_a_forced_deficient_group_point_falls_back_to_a_full_draw(pairs, monkeypatch):
     # no generically full network with a deficient group point is known, so
     # the fold is made to lose one block's rank

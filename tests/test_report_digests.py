@@ -10,9 +10,12 @@ here and names the first configuration that moved.
 Few of those draws repeat a pair type, so ``data/group_report_digests.json``
 pins the rank test's group point the same way: ``FALLBACKS``, whose group
 point is deficient, then ``GROUP_COUNT`` draws of :func:`group_config`
-(numpy seed ``GROUP_SEED``). Each entry also records the path its rank
-section took: ``group`` (a full group point decided), ``fallback`` (a
-deficient group point, random draws decided) or ``random``.
+(numpy seed ``GROUP_SEED``), then ``PRIME_COUNT`` draws of
+:func:`prime_group_config` (numpy seed ``PRIME_SEED``), whose group points
+mostly take a prime of their own. Each entry also records the path its
+rank section took: ``group`` (a full group point decided), ``fallback`` (a
+deficient group point, random draws decided) or ``random``, and the
+group's own prime where the section records one.
 
 Regenerate both files with ``PYTHONPATH=src python
 tests/test_report_digests.py`` only when a report format change is
@@ -36,6 +39,8 @@ DIGEST_COUNT = 300
 GROUP_DIGESTS = Path(__file__).parent / "data" / "group_report_digests.json"
 GROUP_SEED = 20261
 GROUP_COUNT = 56
+PRIME_SEED = 20262
+PRIME_COUNT = 12
 #: generically deficient networks that pass every counting check
 FALLBACKS = (
     ((2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)),
@@ -77,16 +82,37 @@ def group_config(rng):
     return NetworkConfig.from_tuples([pairs[i] for i in rng.permutation(K)])
 
 
+def prime_group_config(rng):
+    """5 pairs of each of one or two types, or 10 of one, shuffled.
+
+    5 does not divide 2**31 - 2, so these groups take a prime of their
+    own. Streams and antennas are drawn as in :func:`group_config`.
+    """
+    mult = int(rng.choice([5, 10]))
+    kinds = int(rng.integers(1, 10 // mult + 1))
+    K = mult * kinds
+    pairs = []
+    for _ in range(kinds):
+        d = int(rng.integers(1, 3))
+        M, N = (d + int(rng.integers(K * d // 4, K * d + 1)) for _ in "MN")
+        pairs += [(M, N, d)] * mult
+    return NetworkConfig.from_tuples([pairs[i] for i in rng.permutation(K)])
+
+
 def group_report_digests():
     rng = np.random.default_rng(GROUP_SEED)
     cfgs = [NetworkConfig.from_tuples(pairs) for pairs in FALLBACKS]
     cfgs += [group_config(rng) for _ in range(GROUP_COUNT)]
+    rng = np.random.default_rng(PRIME_SEED)
+    cfgs += [prime_group_config(rng) for _ in range(PRIME_COUNT)]
     out = []
     for i, cfg in enumerate(cfgs):
         entry, report = _entry(cfg, i)
         rank = report["rank"]
         fallback = "group point" in rank.get("note", "")
         entry["path"] = "group" if "group" in rank else "fallback" if fallback else "random"
+        if "prime" in rank.get("group", {}):
+            entry["prime"] = rank["group"]["prime"]
         out.append(entry)
     return out
 
@@ -104,8 +130,10 @@ def test_report_digests_are_unchanged():
 def test_group_point_report_digests_are_unchanged():
     expected = json.loads(GROUP_DIGESTS.read_text())
     paths = [e["path"] for e in expected]
-    # the pinned list covers both outcomes of the group point
+    # the pinned list covers both outcomes of the group point, and group
+    # points at a prime of their own
     assert paths.count("group") >= 40 and paths.count("fallback") >= 1
+    assert any("prime" in e for e in expected)
     _assert_pinned(group_report_digests(), expected)
 
 
