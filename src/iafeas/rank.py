@@ -68,12 +68,13 @@ p' <= p with p' = 1 (mod r) and p' >= 2**20, or p if there is none. Let
 G = prod_q (Z_q)^{a_q} be the largest elementary abelian group with
 every q dividing both p' - 1 and g, and let it act freely on the pairs:
 each type's pairs, in pair order, fall into consecutive orbits of |G|
-pairs, element x taking a representative to the orbit's x-th pair. The group point keeps
-the drawn links out of each representative and sets H_{gk,gj} = H_kj for
-the rest. Then G_gk is G_k with its rows permuted, and the rows of R for
-receiver gk are those for k with the transmitters shifted by g, so R is
-block circulant over G: its block between receivers g k and transmitters
-h j is T_{h - g}, the representatives' rows at transmitters (h - g) j.
+pairs, element x taking a representative to the orbit's x-th pair. The
+group point keeps the drawn links out of each representative and sets
+H_{gk,gj} = H_kj for the rest. Then G_gk is G_k with its rows permuted,
+and the rows of R for receiver gk are those for k with the transmitters
+shifted by g, so R is block circulant over G: its block between receivers
+g k and transmitters h j is T_{h - g}, the representatives' rows at
+transmitters (h - g) j.
 Over GF(p'), where q | p' - 1 gives each Z_q the characters x -> w^(c x)
 for a primitive q-th root w, the character transform splits R into one
 block R_chi = sum_x chi(x) T_x per character chi, each |G| times smaller
@@ -562,13 +563,15 @@ def _fold(R: np.ndarray, orders: tuple, p: int) -> list:
     return list(folded.astype(np.int64).reshape(n, rows, width))
 
 
-def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, p: int, group=None) -> int:
-    """Rank over GF(p) of the coefficient matrix at ``channels``.
+def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, group=None) -> int:
+    """Rank of the coefficient matrix at ``channels``, over the prime field
+    GF(p) they were drawn over.
 
     With ``group`` from :func:`_group_point`, at the group point those
-    channels define: only the representatives' links are read, and ``p``
-    is the group's prime.
+    channels define, which are drawn over the group's prime: only the
+    representatives' links are read.
     """
+    p = channels.field
     orders, orbits = group[:2] if group else ((), None)
     projected, R = _project_decorrelators(cfg, channels, p, orbits)
     return prod(orders) * projected + sum(gf_rank(R_chi, p) for R_chi in _fold(R, orders, p))
@@ -665,10 +668,10 @@ def generic_full_row_rank(
     that is full, the one trial decides and the verdict records the group
     and p'; if not, the random draws over GF(p) decide, the first of them
     that same draw when p' = p and a redraw of the seed at p otherwise,
-    and ``note`` says so. ``cross_check`` asks for
-    one draw and no group point: the cross-check of a counting witness
-    (see :mod:`~iafeas.report`) looks for deficiency, and a deficient
-    group point proves none.
+    and ``note`` says so. ``cross_check`` asks for one draw and no group
+    point: the cross-check of a counting witness (see
+    :mod:`~iafeas.report`) looks for deficiency, and a deficient group
+    point proves none.
 
     Shortcuts: C > V is deficient without sampling (more constraints than
     variables); so is a pair with d_k > min(M_k, N_k), whose transceivers
@@ -699,15 +702,14 @@ def generic_full_row_rank(
             ch = sample_channels(cfg, ts, field=COMPLEX)
             r, tol = _svd_rank(build_jacobian(cfg, ch).matrix)
         else:
-            field = group[2] if group else modulus
-            ch = sample_channels(cfg, ts, field=field)
-            r = _gf_rank_at(cfg, ch, field, group)
+            ch = sample_channels(cfg, ts, field=group[2] if group else modulus)
+            r = _gf_rank_at(cfg, ch, group)
             if group is not None and r < C:
                 # only a full group point decides (module docstring)
                 group, note = None, "the group point is deficient; random draws decide"
-                if field != modulus:
+                if ch.field != modulus:
                     ch = sample_channels(cfg, ts, field=modulus)
-                r = _gf_rank_at(cfg, ch, modulus)
+                r = _gf_rank_at(cfg, ch)
         ranks.append(r)
         if r == C:
             break

@@ -712,7 +712,7 @@ def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p
     point = structured_channels(cfg, seed, as_json, p)
     assert point.field == prime
     full = gf_rank_reference(build_jacobian(cfg, point).matrix, prime)
-    assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=prime), prime, group) == full
+    assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=prime), group) == full
 
     # a full group point is rebuilt from the rank section's JSON alone, its
     # own prime included
