@@ -17,13 +17,21 @@ rank section took: ``group`` (a full group point decided), ``fallback`` (a
 deficient group point, random draws decided) or ``random``, and the
 group's own prime where the section records one.
 
-Regenerate both files with ``PYTHONPATH=src python
+``data/ladder_report_digests.json`` pins the benchmark ladder's five rungs
+whole, at ladder seeds ``LADDER_SEEDS``: each entry holds the rung's pairs
+and the report seed of the ladder's first pass, as
+``perfbench/workloads.py`` draws them, so the test itself needs nothing
+from the benchmark. The rungs include the groupless K = 14 mix and the
+(Z_2)^2 x Z_5 group point of (21x21,2)^20, which no other pin covers.
+
+Regenerate the three files with ``PYTHONPATH=src python
 tests/test_report_digests.py`` only when a report format change is
 intended.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +49,8 @@ GROUP_SEED = 20261
 GROUP_COUNT = 56
 PRIME_SEED = 20262
 PRIME_COUNT = 12
+LADDER_DIGESTS = Path(__file__).parent / "data" / "ladder_report_digests.json"
+LADDER_SEEDS = (1, 2)
 #: generically deficient networks that pass every counting check
 FALLBACKS = (
     ((2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)),
@@ -117,6 +127,21 @@ def group_report_digests():
     return out
 
 
+def ladder_report_digests():
+    sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+    from workloads import ladder
+
+    out = []
+    for seed in LADDER_SEEDS:
+        wl = ladder(seed)
+        for pairs, report_seed in zip(wl.configs, wl.report_seeds):
+            cfg = NetworkConfig.from_tuples(pairs)
+            entry = _entry(cfg, report_seed)[0]
+            out.append({"seed": seed, "pairs": [list(pair) for pair in pairs],
+                        "report_seed": report_seed, **entry})
+    return out
+
+
 def _assert_pinned(got, expected):
     assert len(got) == len(expected)
     for i, (g, e) in enumerate(zip(got, expected)):
@@ -137,6 +162,19 @@ def test_group_point_report_digests_are_unchanged():
     _assert_pinned(group_report_digests(), expected)
 
 
+def test_ladder_report_digests_are_unchanged():
+    expected = json.loads(LADDER_DIGESTS.read_text())
+    assert sorted({e["seed"] for e in expected}) == list(LADDER_SEEDS)
+    got = []
+    for e in expected:
+        cfg = NetworkConfig.from_tuples(e["pairs"])
+        entry = {"seed": e["seed"], "pairs": e["pairs"], "report_seed": e["report_seed"]}
+        got.append({**entry, **_entry(cfg, e["report_seed"])[0]})
+    _assert_pinned(got, expected)
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(report_digests(), indent=1) + "\n")
     GROUP_DIGESTS.write_text(json.dumps(group_report_digests(), indent=1) + "\n")
+    lines = ",\n ".join(json.dumps(e) for e in ladder_report_digests())
+    LADDER_DIGESTS.write_text(f"[\n {lines}\n]\n")
