@@ -39,6 +39,19 @@ blocks, each reduced before the next. The solve and the updates write
 into the matrix in place, and each update works through its columns in
 slices of at most 256, reusing one slice's work arrays.
 
+The kernel ranks a stack of B blocks of one shape in one pass, along a
+leading axis of every array: the products broadcast over it, and a leaf
+takes each pivot step for all blocks at once. It reads every block's
+diagonal entry, and only a block whose entry is 0 searches its own column
+for a pivot row and swaps its own rows. The blocks share one recursion,
+which splits their columns at the same pivot rows, so they must agree on
+which columns have a pivot. Where a column has a pivot in some blocks and
+none in others, the stack is split, and each block is ranked alone from
+its own entries by the same kernel. A block of full rank never splits a
+stack: ranked in its orientation, with no more columns than rows, it has
+a pivot in every column, so full blocks agree on all of them. Only
+deficient stacks pay for the split. A single matrix is a stack of one.
+
 In prime-field mode the C x V matrix A is never formed whole. Row
 (k, j, p, q) puts ``H_kj[d_k:, q]`` in receiver k's decorrelator block for
 stream p, an entry that depends on p only through that placement. So the
@@ -81,6 +94,11 @@ block R_chi = sum_x chi(x) T_x per character chi, each |G| times smaller
 on each side (Davis, *Circulant Matrices*, 1979), and
 
     rank A = |G| sum_{k rep} d_k rank G_k + sum_chi rank R_chi.
+
+The blocks R_chi are ranked as one stack. At a full group point every
+block is full, so the |G| blocks take as many pivot steps as one: 38 for
+the twenty 38 x 38 blocks of (21x21,2)^20, where one kernel call per
+block took 20 x 38.
 
 A full rank over GF(p') certifies like one over GF(p), since a minor that
 is nonzero mod p' is a nonzero integer polynomial. A deficient group
@@ -171,8 +189,10 @@ def _center(X: np.ndarray, p: int, out=None, work=None) -> np.ndarray:
 
 def _split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered residues as ``hi * _LIMB + lo``, |lo| <= _LIMB / 2."""
-    hi = np.rint(A * (1.0 / _LIMB))
-    return hi, A - hi * _LIMB
+    hi = np.multiply(A, 1.0 / _LIMB)
+    np.rint(hi, out=hi)
+    lo = np.multiply(hi, _LIMB)
+    return hi, np.subtract(A, lo, out=lo)
 
 
 def _inner_steps(p: int) -> tuple[int, int]:
@@ -192,129 +212,185 @@ def _inner_steps(p: int) -> tuple[int, int]:
 def _sub_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
     """``C <- C - A @ B`` centered mod p in place, exact through float64 BLAS.
 
-    All three hold centered residues. A's residues are split into limbs,
-    ``a = hi * _LIMB + lo``, and ``a * b = hi * (_LIMB * b mod p) + lo * b
-    (mod p)`` makes each block of inner terms two products, reduced before
-    the next block (see :func:`_inner_steps` and the module docstring). C
-    is worked through in slices of columns, and each slice's product is
-    complete before the slice is written, so C may be B itself.
+    All three hold centered residues, as matrices or as stacks of them
+    with a leading axis that the products broadcast over. A's residues
+    are split into limbs, ``a = hi * _LIMB + lo``, and ``a * b = hi *
+    (_LIMB * b mod p) + lo * b (mod p)`` makes each block of inner terms
+    two products, reduced before the next block (see :func:`_inner_steps`
+    and the module docstring). C is worked through in slices of columns,
+    and each slice's product is complete before the slice is written, so
+    C may be B itself.
     """
-    k = A.shape[1]
+    k = A.shape[-1]
     if not k:
         return
     one, two = _inner_steps(p)
     step = k if k <= one else two
     hi, lo = _split(A)
-    rows, n = C.shape
+    n = C.shape[-1]
     w = min(n, _SLICE_COLUMNS)
-    f_work, g_work = np.empty((rows, w)), np.empty((rows, w))
+    f_work, g_work = np.empty(C.shape[:-1] + (w,)), np.empty(C.shape[:-1] + (w,))
     for j in range(0, n, w):
-        b = B[:, j : j + w]
+        b = B[..., j : j + w]
         b16 = _center(b * float(_LIMB), p)
-        f, g = f_work[:, : b.shape[1]], g_work[:, : b.shape[1]]
+        f, g = f_work[..., : b.shape[-1]], g_work[..., : b.shape[-1]]
         for i in range(0, k, step):
-            np.matmul(hi[:, i : i + step], b16[i : i + step], out=g)
-            np.subtract(f if i else C[:, j : j + w], g, out=f)
-            np.matmul(lo[:, i : i + step], b[i : i + step], out=g)
+            np.matmul(hi[..., i : i + step], b16[..., i : i + step, :], out=g)
+            np.subtract(f if i else C[..., j : j + w], g, out=f)
+            np.matmul(lo[..., i : i + step], b[..., i : i + step, :], out=g)
             f -= g
             if step > one:
                 _center(f, p, work=g)
-            _center(f, p, out=C[:, j : j + w] if i + step >= k else None, work=g)
+            _center(f, p, out=C[..., j : j + w] if i + step >= k else None, work=g)
 
 
 def _solve_lower(tree, L: np.ndarray, B: np.ndarray, p: int) -> None:
-    """``B <- L^-1 @ B mod p`` in place, for the lower triangular factor of
-    ``tree``.
+    """``B <- L^-1 @ B mod p`` in place, block by block of a stack, for the
+    lower triangular factors of ``tree``.
 
-    ``L`` holds the factor on and below its diagonal; entries above it are
-    ignored. ``tree`` mirrors the elimination that produced L: a leaf is
-    the matrix ``I - L^-1`` of its pivots, an inner node is
+    ``L`` holds the factors on and below their diagonal; entries above it
+    are ignored. ``tree`` mirrors the elimination that produced L: a leaf
+    is the stack of matrices ``I - L^-1`` of its pivots, an inner node is
     ``(k, left, right)`` with k pivots on the left.
     """
-    if len(B) == 0:
+    if not B.shape[1]:
         return
     if isinstance(tree, np.ndarray):
         _sub_product(B, tree, B, p)
         return
     k, left, right = tree
-    _solve_lower(left, L[:k, :k], B[:k], p)
-    _sub_product(B[k:], L[k:, :k], B[:k], p)
-    _solve_lower(right, L[k:, k:], B[k:], p)
+    _solve_lower(left, L[:, :k, :k], B[:, :k], p)
+    _sub_product(B[:, k:], L[:, k:, :k], B[:, :k], p)
+    _solve_lower(right, L[:, k:, k:], B[:, k:], p)
+
+
+def _inverses(xs: list, p: int) -> list:
+    """The inverses mod p of the integers ``xs``, none divisible by p.
+
+    One modular inversion however many there are (Montgomery's trick):
+    the inverse of the product of all of them, times the product of all
+    but one, is that one's inverse.
+    """
+    if len(xs) == 1:
+        return [pow(xs[0], -1, p)]
+    out = []
+    acc = 1
+    for x in xs:
+        out.append(acc)
+        acc = acc * x % p
+    inv = pow(acc, -1, p)
+    for k in range(len(xs) - 1, 0, -1):
+        out[k] = inv * out[k] % p
+        inv = inv * xs[k] % p
+    out[0] = inv
+    return out
+
+
+#: offsets of the two rows of a swap: a pivot row and the row it trades with
+_SWAP = np.array([0, 1])
+
+
+class _Disagree(Exception):
+    """The blocks of a stack disagree on whether a column has a pivot."""
 
 
 def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
-    """Column-by-column elimination of ``A[r:, c0:c1]``, Crout style.
+    """Column-by-column elimination of ``A[:, r:, c0:c1]``, Crout style.
 
-    Works in int64 on a transposed copy of the panel, so that each of its
-    columns is contiguous, and searches for a pivot only when the diagonal
-    entry is 0. Each pivot column stays in place, centered, as the lower
-    factor L; the pivot row is scaled by the pivot's inverse, so the upper
-    factor has a unit diagonal, and the rows below take the rank-1 update
-    ``row -= L[row, c] * scaled pivot row``. Each update moves an entry
-    by at most ((p - 1) / 2)**2 < 2**60, so the panel is reduced only every
-    ``_LEAF_DELAY`` updates; a column and a pivot row are reduced when
-    they are read. Returns the next free pivot row and, if ``inverse``,
+    Works in int64 on a transposed copy of each block's panel, so that
+    each of its columns is contiguous. One pivot step serves every block
+    of the stack: a block searches for its pivot row only where its
+    diagonal entry is 0, and swaps its own rows. A column with a pivot in
+    some blocks and none in others raises :class:`_Disagree`. Each pivot
+    column stays as the lower factor L; the pivot row is scaled by the
+    pivot's inverse, so the upper factor has a unit diagonal, and the rows
+    below take the rank-1 update ``row -= L[row, c] * scaled pivot row``.
+    Each update moves an entry by at most ((p - 1) / 2)**2 < 2**60, so the
+    panel is reduced only every ``_LEAF_DELAY`` updates; a column and a
+    pivot row are reduced when they are read.
+
+    Returns the next free pivot row and, if ``inverse``, the stack of
     ``I - L^-1`` for the leaf's pivots (centered, float64), else None.
+    Only with ``inverse``, where a caller solves with the factors, does the
+    leaf write them into ``A``, centered, with the rows swapped whole;
+    otherwise nothing reads them, and ``A`` is left as it was.
     """
-    m = A.shape[0]
-    T = np.array(A[r:, c0:c1].T, dtype=np.int64, order="C")
-    work = np.empty_like(T)
+    B, m = A.shape[:2]
+    w = c1 - c0
+    # T[:w] holds the panel transposed, T[c, b] column c of block b; T[w]
+    # numbers the rows, and moves with them when rows are swapped. In
+    # ``flat``, row c * B + b is T[c, b].
+    T = np.empty((w + 1, B, m - r), dtype=np.int64)
+    T[:w] = A[:, r:, c0:c1].transpose(2, 0, 1)
+    T[w] = np.arange(r, m)
+    flat = T.reshape(-1, m - r)
+    work = np.empty((w, B, m - r), dtype=np.int64)
+    blocks = np.arange(B)[:, None]
     half = p // 2
     i = pending = 0
     cols = []
     dinv = []
-    # order[j]: the row of A that panel row j came from, if it moved
-    order = {}
-    for c in range(c1 - c0):
-        col = T[c, i:]
+    moved = False
+    for c in range(w):
+        col = T[c, :, i:]
         col += half
         col %= p
         col -= half
-        if not col[0]:
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
+        heads = col[:, 0].tolist()
+        if 0 in heads:
+            # swap rows i and i + s of each block, s its first nonzero
+            # entry in the column, or 0
+            swap = (col != 0).argmax(axis=1)[:, None] * _SWAP + i
+            T[:, blocks, swap] = T[:, blocks, swap[:, ::-1]]
+            moved = True
+            heads = col[:, 0].tolist()
+            if 0 in heads:
+                # a block with no pivot here: all of them, or a split
+                if any(heads):
+                    raise _Disagree
                 continue
-            s = i + nz[0]
-            T[:, [i, s]] = T[:, [s, i]]
-            order[i], order[s] = order.get(s, r + s), order.get(i, r + i)
-        dinv.append(pow(int(col[0]), -1, p))
-        if c + 1 < len(T) and i + 1 < T.shape[1]:
-            u = T[c + 1 :, i] % p
-            u *= dinv[-1]
+        dinv += _inverses(heads, p)
+        if c + 1 < w and i + 1 < m - r:
+            # the pivot rows, scaled: u[k, b] is block b's at column c + 1 + k
+            u = (flat[(c + 1) * B : w * B, i] % p).reshape(-1, B)
+            u *= dinv[-B:]
             u += half
             u %= p
             u -= half
-            outer = work[: len(u), : len(col) - 1]
-            np.multiply.outer(u, col[1:], out=outer)
-            T[c + 1 :, i + 1 :] -= outer
+            outer = work[: len(u), :, : col.shape[1] - 1]
+            np.multiply(u[:, :, None], col[:, 1:], out=outer)
+            T[c + 1 : w, :, i + 1 :] -= outer
             pending += 1
             if pending == _LEAF_DELAY:
-                T[c + 1 :, i + 1 :] %= p
+                T[c + 1 : w, :, i + 1 :] %= p
                 pending = 0
         cols.append(c)
         pivots.append(c0 + c)
         i += 1
         if r + i == m:
             break
+    if not inverse:
+        # nothing reads these factors: A is left as it was
+        return r + i, None
+    T, order = T[:w], T[w]
     T += half
     T %= p
     T -= half
     # rows are swapped whole, so the stored factor entries of earlier
     # columns follow their rows
-    if order:
-        A[[r + j for j in order]] = A[list(order.values())]
-    A[r:, c0:c1] = T.T
-    if not inverse:
-        return r + i, None
+    if moved:
+        bs, js = np.nonzero(order != np.arange(r, m))
+        A[bs, r + js] = A[bs, order[bs, js]]
+    A[:, r:, c0:c1] = T.transpose(1, 2, 0)
     # L11 = Lu D with Lu unit lower triangular; I - L11^-1 = I - D^-1 Lu^-1
-    dinv = np.array(dinv, dtype=np.int64)
-    L = T[cols, :i].T * dinv % p
-    inv = np.eye(i, dtype=np.int64)
+    dinv = np.array(dinv, dtype=np.int64).reshape(i, B).T
+    L = T[cols, :, :i].transpose(1, 2, 0) * dinv[:, None, :] % p
+    inv = np.broadcast_to(np.eye(i, dtype=np.int64), L.shape).copy()
     for j in range(i - 1):
-        below = inv[j + 1 :, : j + 1]
-        below -= np.multiply.outer(L[j + 1 :, j], inv[j, : j + 1])
+        below = inv[:, j + 1 :, : j + 1]
+        below -= L[:, j + 1 :, j, None] * inv[:, j, None, : j + 1]
         below %= p
-    M = np.eye(i, dtype=np.int64) - dinv[:, None] * inv
+    M = np.eye(i, dtype=np.int64) - dinv[:, :, None] * inv
     M += half
     M %= p
     M -= half
@@ -322,29 +398,62 @@ def _eliminate_leaf(A, r, c0, c1, p, pivots, inverse):
 
 
 def _eliminate(A, r, c0, c1, p, pivots, inverse=False):
-    """Eliminate columns ``c0:c1`` of ``A`` below row ``r`` in place.
+    """Eliminate columns ``c0:c1`` of every block of the stack ``A`` below
+    row ``r`` in place.
 
     Rows are swapped whole, so the stored factor entries of earlier
-    columns follow their rows. Appends the pivot columns to ``pivots`` and
-    returns the next free pivot row with the solve tree of the pivots
-    found; its leaves hold ``I - L^-1`` only if ``inverse`` asks for a
-    tree that a solve will use.
+    columns follow their rows. Appends the pivot columns, which all blocks
+    share, to ``pivots`` and returns the next free pivot row with the
+    solve tree of the pivots found. ``inverse`` asks for the factors, the
+    tree that a solve will use and the columns in ``A``: a left half
+    always does, and a right half only if its caller does. So without
+    ``inverse`` a leaf leaves ``A`` as it was, since nothing reads it after.
     """
     if c1 - c0 <= _LEAF_COLUMNS:
         return _eliminate_leaf(A, r, c0, c1, p, pivots, inverse)
     cm = (c0 + c1) // 2
     first = len(pivots)
     r1, left = _eliminate(A, r, c0, cm, p, pivots, True)
-    if r1 == A.shape[0]:
+    if r1 == A.shape[1]:
         return r1, None
     if r1 > r:
-        L = A[r:, pivots[first:]]
+        L = A[:, r:, pivots[first:]]
         k = r1 - r
-        U12 = A[r:r1, cm:c1]
-        _solve_lower(left, L[:k], U12, p)
-        _sub_product(A[r1:, cm:c1], L[k:], U12, p)
+        U12 = A[:, r:r1, cm:c1]
+        _solve_lower(left, L[:, :k], U12, p)
+        _sub_product(A[:, r1:, cm:c1], L[:, k:], U12, p)
     r2, right = _eliminate(A, r1, cm, c1, p, pivots, inverse)
     return r2, (r1 - r, left, right)
+
+
+def _stack_ranks(stack: np.ndarray, p: int) -> list:
+    """Rank over GF(p) of each block of a (B, m, n) stack, for a valid p.
+
+    ``stack`` holds residues: integers in [0, p), or centered residues in
+    float64. It is never written, and it is ranked through its blocks'
+    transposes if m < n. All blocks go through one elimination; if they
+    disagree on a pivot column, each block is ranked alone (module
+    docstring).
+    """
+    if stack.shape[1] < stack.shape[2]:
+        # rank A = rank A^T: eliminate the fewer columns
+        stack = stack.transpose(0, 2, 1)
+    n = stack.shape[2]
+    if not n:
+        return [0] * len(stack)
+    if n <= _LEAF_COLUMNS:
+        # one leaf, which reads A and never writes it
+        A = stack
+    else:
+        A = stack.astype(np.float64, order="C")
+        if stack.dtype != np.float64:
+            # the products take centered residues
+            _center(A, p)
+    try:
+        rank = _eliminate(A, 0, 0, n, p, [])[0]
+    except _Disagree:
+        return [_stack_ranks(block[None], p)[0] for block in stack]
+    return [rank] * len(stack)
 
 
 def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
@@ -357,7 +466,8 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
     update ``A22 -= L21 @ U12 (mod p)`` are float64 BLAS products on a
     left operand split into 16-bit limbs, in blocks of inner terms whose
     partial sums stay within 2**53 - 2p (see the module docstring). So the
-    result is exact for every accepted prime.
+    result is exact for every accepted prime. The matrix is ranked as a
+    stack of one block (:func:`_stack_ranks`).
 
     Entries may be any integers that fit int64; they are reduced modulo p
     first.
@@ -370,16 +480,7 @@ def gf_rank(matrix, p: int = DEFAULT_PRIME) -> int:
         raise ValueError("rank needs a 2-d matrix")
     if A.dtype.kind not in "iuO":
         raise ValueError("gf_rank needs an integer matrix")
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return 0
-    if m < n:
-        # rank A = rank A^T: eliminate the fewer columns
-        A, n = A.T, m
-    A = np.mod(A, p).astype(np.int64, copy=False)
-    if n > _LEAF_COLUMNS:
-        A = _center(A.astype(np.float64, order="C"), p)
-    return _eliminate(A, 0, 0, n, p, [])[0]
+    return _stack_ranks(np.mod(A, p)[None], p)[0]
 
 
 def _left_null_basis(G: np.ndarray, p: int) -> tuple[int, np.ndarray]:
@@ -538,15 +639,16 @@ def _characters(orders: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
     return limbs
 
 
-def _fold(R: np.ndarray, orders: tuple, p: int) -> list:
+def _fold(R: np.ndarray, orders: tuple, p: int) -> np.ndarray:
     """The blocks ``R_chi = sum_x chi(x) T_x``, one per character of G.
 
     ``T_x`` is slab x of R's columns (see :func:`_project_decorrelators`);
-    the sums are float64 products on the split character table.
+    the sums are float64 products on the split character table. Returns
+    the blocks as one (|G|, rows, cols) stack of centered residues in
+    float64, in character order, which :func:`_stack_ranks` takes as it
+    is: the sums are never rounded to int64 and back.
     """
     n = prod(orders)
-    if n == 1:
-        return [R]
     rows, width = len(R), R.shape[1] // n
     # S[x] is T_x flattened; folded[c] = sum_x table[c, x] * S[x], each
     # block of inner terms as exact as in _sub_product (module docstring)
@@ -560,21 +662,27 @@ def _fold(R: np.ndarray, orders: tuple, p: int) -> list:
         folded += hi[:, i : i + step] @ S16[i : i + step]
         folded += lo[:, i : i + step] @ S[i : i + step]
         _center(folded, p)
-    return list(folded.astype(np.int64).reshape(n, rows, width))
+    return folded.reshape(n, rows, width)
 
 
 def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, group=None) -> int:
     """Rank of the coefficient matrix at ``channels``, over the prime field
     GF(p) they were drawn over.
 
-    With ``group`` from :func:`_group_point`, at the group point those
-    channels define, which are drawn over the group's prime: only the
-    representatives' links are read.
+    A random draw ranks its reduced matrix R with :func:`gf_rank`. With
+    ``group`` from :func:`_group_point`, the rank is taken at the group
+    point those channels define, which are drawn over the group's prime:
+    only the representatives' links are read, and the character blocks
+    are ranked as one stack, without :func:`gf_rank` and its check of the
+    prime, which the draw has made already.
     """
     p = channels.field
-    orders, orbits = group[:2] if group else ((), None)
+    if not group:
+        projected, R = _project_decorrelators(cfg, channels, p)
+        return projected + gf_rank(R, p)
+    orders, orbits = group[:2]
     projected, R = _project_decorrelators(cfg, channels, p, orbits)
-    return prod(orders) * projected + sum(gf_rank(R_chi, p) for R_chi in _fold(R, orders, p))
+    return prod(orders) * projected + sum(_stack_ranks(_fold(R, orders, p), p))
 
 
 @dataclass(frozen=True)

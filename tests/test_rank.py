@@ -33,6 +33,7 @@ from iafeas.rank import (
     _left_null_basis,
     _project_decorrelators,
     _split,
+    _stack_ranks,
     _sub_product,
 )
 
@@ -314,6 +315,65 @@ def test_gf_rank_with_a_pivot_search_in_every_leaf(kind):
     A[:, 5 * b + 3 : 5 * b + 5] = 0
     A[7] = A[100]
     assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME) == K * b - 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(["dense", "product", "pivot block"]), min_size=1, max_size=24),
+    st.integers(1, 90),
+    st.integers(1, 90),
+    st.sampled_from([1048583, 2147483629, PRIME]),
+    st.integers(0, 2**32 - 1),
+)
+# the folds of the ladder's group points: blocks of 7 x 7 at (8x8,1)^15,
+# 21 x 30 at the K = 12 mix, 30 x 30 at (17x17,2)^16, 38 x 38 at (21x21,2)^20
+@example(["dense"] * 15, 7, 7, PRIME, 0)
+@example(["dense"] * 6, 21, 30, PRIME, 1)
+@example(["dense"] * 16, 30, 30, PRIME, 2)
+@example(["dense"] * 20, 38, 38, PRIME, 3)
+# full, deficient and pivot blocks together, past the leaf width, and with
+# a top-level update longer than a block with one reduction (42 terms)
+@example(["dense", "product", "pivot block", "dense"], 90, 88, PRIME, 4)
+@example(["pivot block", "dense", "product"], 33, 90, 2147483629, 5)
+def test_stack_ranks_match_the_reference_block_by_block(kinds, m, n, p, seed):
+    stack = np.stack([_test_matrix(kind, m, n, p, seed + b) % p for b, kind in enumerate(kinds)])
+    kept = stack.copy()
+    assert _stack_ranks(stack, p) == [gf_rank_reference(block, p) for block in stack]
+    assert np.array_equal(stack, kept)
+
+
+def _counting_stack_ranks(monkeypatch):
+    """Record the number of blocks of every stack ranked, recursion included."""
+    calls = []
+    ranks = iafeas.rank._stack_ranks
+
+    def counting(stack, p):
+        calls.append(len(stack))
+        return ranks(stack, p)
+
+    monkeypatch.setattr(iafeas.rank, "_stack_ranks", counting)
+    return calls
+
+
+def test_blocks_that_disagree_on_a_pivot_column_are_ranked_alone(monkeypatch):
+    # block 1 has no pivot in column 45, in the second leaf, after the
+    # products have rewritten the stack's copy; blocks 0 and 2 are full
+    rng = np.random.default_rng(4)
+    stack = rng.integers(0, PRIME, size=(3, 70, 60))
+    stack[1, :, 45] = 0
+    calls = _counting_stack_ranks(monkeypatch)
+    assert iafeas.rank._stack_ranks(stack, PRIME) == [60, 59, 60]
+    assert calls == [3, 1, 1, 1]
+    # full blocks agree on every column, wide ones ranked through their
+    # transposes, and blocks that find a pivot in different rows: each
+    # takes one elimination
+    calls.clear()
+    assert iafeas.rank._stack_ranks(stack[[0, 2]].transpose(0, 2, 1), PRIME) == [60, 60]
+    full = rng.integers(0, PRIME, size=(4, 50, 40))
+    for b in range(4):
+        full[b, : 2 * b + 1, [0, 35]] = 0
+    assert iafeas.rank._stack_ranks(full, PRIME) == [40] * 4
+    assert calls == [2, 4]
 
 
 def test_gf_rank_matches_reference_on_ladder_jacobian():
@@ -667,6 +727,42 @@ def test_fold_matches_the_character_sums(orders, p):
             for r in range(rows)
         ]
         assert np.array_equal(block % p, np.array(want, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        NetworkConfig.symmetric(20, 21, 21, 2),
+        NetworkConfig.symmetric(16, 17, 17, 2),
+        NetworkConfig.symmetric(15, 8, 8, 1),
+        _mixed_rung(12, (1, 2)),
+    ],
+)
+def test_a_full_group_point_ranks_its_blocks_in_one_elimination(cfg, monkeypatch):
+    # every column of a full block gets a pivot, so the blocks never split
+    orders, orbits, prime = _group_point(cfg, PRIME)
+    _, R = _project_decorrelators(cfg, sample_channels(cfg, 7, field=prime), prime, orbits)
+    stack = _fold(R, orders, prime)
+    calls = _counting_stack_ranks(monkeypatch)
+    ranks = iafeas.rank._stack_ranks(stack, prime)
+    assert calls == [len(stack)] == [int(np.prod(orders))]
+    assert ranks == [gf_rank_reference(block, prime) for block in stack]
+    assert ranks == [min(stack.shape[1:])] * len(stack)
+
+
+def test_a_group_point_validates_its_prime_once_per_draw(monkeypatch):
+    # not once per character: the blocks are ranked without gf_rank
+    calls = []
+    validate = iafeas.rank.validate_field
+
+    def counting(field):
+        calls.append(field)
+        return validate(field)
+
+    monkeypatch.setattr(iafeas.rank, "validate_field", counting)
+    v = generic_full_row_rank(NetworkConfig.symmetric(20, 21, 21, 2))
+    assert v.group[0] == (2, 2, 5) and v.trials == 1
+    assert calls == [PRIME]
 
 
 @st.composite
