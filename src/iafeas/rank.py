@@ -271,8 +271,6 @@ def _inverses(xs: list, p: int) -> list:
     the inverse of the product of all of them, times the product of all
     but one, is that one's inverse.
     """
-    if len(xs) == 1:
-        return [pow(xs[0], -1, p)]
     out = []
     acc = 1
     for x in xs:
