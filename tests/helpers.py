@@ -21,6 +21,7 @@ from iafeas import (
 from iafeas.allocation import PressureTree, PttDefect
 from iafeas.fields import COMPLEX
 from iafeas.rank import DEFAULT_PRIME, _svd_rank
+from iafeas.transceivers import block_starts
 
 MAX_ENUM_PAIRS = 4
 
@@ -477,3 +478,193 @@ def _detach_subtree(node, parent, via):
         stack.extend(children[cur])
         del parent[cur]
         del via[cur]
+
+
+# ---------------------------------------------------------------------------
+# The numeric path as it stood link by link: the oracles for the stacked
+# solvers and the stacked placement. The loops are copied verbatim; the
+# argument checks are left to the package.
+# ---------------------------------------------------------------------------
+
+
+def cross_terms_reference(cfg, channels, U, V):
+    """U_k^H H_kj V_j for every link (k, j), in link order."""
+    for k, j in cfg.cross_pairs():
+        yield U[k - 1].conj().T @ channels.cross[(k, j)] @ V[j - 1]
+
+
+def cross_leakage_reference(cfg, channels, U, V) -> float:
+    total = 0.0
+    for T in cross_terms_reference(cfg, channels, U, V):
+        total += float(np.sum(np.abs(T) ** 2))
+    return total
+
+
+def direct_margin_reference(cfg, channels, U, V):
+    if not channels.direct:
+        return None
+    margin = np.inf
+    for k in range(1, cfg.K + 1):
+        D = U[k - 1].conj().T @ channels.direct[k] @ V[k - 1]
+        s = np.linalg.svd(D, compute_uv=False)
+        margin = min(margin, float(s[cfg.d(k) - 1]))
+    return margin
+
+
+def max_cross_reference(cfg, channels, U, V) -> float:
+    """``verify_ia``'s largest cross-term Frobenius norm, link by link."""
+    max_cross = 0.0
+    for T in cross_terms_reference(cfg, channels, U, V):
+        max_cross = max(max_cross, float(np.linalg.norm(T)))
+    return max_cross
+
+
+def alt_min_reference(cfg, channels, max_iters=500, seed=0):
+    """``solver.alt_min`` link by link: returns (U, V, history, iterations, margin)."""
+    K = cfg.K
+    rng = np.random.default_rng(seed)
+
+    V = []
+    for j in range(1, K + 1):
+        Z = rng.standard_normal((cfg.M(j), cfg.d(j))) + 1j * rng.standard_normal(
+            (cfg.M(j), cfg.d(j))
+        )
+        Q, _ = np.linalg.qr(Z)
+        V.append(Q[:, : cfg.d(j)])
+    U = [np.linalg.qr(channels.direct[k] @ V[k - 1])[0][:, : cfg.d(k)] for k in range(1, K + 1)]
+
+    # k first, then j ascending: Q_k sums over j ascending, B_j over k
+    links = tuple(cfg.cross_pairs())
+    history = [cross_leakage_reference(cfg, channels, U, V)]
+    converged = history[0] < 1e-10
+    iterations = 0
+    while not converged and iterations < max_iters:
+        iterations += 1
+        Q = [np.zeros((cfg.N(k), cfg.N(k)), dtype=complex) for k in range(1, K + 1)]
+        for k, j in links:
+            X = channels.cross[(k, j)] @ V[j - 1]
+            Q[k - 1] += X @ X.conj().T
+        for k in range(1, K + 1):
+            U[k - 1] = np.linalg.eigh(Q[k - 1])[1][:, : cfg.d(k)]
+        history.append(cross_leakage_reference(cfg, channels, U, V))
+        B = [np.zeros((cfg.M(j), cfg.M(j)), dtype=complex) for j in range(1, K + 1)]
+        for k, j in links:
+            X = channels.cross[(k, j)].conj().T @ U[k - 1]
+            B[j - 1] += X @ X.conj().T
+        for j in range(1, K + 1):
+            V[j - 1] = np.linalg.eigh(B[j - 1])[1][:, : cfg.d(j)]
+        history.append(cross_leakage_reference(cfg, channels, U, V))
+        converged = history[-1] < 1e-10
+
+    margin = direct_margin_reference(cfg, channels, U, V)
+    return U, V, tuple(history), iterations, margin
+
+
+def place_reference(cfg, channels, tilde):
+    """``jacobian._place`` link by link: the linear coefficients at a point."""
+    C, V = system_shape(cfg)
+    dtype = np.complex128 if channels.is_complex else np.int64
+    A = np.zeros((C, V), dtype=dtype)
+
+    starts = block_starts(cfg)
+
+    r = 0
+    for k, j in cfg.cross_pairs():
+        H = channels.cross[(k, j)]
+        dk, dj = cfg.d(k), cfg.d(j)
+        un = cfg.N(k) - dk
+        vm = cfg.M(j) - dj
+        # U_k^H H_kj and H_kj V_j; at the origin the loop reads their rows
+        # and columns straight from H_kj (the first d_k rows, d_j columns)
+        UH = HV = H
+        if tilde is not None:
+            UH = H[:dk, :] + tilde.u[k - 1].T @ H[dk:, :]
+            HV = H[:, :dj] + H[:, dj:] @ tilde.v[j - 1]
+        for p in range(dk):
+            ucol = starts[k - 1] + p * un
+            for q in range(dj):
+                vcol = starts[cfg.K + j - 1] + q * vm
+                A[r, ucol : ucol + un] = HV[dk:, q]
+                A[r, vcol : vcol + vm] = UH[p, dj:]
+                r += 1
+    return A
+
+
+def residuals_reference(cfg, channels, tilde):
+    """``jacobian.residuals`` link by link."""
+    C, _ = system_shape(cfg)
+    F = np.zeros(C, dtype=np.complex128)
+    base = 0
+    for k, j in cfg.cross_pairs():
+        H = channels.cross[(k, j)]
+        dk, dj = cfg.d(k), cfg.d(j)
+        W = tilde.u[k - 1]
+        T = tilde.v[j - 1]
+        block = (
+            H[:dk, :dj]
+            + W.T @ H[dk:, :dj]
+            + H[:dk, dj:] @ T
+            + W.T @ H[dk:, dj:] @ T
+        )
+        F[base : base + dk * dj] = block.ravel(order="C")
+        base += dk * dj
+    return F
+
+
+def gauss_newton_reference(cfg, channels, init):
+    """``solver.gauss_newton`` over the per-link residuals and placement.
+
+    Returns (iterations, history, residual_norm, x, note).
+    """
+    C, V_dim = system_shape(cfg)
+
+    x = init.to_vector()
+    F = residuals_reference(cfg, channels, init)
+    history = [float(np.sum(np.abs(F) ** 2))]
+    note = "" if C else "no cross constraints"
+
+    lam = None
+    iterations = 0
+    converged = C == 0 or float(np.max(np.abs(F))) < 1e-9
+    while not converged and iterations < 100:
+        iterations += 1
+        tilde = ReducedTransceivers.from_vector(cfg, x)
+        J = place_reference(cfg, channels, tilde)
+        if lam is None:
+            mean_row = float(np.mean(np.sum(np.abs(J) ** 2, axis=1)))
+            lam = 1e-3 * mean_row if mean_row > 0 else 1e-3
+        JJH = J @ J.conj().T
+        norm_f = float(np.linalg.norm(F))
+        accepted = False
+        for _ in range(60):
+            try:
+                y = np.linalg.solve(JJH + lam * np.eye(C), F)
+            except np.linalg.LinAlgError:
+                lam *= 2.0
+                continue
+            delta = -J.conj().T @ y
+            x_new = x + delta
+            if not np.all(np.isfinite(x_new)):
+                lam *= 2.0
+                continue
+            F_new = residuals_reference(
+                cfg, channels, ReducedTransceivers.from_vector(cfg, x_new)
+            )
+            if not np.all(np.isfinite(F_new)):
+                lam *= 2.0
+                continue
+            if float(np.linalg.norm(F_new)) < norm_f:
+                x = x_new
+                F = F_new
+                lam *= 0.5
+                accepted = True
+                break
+            lam *= 2.0
+        history.append(float(np.sum(np.abs(F) ** 2)))
+        if not accepted:
+            note = "stalled: no damping level reduced the residual"
+            break
+        converged = float(np.max(np.abs(F))) < 1e-9
+
+    residual_norm = float(np.max(np.abs(F), initial=0.0))
+    return iterations, tuple(history), residual_norm, x, note
