@@ -11,6 +11,10 @@ pair. Over a prime field the first N_k * M_j entries are H_kj of the
 first link, row by row, the next ones the second link's, and so on, and
 each block is a view of that one array. A complex block takes twice as
 many normals, its real parts row by row and then its imaginary parts.
+
+The numeric layers work on :func:`link_batches`: the links of one shape
+(N_k, M_j, d_k, d_j), in link order, with their channels in one stack,
+so that one product serves every link of a shape.
 """
 
 from __future__ import annotations
@@ -65,6 +69,47 @@ class ChannelSet:
             raise ValueError(
                 "this operation needs direct links; sample with include_direct=True"
             )
+
+
+@dataclass(frozen=True)
+class LinkBatch:
+    """The links of one shape (N_k, M_j, d_k, d_j), in link order.
+
+    ``index`` holds each link's position among the links asked for, and
+    ``rx`` and ``tx`` its receiver k - 1 and transmitter j - 1 (0-based
+    array indices). ``H`` stacks the links' channels into one (B, N_k, M_j)
+    array; each matrix keeps the row-major layout of its channel.
+    """
+
+    shape: tuple
+    index: np.ndarray
+    rx: np.ndarray
+    tx: np.ndarray
+    H: np.ndarray
+
+
+def link_batches(channels: ChannelSet, links=None) -> tuple:
+    """Group links of equal shape into :class:`LinkBatch` stacks.
+
+    ``links`` defaults to ``cfg.cross_pairs()``; a link (k, k) reads the
+    direct channel H_kk. Batches come in the order of their first link,
+    and each lists its links in the order given.
+    """
+    cfg = channels.cfg
+    if links is None:
+        links = cfg.cross_pairs()
+    groups: dict = {}
+    for i, (k, j) in enumerate(links):
+        rx, tx = cfg.pairs[k - 1], cfg.pairs[j - 1]
+        groups.setdefault((rx.N, tx.M, rx.d, tx.d), []).append((i, k, j))
+    batches = []
+    for shape, members in groups.items():
+        index, rx, tx = (np.array(col, dtype=np.intp) for col in zip(*members))
+        H = np.stack(
+            [channels.direct[k] if k == j else channels.cross[(k, j)] for _, k, j in members]
+        )
+        batches.append(LinkBatch(shape, index, rx - 1, tx - 1, H))
+    return tuple(batches)
 
 
 def _draw(rng: np.random.Generator, shapes, field) -> list:

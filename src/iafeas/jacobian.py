@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import ChannelSet
+from .channels import ChannelSet, link_batches
 from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, field_token
 from .transceivers import ReducedTransceivers, block_starts
@@ -143,41 +143,110 @@ def _check_channels(cfg: NetworkConfig, channels: ChannelSet) -> None:
         raise ValueError("channel set was sampled for a different configuration")
 
 
-def _place(cfg: NetworkConfig, channels: ChannelSet, tilde) -> np.ndarray:
-    """The one placement loop: linear coefficients at a reduced point.
+class AlignmentSystem:
+    """The alignment equations of one channel set, checked once.
+
+    Holds the channel set's :func:`~iafeas.channels.link_batches` and, per
+    batch, its links' residual rows and the positions of their variables
+    in the variable vector, so that a solver evaluates :meth:`residuals`
+    and :meth:`jacobian` many times without checking or indexing again. A
+    reduced point is its variable vector x (``to_vector`` order).
+    """
+
+    def __init__(self, cfg: NetworkConfig, channels: ChannelSet):
+        _check_channels(cfg, channels)
+        self.channels = channels
+        self.batches = link_batches(channels)
+        self.C, self.V = system_shape(cfg)
+        starts = np.array(block_starts(cfg))
+        sizes = np.zeros(sum(b.index.size for b in self.batches), dtype=np.intp)
+        for b in self.batches:
+            sizes[b.index] = b.shape[2] * b.shape[3]
+        first_row = np.cumsum(sizes) - sizes
+        self.rows, self.ucols, self.vcols = [], [], []
+        for b in self.batches:
+            N, M, dk, dj = b.shape
+            B, un, vm = b.index.size, N - dk, M - dj
+            # row (k, j, p, q); the stored entries of u_k (stream p, antenna n)
+            # and of v_j (stream q, antenna m), as to_vector orders them
+            self.rows.append((first_row[b.index][:, None] + np.arange(dk * dj)).reshape(B, dk, dj))
+            self.ucols.append((starts[b.rx][:, None] + np.arange(dk * un)).reshape(B, dk, un))
+            self.vcols.append((starts[cfg.K + b.tx][:, None] + np.arange(dj * vm)).reshape(B, dj, vm))
+
+    def _blocks(self, x, row_major):
+        """Per batch, the stacks of W_k^T (B, d_k, N_k - d_k) and T_j (B, M_j - d_j, d_j).
+
+        Each stack has the strides of the 2-d blocks it replaces: the
+        column-major views of :meth:`ReducedTransceivers.from_vector`, or
+        row-major blocks when ``row_major``. A gather takes the layout of
+        its index array.
+        """
+        for ucol, vcol in zip(self.ucols, self.vcols):
+            if row_major:
+                yield (
+                    x[np.ascontiguousarray(ucol.swapaxes(1, 2))].swapaxes(1, 2),
+                    x[np.ascontiguousarray(vcol.swapaxes(1, 2))],
+                )
+            else:
+                yield x[ucol], x[vcol].swapaxes(1, 2)
+
+    def residuals(self, x, row_major=False) -> np.ndarray:
+        """All C constraint polynomials at the point x.
+
+        One batch at a time: the constant h_kj(p, q) plus the decorrelator,
+        precoder and bilinear terms, summed in that order as stacks of
+        (d_k, d_j) blocks, then scattered to the rows (k, j, p, q).
+        """
+        F = np.zeros(self.C, dtype=np.complex128)
+        for b, rows, (Wt, T) in zip(self.batches, self.rows, self._blocks(x, row_major)):
+            dk, dj = b.shape[2:]
+            H = b.H
+            F[rows] = (
+                H[:, :dk, :dj]
+                + Wt @ H[:, dk:, :dj]
+                + H[:, :dk, dj:] @ T
+                + Wt @ H[:, dk:, dj:] @ T
+            )
+        return F
+
+    def jacobian(self, x=None, row_major=False) -> np.ndarray:
+        """The C x V linear coefficients at x; at the origin if None."""
+        return _place(self, None if x is None else self._blocks(x, row_major))
+
+
+def _place(system: AlignmentSystem, blocks) -> np.ndarray:
+    """The one placement: linear coefficients at a reduced point.
 
     Row (k, j, p, q) holds row p of U_k^H H_kj, restricted to the free
     precoder entries, in transmitter j's block for stream q, and column q
     of H_kj V_j, restricted to the free decorrelator entries, in receiver
-    k's block for stream p. ``tilde=None`` is the origin, where those are
-    plain channel slices: no matrix products, and the matrix keeps the
-    channels' field (complex128, or int64 residues for a prime).
+    k's block for stream p. Each batch of equal-shape links fills its
+    cells with two scatters. ``blocks=None`` is the origin, where those
+    are plain channel slices: no matrix products, and the matrix keeps
+    the channels' field (complex128, or int64 residues for a prime).
+    Otherwise ``blocks`` yields the stacks of
+    :meth:`AlignmentSystem._blocks`, and U_k^H H_kj and H_kj V_j are
+    stacked products: each makes, per link, the BLAS call of the 2-d
+    product, so every entry keeps its bits.
     """
-    C, V = system_shape(cfg)
-    dtype = np.complex128 if channels.is_complex else np.int64
-    A = np.zeros((C, V), dtype=dtype)
-
-    starts = block_starts(cfg)
-
-    r = 0
-    for k, j in cfg.cross_pairs():
-        H = channels.cross[(k, j)]
-        dk, dj = cfg.d(k), cfg.d(j)
-        un = cfg.N(k) - dk
-        vm = cfg.M(j) - dj
-        # U_k^H H_kj and H_kj V_j; at the origin the loop reads their rows
-        # and columns straight from H_kj (the first d_k rows, d_j columns)
-        UH = HV = H
-        if tilde is not None:
-            UH = H[:dk, :] + tilde.u[k - 1].T @ H[dk:, :]
-            HV = H[:, :dj] + H[:, dj:] @ tilde.v[j - 1]
-        for p in range(dk):
-            ucol = starts[k - 1] + p * un
-            for q in range(dj):
-                vcol = starts[cfg.K + j - 1] + q * vm
-                A[r, ucol : ucol + un] = HV[dk:, q]
-                A[r, vcol : vcol + vm] = UH[p, dj:]
-                r += 1
+    dtype = np.complex128 if system.channels.is_complex else np.int64
+    A = np.zeros((system.C, system.V), dtype=dtype)
+    cells = A.reshape(-1)
+    if blocks is None:
+        blocks = ((None, None) for _ in system.batches)
+    for b, rows, ucol, vcol, (Wt, T) in zip(
+        system.batches, system.rows, system.ucols, system.vcols, blocks
+    ):
+        dk, dj = b.shape[2:]
+        # U_k^H H_kj and H_kj V_j; at the origin their rows and columns are
+        # read straight from H_kj (the first d_k rows, d_j columns)
+        UH = HV = b.H
+        if Wt is not None:
+            UH = b.H[:, :dk, :] + Wt @ b.H[:, dk:, :]
+            HV = b.H[:, :, :dj] + b.H[:, :, dj:] @ T
+        at = rows[..., None] * system.V
+        cells[at + ucol[:, :, None, :]] = HV[:, None, dk:, :dj].swapaxes(2, 3)
+        cells[at + vcol[:, None, :, :]] = UH[:, :dk, None, dj:]
     return A
 
 
@@ -189,9 +258,8 @@ def build_jacobian(cfg: NetworkConfig, channels: ChannelSet) -> AlignmentJacobia
     the decorrelator block of its receiver and the precoder block of its
     transmitter.
     """
-    _check_channels(cfg, channels)
     return AlignmentJacobian(
-        cfg=cfg, field=channels.field, matrix=_place(cfg, channels, None)
+        cfg=cfg, field=channels.field, matrix=AlignmentSystem(cfg, channels).jacobian()
     )
 
 
@@ -205,26 +273,16 @@ def residuals(
     constant, the direct channel coefficient h_kj(p, q). The result at row
     (k, j, p, q) equals entry (p, q) of U_k^H H_kj V_j for the
     reconstructed beamformers.
+
+    The links are evaluated in stacks of equal shape. Each stacked block
+    keeps the memory layout of the 2-d block it replaces (W_k^T, T_j and
+    the channel's slices), so every product makes the same BLAS call per
+    link, and the terms are summed in the same order: the result is the
+    per-link loop's, bit for bit.
     """
-    _check_channels(cfg, channels)
+    system = AlignmentSystem(cfg, channels)
     channels.require_complex()
-    C, _ = system_shape(cfg)
-    F = np.zeros(C, dtype=np.complex128)
-    base = 0
-    for k, j in cfg.cross_pairs():
-        H = channels.cross[(k, j)]
-        dk, dj = cfg.d(k), cfg.d(j)
-        W = tilde.u[k - 1]
-        T = tilde.v[j - 1]
-        block = (
-            H[:dk, :dj]
-            + W.T @ H[dk:, :dj]
-            + H[:dk, dj:] @ T
-            + W.T @ H[dk:, dj:] @ T
-        )
-        F[base : base + dk * dj] = block.ravel(order="C")
-        base += dk * dj
-    return F
+    return system.residuals(tilde.to_vector(), tilde.row_major)
 
 
 def residual_jacobian(
@@ -236,9 +294,9 @@ def residual_jacobian(
     exact derivative, not a numerical estimate. At the all-zeros point it
     coincides with ``build_jacobian(cfg, channels).matrix``.
     """
-    _check_channels(cfg, channels)
+    system = AlignmentSystem(cfg, channels)
     channels.require_complex()
-    return _place(cfg, channels, tilde)
+    return system.jacobian(tilde.to_vector(), tilde.row_major)
 
 
 def parse_dump(text: str):

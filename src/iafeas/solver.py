@@ -15,6 +15,24 @@ sampled complex channel set:
 
 Neither solver ever decides feasibility on its own; a solver failure is
 evidence, not proof. The verdict pipeline treats them as corroboration.
+
+Both work on stacks of links rather than link by link: the links of one
+shape (N_k, M_j, d_k, d_j) form a :func:`~iafeas.channels.link_batches`
+batch, and each product runs once per batch on (B, ., .) stacks. Every
+float is the one the per-link code computed, by three rules:
+
+* A stacked operand keeps the memory layout of the 2-d operand it
+  replaces, because numpy picks the BLAS call (gemm, gemv or dot, and
+  whether a side is transposed) from the strides: H^H is a ``swapaxes``
+  view of a stack of conjugates, and a filter stack is gathered as whole
+  eigenvector matrices and sliced, so that its columns keep their row
+  stride (:func:`~iafeas.transceivers.stack_blocks` does the same for
+  filters held per pair).
+* Sums run in link order: a covariance adds its links' terms one depth
+  at a time, padded with an exact +0.0, and the leakage, the margins
+  and the largest cross norm take their per-link values in link order.
+* ``eigh`` and ``svd`` run on stacks; LAPACK still factors each matrix on
+  its own, with the same routine as on a 2-d argument.
 """
 
 from __future__ import annotations
@@ -23,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet
+from .channels import ChannelSet, link_batches
 from .config import NetworkConfig, system_shape
-from .jacobian import residual_jacobian, residuals
-from .transceivers import ReducedTransceivers, TransceiverSet
+from .jacobian import AlignmentSystem
+from .transceivers import ReducedTransceivers, TransceiverSet, stack_blocks
 
 DEFAULT_STARTS = 5
 
@@ -78,27 +96,59 @@ class AlignmentCheck:
         return self.aligned and self.rank_ok is not False
 
 
-def _cross_terms(cfg: NetworkConfig, channels: ChannelSet, U, V):
-    """U_k^H H_kj V_j for every link (k, j), in link order."""
-    for k, j in cfg.cross_pairs():
-        yield U[k - 1].conj().T @ channels.cross[(k, j)] @ V[j - 1]
+def _in_link_order(batches, values) -> list:
+    """Each batch's per-link values, put back in link order, as Python floats."""
+    out = np.empty(sum(b.index.size for b in batches))
+    for b, value in zip(batches, values):
+        out[b.index] = value
+    return out.tolist()
 
 
-def _cross_leakage(cfg: NetworkConfig, channels: ChannelSet, U, V) -> float:
+def _link_terms(batches, U, V):
+    """Per batch, the stack of U_k^H H_kj V_j over its links."""
+    for b in batches:
+        Uh = np.conj(stack_blocks([U[k] for k in b.rx])).swapaxes(1, 2)
+        yield Uh @ b.H @ stack_blocks([V[j] for j in b.tx])
+
+
+def _frobenius(T) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, as ``np.linalg.norm`` takes it.
+
+    ``norm`` flattens a complex matrix and takes sqrt(re . re + im . im),
+    two BLAS dot products; a (1, n) @ (n, 1) product makes the same dot
+    call for every matrix of the stack.
+    """
+    flat = T.reshape(T.shape[0], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1))
+
+
+def _leakage(batches, Us, Vs) -> float:
+    """Summed squared Frobenius norms of the cross terms, added in link order."""
+    sums = (
+        np.sum(np.abs(np.conj(Ub).swapaxes(1, 2) @ b.H @ Vb) ** 2, axis=(1, 2))
+        for b, Ub, Vb in zip(batches, Us, Vs)
+    )
     total = 0.0
-    for T in _cross_terms(cfg, channels, U, V):
-        total += float(np.sum(np.abs(T) ** 2))
+    for value in _in_link_order(batches, sums):
+        total += value
     return total
 
 
 def _direct_margin(cfg: NetworkConfig, channels: ChannelSet, U, V):
     if not channels.direct:
         return None
+    batches = link_batches(channels, [(k, k) for k in range(1, cfg.K + 1)])
+    values = _in_link_order(
+        batches,
+        (
+            np.linalg.svd(D, compute_uv=False)[:, b.shape[2] - 1]
+            for b, D in zip(batches, _link_terms(batches, U, V))
+        ),
+    )
     margin = np.inf
-    for k in range(1, cfg.K + 1):
-        D = U[k - 1].conj().T @ channels.direct[k] @ V[k - 1]
-        s = np.linalg.svd(D, compute_uv=False)
-        margin = min(margin, float(s[cfg.d(k) - 1]))
+    for value in values:
+        margin = min(margin, value)
     return margin
 
 
@@ -112,14 +162,84 @@ def verify_ia(
     their d_k-th singular value above ``tol``.
     """
     channels.require_complex()
+    batches = link_batches(channels)
+    norms = (_frobenius(T) for T in _link_terms(batches, tx.U, tx.V))
     max_cross = 0.0
-    for T in _cross_terms(cfg, channels, tx.U, tx.V):
-        max_cross = max(max_cross, float(np.linalg.norm(T)))
+    for value in _in_link_order(batches, norms):
+        max_cross = max(max_cross, value)
     aligned = max_cross < tol
     if not channels.direct:
         return AlignmentCheck(aligned, max_cross, None, None)
     margin = _direct_margin(cfg, channels, tx.U, tx.V)
     return AlignmentCheck(aligned, max_cross, margin > tol, margin)
+
+
+class _Covariances:
+    """One side's interference covariances and filters, as stacks.
+
+    For the receive side, Q_k sums X X^H over the links into receiver k;
+    for the transmit side, B_j over the links out of transmitter j. Pairs
+    whose covariances have the same size share one stack, so one ``eigh``
+    call serves them all. A link's depth counts the earlier links, in
+    link order, that end at the same pair; the stack adds one depth at a
+    time, so each covariance sums its terms in link order, and a pair
+    with fewer links adds +0.0, which is exact.
+    """
+
+    def __init__(self, sizes, d, batches, ends):
+        self.sizes, self.d = sizes, d
+        groups: dict = {}
+        slot = []
+        for pair, size in enumerate(sizes):
+            members = groups.setdefault(size, [])
+            slot.append(len(members))
+            members.append(pair)
+        self.slot = np.array(slot, dtype=np.intp)
+
+        links = np.empty(sum(e.size for e in ends), dtype=np.intp)
+        for b, e in zip(batches, ends):
+            links[b.index] = e
+        count = [0] * len(sizes)
+        depth = np.empty_like(links)
+        for i, pair in enumerate(links.tolist()):
+            depth[i] = count[pair]
+            count[pair] += 1
+        self.ends = [
+            (sizes[e[0]], self.slot[e], depth[b.index], d[e[0]]) for b, e in zip(batches, ends)
+        ]
+        # link positions are rewritten on every update, the padding never
+        self.terms = {
+            size: np.zeros(
+                (len(members), max(count[p] for p in members), size, size), dtype=complex
+            )
+            for size, members in groups.items()
+        }
+        self.vectors: dict = {}
+
+    def update(self, products) -> None:
+        """Sum each pair's X X^H terms and take the eigenvectors."""
+        for (size, slot, depth, _), P in zip(self.ends, products):
+            self.terms[size][slot, depth] = P
+        for size, terms in self.terms.items():
+            total = np.zeros((terms.shape[0], size, size), dtype=complex)
+            for t in range(terms.shape[1]):
+                total += terms[:, t]
+            self.vectors[size] = np.linalg.eigh(total)[1]
+
+    def stacks(self) -> list:
+        """Per batch, its link ends' least d eigenvectors.
+
+        Gathered as whole eigenvector matrices and sliced afterwards, so
+        that each filter keeps the row stride it has in the 2-d code.
+        """
+        return [self.vectors[size][slot][:, :, :d] for size, slot, _, d in self.ends]
+
+    def filters(self) -> list:
+        """Each pair's filter, a view of its eigenvector matrix."""
+        return [
+            self.vectors[size][self.slot[pair]][:, : self.d[pair]]
+            for pair, size in enumerate(self.sizes)
+        ]
 
 
 def alt_min(
@@ -150,28 +270,31 @@ def alt_min(
         V.append(Q[:, : cfg.d(j)])
     U = [np.linalg.qr(channels.direct[k] @ V[k - 1])[0][:, : cfg.d(k)] for k in range(1, K + 1)]
 
-    # k first, then j ascending: Q_k sums over j ascending, B_j over k
-    links = tuple(cfg.cross_pairs())
-    history = [_cross_leakage(cfg, channels, U, V)]
+    batches = link_batches(channels)
+    # H_kj^H as a view of the conjugates: the 2-d code's layout for H.conj().T
+    Hh = [np.conj(b.H).swapaxes(1, 2) for b in batches]
+    d = [pair.d for pair in cfg.pairs]
+    receive = _Covariances([pair.N for pair in cfg.pairs], d, batches, [b.rx for b in batches])
+    transmit = _Covariances([pair.M for pair in cfg.pairs], d, batches, [b.tx for b in batches])
+    Us = [stack_blocks([U[k] for k in b.rx]) for b in batches]
+    Vs = [stack_blocks([V[j] for j in b.tx]) for b in batches]
+
+    history = [_leakage(batches, Us, Vs)]
     converged = history[0] < ALT_MIN_TOL
     iterations = 0
     while not converged and iterations < max_iters:
         iterations += 1
-        Q = [np.zeros((cfg.N(k), cfg.N(k)), dtype=complex) for k in range(1, K + 1)]
-        for k, j in links:
-            X = channels.cross[(k, j)] @ V[j - 1]
-            Q[k - 1] += X @ X.conj().T
-        for k in range(1, K + 1):
-            U[k - 1] = np.linalg.eigh(Q[k - 1])[1][:, : cfg.d(k)]
-        history.append(_cross_leakage(cfg, channels, U, V))
-        B = [np.zeros((cfg.M(j), cfg.M(j)), dtype=complex) for j in range(1, K + 1)]
-        for k, j in links:
-            X = channels.cross[(k, j)].conj().T @ U[k - 1]
-            B[j - 1] += X @ X.conj().T
-        for j in range(1, K + 1):
-            V[j - 1] = np.linalg.eigh(B[j - 1])[1][:, : cfg.d(j)]
-        history.append(_cross_leakage(cfg, channels, U, V))
+        X = [b.H @ Vb for b, Vb in zip(batches, Vs)]
+        receive.update([x @ np.conj(x).swapaxes(1, 2) for x in X])
+        Us = receive.stacks()
+        history.append(_leakage(batches, Us, Vs))
+        X = [h @ Ub for h, Ub in zip(Hh, Us)]
+        transmit.update([x @ np.conj(x).swapaxes(1, 2) for x in X])
+        Vs = transmit.stacks()
+        history.append(_leakage(batches, Us, Vs))
         converged = history[-1] < ALT_MIN_TOL
+    if iterations:
+        U, V = receive.filters(), transmit.filters()
 
     tx = TransceiverSet(U=tuple(U), V=tuple(V))
     return SolveResult(
@@ -196,26 +319,28 @@ def gauss_newton(
     halved after an accepted step and doubled after a rejected one; it
     starts at 1e-3 times the mean squared row norm of the first Jacobian.
     Converged when the residual's max modulus falls below ``GN_TOL``, within
-    ``GN_MAX_ITERS`` iterations.
+    ``GN_MAX_ITERS`` iterations. The configuration and the channels are
+    checked once per run, in :class:`AlignmentSystem`.
     """
     channels.require_complex()
     if init is None:
         init = ReducedTransceivers.zeros(cfg)
     C, V_dim = system_shape(cfg)
+    system = AlignmentSystem(cfg, channels)
 
     x = init.to_vector()
-    F = residuals(cfg, channels, init)
+    F = system.residuals(x, init.row_major)
     history = [float(np.sum(np.abs(F) ** 2))]
     note = "" if C else "no cross constraints"
 
+    eye = np.eye(C)
     lam = None
     iterations = 0
     # with no constraints there is no residual, and any point solves
     converged = C == 0 or float(np.max(np.abs(F))) < GN_TOL
     while not converged and iterations < GN_MAX_ITERS:
         iterations += 1
-        tilde = ReducedTransceivers.from_vector(cfg, x)
-        J = residual_jacobian(cfg, channels, tilde)
+        J = system.jacobian(x)
         if lam is None:
             mean_row = float(np.mean(np.sum(np.abs(J) ** 2, axis=1)))
             lam = 1e-3 * mean_row if mean_row > 0 else 1e-3
@@ -224,7 +349,7 @@ def gauss_newton(
         accepted = False
         for _ in range(60):
             try:
-                y = np.linalg.solve(JJH + lam * np.eye(C), F)
+                y = np.linalg.solve(JJH + lam * eye, F)
             except np.linalg.LinAlgError:
                 lam *= 2.0
                 continue
@@ -233,7 +358,7 @@ def gauss_newton(
             if not np.all(np.isfinite(x_new)):
                 lam *= 2.0
                 continue
-            F_new = residuals(cfg, channels, ReducedTransceivers.from_vector(cfg, x_new))
+            F_new = system.residuals(x_new)
             if not np.all(np.isfinite(F_new)):
                 lam *= 2.0
                 continue
