@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import iafeas.jacobian
 from iafeas import (
     NetworkConfig,
     TransceiverSet,
@@ -92,6 +93,21 @@ def test_gauss_newton_stalls_on_improper_ring():
     res = gauss_newton_multistart(RING4, ch, starts=3, seed=0)
     assert not res.converged
     assert res.residual_norm > 1e-6
+
+
+def test_a_gauss_newton_run_checks_its_network_once(monkeypatch):
+    # not once per residual and Jacobian evaluation
+    calls = []
+    validate = iafeas.jacobian.validate_config
+
+    def counting(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(iafeas.jacobian, "validate_config", counting)
+    res = gauss_newton(RING4, sample_channels(RING4, seed=2))
+    assert res.iterations > 1
+    assert calls == [RING4]
 
 
 def test_single_pair_needs_no_solving():
