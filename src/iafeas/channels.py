@@ -101,14 +101,14 @@ def link_batches(channels: ChannelSet, links=None) -> tuple:
     groups: dict = {}
     for i, (k, j) in enumerate(links):
         rx, tx = cfg.pairs[k - 1], cfg.pairs[j - 1]
-        groups.setdefault((rx.N, tx.M, rx.d, tx.d), []).append((i, k, j))
+        groups.setdefault((rx.N, tx.M, rx.d, tx.d), []).append((i, k - 1, j - 1))
     batches = []
     for shape, members in groups.items():
-        index, rx, tx = (np.array(col, dtype=np.intp) for col in zip(*members))
-        H = np.stack(
-            [channels.direct[k] if k == j else channels.cross[(k, j)] for _, k, j in members]
+        index, rx, tx = np.array(members, dtype=np.intp).T
+        H = np.array(
+            [channels.direct[k + 1] if k == j else channels.cross[(k + 1, j + 1)] for _, k, j in members]
         )
-        batches.append(LinkBatch(shape, index, rx - 1, tx - 1, H))
+        batches.append(LinkBatch(shape, index, rx, tx, H))
     return tuple(batches)
 
 

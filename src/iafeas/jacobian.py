@@ -135,14 +135,6 @@ class AlignmentJacobian:
                 fh.write(f"{r} {c} {int(v)}\n")
 
 
-def _check_channels(cfg: NetworkConfig, channels: ChannelSet) -> None:
-    if validate_config(cfg):
-        # a pair with d_k > min(M_k, N_k) has no free block to place
-        raise ValueError("the coefficient matrix needs a stream-admissible network")
-    if channels.cfg != cfg:
-        raise ValueError("channel set was sampled for a different configuration")
-
-
 class AlignmentSystem:
     """The alignment equations of one channel set, checked once.
 
@@ -154,7 +146,11 @@ class AlignmentSystem:
     """
 
     def __init__(self, cfg: NetworkConfig, channels: ChannelSet):
-        _check_channels(cfg, channels)
+        if validate_config(cfg):
+            # a pair with d_k > min(M_k, N_k) has no free block to place
+            raise ValueError("the coefficient matrix needs a stream-admissible network")
+        if channels.cfg != cfg:
+            raise ValueError("channel set was sampled for a different configuration")
         self.channels = channels
         self.batches = link_batches(channels)
         self.C, self.V = system_shape(cfg)

@@ -26,8 +26,7 @@ float is the one the per-link code computed, by three rules:
   whether a side is transposed) from the strides: H^H is a ``swapaxes``
   view of a stack of conjugates, and a filter stack is gathered as whole
   eigenvector matrices and sliced, so that its columns keep their row
-  stride (:func:`~iafeas.transceivers.stack_blocks` does the same for
-  filters held per pair).
+  stride (:func:`_stack` keeps it for filters held per pair).
 * Sums run in link order: a covariance adds its links' terms one depth
   at a time, padded with an exact +0.0, and the leakage, the margins
   and the largest cross norm take their per-link values in link order.
@@ -44,7 +43,7 @@ import numpy as np
 from .channels import ChannelSet, link_batches
 from .config import NetworkConfig, system_shape
 from .jacobian import AlignmentSystem
-from .transceivers import ReducedTransceivers, TransceiverSet, stack_blocks
+from .transceivers import ReducedTransceivers, TransceiverSet
 
 DEFAULT_STARTS = 5
 
@@ -96,6 +95,28 @@ class AlignmentCheck:
         return self.aligned and self.rank_ok is not False
 
 
+def _stack(blocks) -> np.ndarray:
+    """Stack equal-shape filters, each keeping the first one's row stride.
+
+    A product on a (B, rows, cols) stack makes, for each matrix, the BLAS
+    call that the same product makes on the matrix alone, and that call
+    depends on the strides: a filter sliced from an eigenvector matrix
+    keeps the matrix's row stride, while a QR factor or a ``vstack`` is
+    contiguous. So the values are copied into a buffer padded to the same
+    row stride, and the stack keeps the bits of the 2-d products. Filters
+    that are not row-major are stacked contiguous.
+    """
+    first = np.asarray(blocks[0])
+    rows, cols = first.shape
+    row_step, col_step = (step // first.itemsize for step in first.strides)
+    if col_step != 1 and cols > 1:
+        return np.stack(blocks)
+    width = max(cols, row_step) if rows > 1 else cols
+    buf = np.zeros((len(blocks), rows, width), dtype=np.result_type(*blocks))
+    buf[:, :, :cols] = blocks
+    return buf[:, :, :cols]
+
+
 def _in_link_order(batches, values) -> list:
     """Each batch's per-link values, put back in link order, as Python floats."""
     out = np.empty(sum(b.index.size for b in batches))
@@ -107,8 +128,8 @@ def _in_link_order(batches, values) -> list:
 def _link_terms(batches, U, V):
     """Per batch, the stack of U_k^H H_kj V_j over its links."""
     for b in batches:
-        Uh = np.conj(stack_blocks([U[k] for k in b.rx])).swapaxes(1, 2)
-        yield Uh @ b.H @ stack_blocks([V[j] for j in b.tx])
+        Uh = np.conj(_stack([U[k] for k in b.rx])).swapaxes(1, 2)
+        yield Uh @ b.H @ _stack([V[j] for j in b.tx])
 
 
 def _frobenius(T) -> np.ndarray:
@@ -276,8 +297,8 @@ def alt_min(
     d = [pair.d for pair in cfg.pairs]
     receive = _Covariances([pair.N for pair in cfg.pairs], d, batches, [b.rx for b in batches])
     transmit = _Covariances([pair.M for pair in cfg.pairs], d, batches, [b.tx for b in batches])
-    Us = [stack_blocks([U[k] for k in b.rx]) for b in batches]
-    Vs = [stack_blocks([V[j] for j in b.tx]) for b in batches]
+    Us = [_stack([U[k] for k in b.rx]) for b in batches]
+    Vs = [_stack([V[j] for j in b.tx]) for b in batches]
 
     history = [_leakage(batches, Us, Vs)]
     converged = history[0] < ALT_MIN_TOL

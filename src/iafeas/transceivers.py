@@ -59,35 +59,6 @@ def block_starts(cfg: NetworkConfig) -> list:
     return starts
 
 
-def stack_blocks(blocks) -> np.ndarray:
-    """Stack equal-shape matrices, each keeping the first one's strides.
-
-    A product on a (B, rows, cols) stack makes, for each matrix, the BLAS
-    call that the same product makes on the matrix alone, and that call
-    depends on the strides: a column slice of an eigenvector matrix keeps
-    the matrix's row stride, and a :meth:`ReducedTransceivers.from_vector`
-    block is column-major. So the values are copied into a buffer padded
-    to the same row (or column) stride, and the stack keeps the bits of
-    the 2-d products. Any other layout is stacked row-major.
-    """
-    first = np.asarray(blocks[0])
-    dtype = np.result_type(*blocks)
-    rows, cols = first.shape
-    size = first.itemsize
-    row_step, col_step = first.strides
-    if col_step == size or cols == 1:
-        width = max(cols, row_step // size) if rows > 1 else cols
-        buf = np.zeros((len(blocks), rows, width), dtype=dtype)
-        buf[:, :, :cols] = blocks
-        return buf[:, :, :cols]
-    if row_step == size:
-        height = max(rows, col_step // size)
-        buf = np.zeros((len(blocks), cols, height), dtype=dtype)
-        buf[:, :, :rows] = [np.asarray(b).T for b in blocks]
-        return buf[:, :, :rows].swapaxes(1, 2)
-    return np.stack(blocks)
-
-
 @dataclass(frozen=True)
 class ReducedTransceivers:
     """The free lower blocks of identity-pinned beamformers.
