@@ -105,9 +105,10 @@ def link_batches(channels: ChannelSet, links=None) -> tuple:
     batches = []
     for shape, members in groups.items():
         index, rx, tx = np.array(members, dtype=np.intp).T
-        H = np.array(
-            [channels.direct[k + 1] if k == j else channels.cross[(k + 1, j + 1)] for _, k, j in members]
-        )
+        H = np.array([
+            channels.direct[k + 1] if k == j else channels.cross[(k + 1, j + 1)]
+            for _, k, j in members
+        ])
         batches.append(LinkBatch(shape, index, rx, tx, H))
     return tuple(batches)
 

@@ -165,9 +165,12 @@ class AlignmentSystem:
             B, un, vm = b.index.size, N - dk, M - dj
             # row (k, j, p, q); the stored entries of u_k (stream p, antenna n)
             # and of v_j (stream q, antenna m), as to_vector orders them
-            self.rows.append((first_row[b.index][:, None] + np.arange(dk * dj)).reshape(B, dk, dj))
-            self.ucols.append((starts[b.rx][:, None] + np.arange(dk * un)).reshape(B, dk, un))
-            self.vcols.append((starts[cfg.K + b.tx][:, None] + np.arange(dj * vm)).reshape(B, dj, vm))
+            rows = first_row[b.index][:, None] + np.arange(dk * dj)
+            ucols = starts[b.rx][:, None] + np.arange(dk * un)
+            vcols = starts[cfg.K + b.tx][:, None] + np.arange(dj * vm)
+            self.rows.append(rows.reshape(B, dk, dj))
+            self.ucols.append(ucols.reshape(B, dk, un))
+            self.vcols.append(vcols.reshape(B, dj, vm))
 
     def _blocks(self, x, row_major):
         """Per batch, the stacks of W_k^T (B, d_k, N_k - d_k) and T_j (B, M_j - d_j, d_j).
