@@ -12,14 +12,16 @@ first link, row by row, the next ones the second link's, and so on, and
 each block is a view of that one array. A complex block takes twice as
 many normals, its real parts row by row and then its imaginary parts.
 
-The numeric layers work on :func:`link_batches`: the links of one shape
-(N_k, M_j, d_k, d_j), in link order, with their channels in one stack,
-so that one product serves every link of a shape.
+The numeric layers work on :attr:`ChannelSet.batches` and
+:attr:`ChannelSet.direct_batches`: the links of one shape (N_k, M_j, d_k,
+d_j), in link order, with their channels in one stack, so that one product
+serves every link of a shape. Each is built once and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +50,8 @@ class ChannelSet:
         was sampled with ``include_direct=True``.
 
     Instances are treated as immutable; never write into the arrays.
+    :attr:`batches` stacks the cross links and :attr:`direct_batches` the
+    direct ones, each built on first use and shared read-only.
     """
 
     cfg: NetworkConfig
@@ -70,6 +74,16 @@ class ChannelSet:
                 "this operation needs direct links; sample with include_direct=True"
             )
 
+    @cached_property
+    def batches(self) -> tuple:
+        """The cross links, in the order of ``cross``, as :class:`LinkBatch` stacks."""
+        return _stack_links(self.cfg, self.cross)
+
+    @cached_property
+    def direct_batches(self) -> tuple:
+        """The direct links (k, k), k = 1..K, as :class:`LinkBatch` stacks."""
+        return _stack_links(self.cfg, {(k, k): H for k, H in self.direct.items()})
+
 
 @dataclass(frozen=True)
 class LinkBatch:
@@ -88,27 +102,22 @@ class LinkBatch:
     H: np.ndarray
 
 
-def link_batches(channels: ChannelSet, links=None) -> tuple:
-    """Group links of equal shape into :class:`LinkBatch` stacks.
+def _stack_links(cfg: NetworkConfig, channels: dict) -> tuple:
+    """Group links of equal shape into read-only :class:`LinkBatch` stacks.
 
-    ``links`` defaults to ``cfg.cross_pairs()``; a link (k, k) reads the
-    direct channel H_kk. Batches come in the order of their first link,
-    and each lists its links in the order given.
+    ``channels`` maps each link (k, j) to H_kj, in link order. Batches come
+    in the order of their first link, each listing its links in order.
     """
-    cfg = channels.cfg
-    if links is None:
-        links = cfg.cross_pairs()
     groups: dict = {}
-    for i, (k, j) in enumerate(links):
+    for i, (k, j) in enumerate(channels):
         rx, tx = cfg.pairs[k - 1], cfg.pairs[j - 1]
         groups.setdefault((rx.N, tx.M, rx.d, tx.d), []).append((i, k - 1, j - 1))
     batches = []
     for shape, members in groups.items():
         index, rx, tx = np.array(members, dtype=np.intp).T
-        H = np.array([
-            channels.direct[k + 1] if k == j else channels.cross[(k + 1, j + 1)]
-            for _, k, j in members
-        ])
+        H = np.array([channels[(k + 1, j + 1)] for _, k, j in members])
+        for array in (index, rx, tx, H):
+            array.setflags(write=False)
         batches.append(LinkBatch(shape, index, rx, tx, H))
     return tuple(batches)
 

@@ -18,12 +18,10 @@ index maps are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
-from .channels import ChannelSet, link_batches
+from .channels import ChannelSet
 from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, field_token
 from .transceivers import ReducedTransceivers, block_starts
@@ -34,27 +32,20 @@ from .transceivers import ReducedTransceivers, block_starts
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _row_offsets(cfg: NetworkConfig) -> MappingProxyType:
-    """First row (0-based) of each link's block, computed once per config."""
-    offs = {}
-    pos = 0
-    for k, j in cfg.cross_pairs():
-        offs[(k, j)] = pos
-        pos += cfg.d(k) * cfg.d(j)
-    return MappingProxyType(offs)
-
-
 def row_index(cfg: NetworkConfig, k: int, j: int, p: int, q: int) -> int:
     """1-based row of constraint (k, j, p, q)."""
-    offs = _row_offsets(cfg)
-    if (k, j) not in offs:
+    first = 0
+    for link in cfg.cross_pairs():
+        if link == (k, j):
+            break
+        first += cfg.d(link[0]) * cfg.d(link[1])
+    else:
         raise ValueError(f"constraints only exist for links, not ({k}, {j})")
     if not 1 <= p <= cfg.d(k):
         raise ValueError(f"p={p} out of range 1..{cfg.d(k)}")
     if not 1 <= q <= cfg.d(j):
         raise ValueError(f"q={q} out of range 1..{cfg.d(j)}")
-    return offs[(k, j)] + (p - 1) * cfg.d(j) + q
+    return first + (p - 1) * cfg.d(j) + q
 
 
 def col_index(cfg: NetworkConfig, var) -> int:
@@ -138,10 +129,10 @@ class AlignmentJacobian:
 class AlignmentSystem:
     """The alignment equations of one channel set, checked once.
 
-    Holds the channel set's :func:`~iafeas.channels.link_batches` and, per
-    batch, its links' residual rows and the positions of their variables
-    in the variable vector, so that a solver evaluates :meth:`residuals`
-    and :meth:`jacobian` many times without checking or indexing again. A
+    Holds, per batch of :attr:`~iafeas.channels.ChannelSet.batches`, its
+    links' residual rows and the positions of their variables in the
+    variable vector, so that a solver evaluates :meth:`residuals` and
+    :meth:`jacobian` many times without checking or indexing again. A
     reduced point is its variable vector x (``to_vector`` order).
     """
 
@@ -152,7 +143,7 @@ class AlignmentSystem:
         if channels.cfg != cfg:
             raise ValueError("channel set was sampled for a different configuration")
         self.channels = channels
-        self.batches = link_batches(channels)
+        self.batches = channels.batches
         self.C, self.V = system_shape(cfg)
         starts = np.array(block_starts(cfg))
         sizes = np.zeros(sum(b.index.size for b in self.batches), dtype=np.intp)
@@ -178,7 +169,10 @@ class AlignmentSystem:
         Each stack has the strides of the 2-d blocks it replaces: the
         column-major views of :meth:`ReducedTransceivers.from_vector`, or
         row-major blocks when ``row_major``. A gather takes the layout of
-        its index array.
+        its index array. The row-major gather and ``row_major`` stay: a
+        column-major gather moves a row-major start's first residual by an
+        ulp, which stalled Gauss-Newton runs amplify into other iteration
+        counts and convergence.
         """
         for ucol, vcol in zip(self.ucols, self.vcols):
             if row_major:

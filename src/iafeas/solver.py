@@ -16,10 +16,10 @@ sampled complex channel set:
 Neither solver ever decides feasibility on its own; a solver failure is
 evidence, not proof. The verdict pipeline treats them as corroboration.
 
-Both work on stacks of links rather than link by link: the links of one
-shape (N_k, M_j, d_k, d_j) form a :func:`~iafeas.channels.link_batches`
-batch, and each product runs once per batch on (B, ., .) stacks. Every
-float is the one the per-link code computed, by three rules:
+Both work on the channel set's :attr:`~iafeas.channels.ChannelSet.batches`,
+stacks of the links of one shape (N_k, M_j, d_k, d_j): each product runs
+once per batch on (B, ., .) stacks, not link by link. Every float is the
+one the per-link code computed, by three rules:
 
 * A stacked operand keeps the memory layout of the 2-d operand it
   replaces, because numpy picks the BLAS call (gemm, gemv or dot, and
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet, link_batches
+from .channels import ChannelSet
 from .config import NetworkConfig, system_shape
 from .jacobian import AlignmentSystem
 from .transceivers import ReducedTransceivers, TransceiverSet
@@ -156,10 +156,10 @@ def _leakage(batches, Us, Vs) -> float:
     return total
 
 
-def _direct_margin(cfg: NetworkConfig, channels: ChannelSet, U, V):
+def _direct_margin(channels: ChannelSet, U, V):
     if not channels.direct:
         return None
-    batches = link_batches(channels, [(k, k) for k in range(1, cfg.K + 1)])
+    batches = channels.direct_batches
     values = _in_link_order(
         batches,
         (
@@ -183,7 +183,7 @@ def verify_ia(
     their d_k-th singular value above ``tol``.
     """
     channels.require_complex()
-    batches = link_batches(channels)
+    batches = channels.batches
     norms = (_frobenius(T) for T in _link_terms(batches, tx.U, tx.V))
     max_cross = 0.0
     for value in _in_link_order(batches, norms):
@@ -191,7 +191,7 @@ def verify_ia(
     aligned = max_cross < tol
     if not channels.direct:
         return AlignmentCheck(aligned, max_cross, None, None)
-    margin = _direct_margin(cfg, channels, tx.U, tx.V)
+    margin = _direct_margin(channels, tx.U, tx.V)
     return AlignmentCheck(aligned, max_cross, margin > tol, margin)
 
 
@@ -291,7 +291,7 @@ def alt_min(
         V.append(Q[:, : cfg.d(j)])
     U = [np.linalg.qr(channels.direct[k] @ V[k - 1])[0][:, : cfg.d(k)] for k in range(1, K + 1)]
 
-    batches = link_batches(channels)
+    batches = channels.batches
     # H_kj^H as a view of the conjugates: the 2-d code's layout for H.conj().T
     Hh = [np.conj(b.H).swapaxes(1, 2) for b in batches]
     d = [pair.d for pair in cfg.pairs]
@@ -325,7 +325,7 @@ def alt_min(
         leakage=history[-1],
         leakage_history=tuple(history),
         transceivers=tx,
-        direct_rank_margin=_direct_margin(cfg, channels, U, V),
+        direct_rank_margin=_direct_margin(channels, U, V),
     )
 
 
@@ -405,7 +405,7 @@ def gauss_newton(
         leakage=history[-1],
         leakage_history=tuple(history),
         transceivers=tx,
-        direct_rank_margin=_direct_margin(cfg, channels, tx.U, tx.V),
+        direct_rank_margin=_direct_margin(channels, tx.U, tx.V),
         residual_norm=float(np.max(np.abs(F), initial=0.0)),
         tilde=tilde,
         note=note,

@@ -6,6 +6,7 @@ the closed forms in ``conditions`` sit below the transfer engine in
 other way round. The top-level API holds only names that the demos, the
 tests or the benchmark import from ``iafeas``. Only ``witnesses`` states a
 witness inequality: other modules build witnesses from index data alone.
+Only ``channels`` stacks links: other modules read a channel set's stacks.
 """
 
 import ast
@@ -72,16 +73,25 @@ def test_every_exported_name_is_imported_by_a_caller():
     assert sorted(set(iafeas.__all__) - imported) == []
 
 
-def test_only_witnesses_calls_the_witness_constructor():
+def _calls(name, owner):
+    """(file, line) of every call of ``name`` outside the module ``owner``."""
+
     def called(node):
         func = node.func
         return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
-    calls = [
+    return [
         (path.name, node.lineno)
         for path in MODULES
-        if path.name != "witnesses.py"
+        if path.name != owner
         for node in _nodes(path)
-        if isinstance(node, ast.Call) and called(node) == "SubsetWitness"
+        if isinstance(node, ast.Call) and called(node) == name
     ]
-    assert calls == []
+
+
+def test_only_witnesses_calls_the_witness_constructor():
+    assert _calls("SubsetWitness", "witnesses.py") == []
+
+
+def test_only_channels_constructs_link_batches():
+    assert _calls("LinkBatch", "channels.py") == []

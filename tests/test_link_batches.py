@@ -6,7 +6,8 @@ draw takes a network of one to three pair types repeated over K = 1-6
 pairs with d <= 3, and in about half the draws a subset of its links
 patched into ``NetworkConfig.cross_pairs`` as ``test_links.py`` does.
 Every float is compared by its bytes, so a signed zero or a last bit
-that moves fails the test.
+that moves fails the test. A channel set's stacks hold the links it was
+drawn with, whatever ``cross_pairs`` returns when they are first read.
 """
 
 import contextlib
@@ -101,6 +102,36 @@ def points(cfg, seed):
         cfg, ReducedTransceivers.random(cfg, rng).to_vector()
     )
     return ReducedTransceivers.zeros(cfg), drawn, viewed
+
+
+def stacked_links(batches):
+    """The links of a channel set's stacks, in link order, with their channels."""
+    links = {}
+    for b in batches:
+        for i, k, j, H in zip(b.index.tolist(), b.rx.tolist(), b.tx.tolist(), b.H):
+            links[i] = ((k + 1, j + 1), H)
+    return [links[i] for i in range(len(links))]
+
+
+def test_the_stacks_belong_to_their_channel_set():
+    cfg = NetworkConfig.from_tuples([(2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 3, 1)])
+    full = list(FULL_LINKS(cfg))
+    subsets = [full[::2], full[1::3]]
+    drawn = []
+    for kept in subsets:
+        with links_of(kept):
+            drawn.append(sample_channels(cfg, 5, include_direct=True))
+    for kept, ch in zip(subsets, drawn):
+        stacked = stacked_links(ch.batches)
+        assert [link for link, _ in stacked] == kept
+        assert all(same(H, ch.cross[link]) for link, H in stacked)
+        direct = stacked_links(ch.direct_batches)
+        assert [link for link, _ in direct] == [(k, k) for k in range(1, cfg.K + 1)]
+        assert all(same(H, ch.direct[k]) for (k, _), H in direct)
+        # shared by every caller, so never written
+        assert ch.batches is ch.batches
+        with pytest.raises(ValueError, match="read-only"):
+            ch.batches[0].H[0, 0, 0] = 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ of the full link set, kept in the original order, and checks that the
 constraint count, the channel draw, the projected GF(p) rank, the
 properness witness and the alternating solver all follow the subset. The
 antenna budget is left out: its dynamic program is not driven by links.
+``row_index`` follows a subset patched after a call on the full set.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ from iafeas import (
     NetworkConfig,
     alt_min,
     build_jacobian,
+    col_index,
     gf_rank,
     properness_witness_from_cells,
+    row_index,
     sample_channels,
     system_shape,
 )
@@ -84,3 +87,27 @@ def test_every_layer_follows_the_link_set(monkeypatch, seed):
     run = alt_min(cfg, sample_channels(cfg, seed, include_direct=True), max_iters=10)
     history = np.array(run.leakage_history)
     assert (np.diff(history) <= 1e-9 * (1 + history[:-1])).all()
+
+
+def test_row_index_follows_the_link_set(monkeypatch):
+    # a row offset cached per config would keep the full set's rows
+    cfg = NetworkConfig.symmetric(3, 3, 3, 1)
+    assert row_index(cfg, 3, 2, 1, 1) == 6
+    kept = [(1, 2), (3, 2)]
+
+    def subset(self):
+        return (link for link in FULL_LINKS(self) if link in kept)
+
+    monkeypatch.setattr(NetworkConfig, "cross_pairs", subset)
+    ch = sample_channels(cfg, 0, field=PRIME)
+    A = build_jacobian(cfg, ch).matrix
+    assert A.shape[0] == 2
+    for k, j, p, q in cfg.quads():
+        row = A[row_index(cfg, k, j, p, q) - 1]
+        H = ch.cross[(k, j)]
+        for m in range(1, cfg.M(j) - cfg.d(j) + 1):
+            assert row[col_index(cfg, ("v", j, m, q)) - 1] == H[p - 1, cfg.d(j) + m - 1]
+        for n in range(1, cfg.N(k) - cfg.d(k) + 1):
+            assert row[col_index(cfg, ("u", k, n, p)) - 1] == H[cfg.d(k) + n - 1, q - 1]
+    with pytest.raises(ValueError, match="only exist for links"):
+        row_index(cfg, 2, 1, 1, 1)

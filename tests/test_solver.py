@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import iafeas.channels
 import iafeas.jacobian
 from iafeas import (
     NetworkConfig,
     TransceiverSet,
     alt_min,
+    feasibility_report,
     gauss_newton,
     gauss_newton_multistart,
     sample_channels,
@@ -108,6 +110,22 @@ def test_a_gauss_newton_run_checks_its_network_once(monkeypatch):
     res = gauss_newton(RING4, sample_channels(RING4, seed=2))
     assert res.iterations > 1
     assert calls == [RING4]
+
+
+@pytest.mark.parametrize("cfg, builds", [(RING4, 2), (NetworkConfig.symmetric(10, 8, 8, 1), 3)])
+def test_a_report_stacks_each_link_set_once(monkeypatch, cfg, builds):
+    # the stalled ring makes five Gauss-Newton starts on one channel set;
+    # (8x8,1)^10 stacks its rank trial's cross links and the solvers' two sets
+    calls = []
+    stack = iafeas.channels._stack_links
+
+    def counting(cfg, channels):
+        calls.append(len(channels))
+        return stack(cfg, channels)
+
+    monkeypatch.setattr(iafeas.channels, "_stack_links", counting)
+    feasibility_report(cfg, seed=3, mode="numeric", solve=True)
+    assert len(calls) == builds
 
 
 def test_single_pair_needs_no_solving():
