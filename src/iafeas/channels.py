@@ -89,7 +89,7 @@ class ChannelSet:
 class LinkBatch:
     """The links of one shape (N_k, M_j, d_k, d_j), in link order.
 
-    ``index`` holds each link's position among the links asked for, and
+    ``index`` holds each link's position among the links stacked, and
     ``rx`` and ``tx`` its receiver k - 1 and transmitter j - 1 (0-based
     array indices). ``H`` stacks the links' channels into one (B, N_k, M_j)
     array; each matrix keeps the row-major layout of its channel.
@@ -102,20 +102,20 @@ class LinkBatch:
     H: np.ndarray
 
 
-def _stack_links(cfg: NetworkConfig, channels: dict) -> tuple:
+def _stack_links(cfg: NetworkConfig, links: dict) -> tuple:
     """Group links of equal shape into read-only :class:`LinkBatch` stacks.
 
-    ``channels`` maps each link (k, j) to H_kj, in link order. Batches come
+    ``links`` maps each link (k, j) to H_kj, in link order. Batches come
     in the order of their first link, each listing its links in order.
     """
     groups: dict = {}
-    for i, (k, j) in enumerate(channels):
+    for i, (k, j) in enumerate(links):
         rx, tx = cfg.pairs[k - 1], cfg.pairs[j - 1]
         groups.setdefault((rx.N, tx.M, rx.d, tx.d), []).append((i, k - 1, j - 1))
     batches = []
     for shape, members in groups.items():
         index, rx, tx = np.array(members, dtype=np.intp).T
-        H = np.array([channels[(k + 1, j + 1)] for _, k, j in members])
+        H = np.array([links[(k + 1, j + 1)] for _, k, j in members])
         for array in (index, rx, tx, H):
             array.setflags(write=False)
         batches.append(LinkBatch(shape, index, rx, tx, H))

@@ -119,9 +119,9 @@ def test_a_report_stacks_each_link_set_once(monkeypatch, cfg, builds):
     calls = []
     stack = iafeas.channels._stack_links
 
-    def counting(cfg, channels):
-        calls.append(len(channels))
-        return stack(cfg, channels)
+    def counting(cfg, links):
+        calls.append(len(links))
+        return stack(cfg, links)
 
     monkeypatch.setattr(iafeas.channels, "_stack_links", counting)
     feasibility_report(cfg, seed=3, mode="numeric", solve=True)
