@@ -2,6 +2,7 @@
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -36,6 +37,31 @@ def random_config(rng, k_lo=2, k_hi=4, mn_hi=6, d_hi=2):
         d = int(rng.integers(1, min(M, N, d_hi) + 1))
         pairs.append((M, N, d))
     return NetworkConfig.from_tuples(pairs)
+
+
+def reciprocal_pairs(pairs):
+    """The M<->N reciprocal network's pairs: (N, M, d) for every (M, N, d)."""
+    return tuple((N, M, d) for M, N, d in pairs)
+
+
+def canonical_pairs(pairs):
+    """One network's canonical form: the smaller of its sorted pairs and its
+    sorted reciprocal pairs, so relabelled and reciprocal copies agree."""
+    return min(tuple(sorted(pairs)), tuple(sorted(reciprocal_pairs(pairs))))
+
+
+def census(K, mn_hi):
+    """Every K-pair network with 1 <= M, N <= ``mn_hi`` and 1 <= d <= min(M, N),
+    once up to relabelling and M<->N reciprocity, as canonical pair tuples."""
+    types = [
+        (M, N, d)
+        for M in range(1, mn_hi + 1)
+        for N in range(1, mn_hi + 1)
+        for d in range(1, min(M, N) + 1)
+    ]
+    for pairs in combinations_with_replacement(types, K):
+        if pairs == canonical_pairs(pairs):
+            yield pairs
 
 
 def cross_products(cfg, channels, tilde):
