@@ -12,8 +12,8 @@ from .allocation import (
     AllocationPolicy,
     allocation_from_json_dict,
     flow_feasibility,
-    init_allocation,
     pressures,
+    report_allocation,
     run_ptt,
     run_ptt_symmetric,
     verify_allocation,
@@ -79,13 +79,13 @@ __all__ = [
     "gauss_newton_multistart",
     "generic_full_row_rank",
     "gf_rank",
-    "init_allocation",
     "load_config_file",
     "necessary_verdict",
     "parse_dump",
     "pressures",
     "properness_witness_from_cells",
     "properness_witness_from_links",
+    "report_allocation",
     "residual_jacobian",
     "residuals",
     "row_index",

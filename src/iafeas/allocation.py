@@ -19,12 +19,14 @@ set yields a witness.
   whether the caps can be met at all, which is the properness decision;
 * :func:`run_ptt` runs it from a given allocation;
 * :func:`run_ptt_symmetric` runs it on bundles of d constraints at once
-  from a seeded random start, preserving stream uniformity on the
+  from the all-receive start, preserving stream uniformity on the
   divisible family (equal stream counts, d dividing every N_k or every
-  M_k); ``iafeas alloc`` uses it there.
+  M_k);
+* :func:`report_allocation` picks the allocation that ``check`` reports
+  and ``alloc`` prints.
 
-Every choice of the engine is fixed (lowest cell first), so a run gives
-the same allocation in every process.
+Every start and every choice of the engine is fixed (lowest cell first),
+so a run gives the same allocation in every process.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
-
-import numpy as np
 
 from .conditions import bundle_axis
 from .config import NetworkConfig, validate_config
@@ -147,17 +147,6 @@ def pressures(cfg: NetworkConfig, alloc: AllocationPolicy) -> PressureState:
         else:
             p_t[(j, q)] -= 1
     return PressureState(p_t=p_t, p_r=p_r)
-
-
-def _coin_flips(items, seed: int) -> dict:
-    """One fair coin per item, in order: item -> "r" | "t"."""
-    rng = np.random.default_rng(seed)
-    return {item: "r" if int(rng.integers(0, 2)) else "t" for item in items}
-
-
-def init_allocation(cfg: NetworkConfig, seed: int = 0) -> AllocationPolicy:
-    """Random starting allocation, one fair coin per constraint."""
-    return AllocationPolicy(cfg=cfg, sides=_coin_flips(cfg.quads(), seed))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +420,7 @@ def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy) -> PttResult:
     return _run(cfg, "", dict(alloc.sides))
 
 
-def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
+def run_ptt_symmetric(cfg: NetworkConfig) -> PttResult:
     """Transfer run that preserves stream uniformity.
 
     Needs the divisible family: every pair carries the same stream count d
@@ -441,15 +430,13 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
     pressures stay divisible by d); otherwise the mirrored bundle
     (k, j, 0, q) spans receive streams p. Balanced outcomes therefore satisfy
     the capacity caps and stream uniformity at once, which certifies
-    solvability. The seed draws the starting bundle sides at random, with
-    the coins of :func:`init_allocation`; the engine's choices are
-    deterministic. For d = 1 this is exactly :func:`run_ptt` from
-    ``init_allocation(cfg, seed)``.
+    solvability. Every bundle starts on the receive side, so for d = 1 it
+    makes the transfers of :func:`flow_feasibility`'s run.
     """
     axis, reason = bundle_axis(cfg)
     if not axis:
         raise ValueError(f"bundled allocation needs the divisible family: {reason}")
-    return _run(cfg, axis, _coin_flips(_items(cfg, axis), seed))
+    return _run(cfg, axis, dict.fromkeys(_items(cfg, axis), "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +444,16 @@ def run_ptt_symmetric(cfg: NetworkConfig, seed: int = 0) -> PttResult:
 # ---------------------------------------------------------------------------
 
 
-def flow_feasibility(cfg: NetworkConfig):
+def flow_feasibility(cfg: NetworkConfig) -> PttResult:
     """Decide whether a capacity-respecting allocation exists.
 
-    Runs the transfer engine from the all-receive start. Returns
-    (policy, None) when it balances, else (None, witness) where the witness
-    is the properness violation extracted from the stuck tree. The start
-    and every choice of the engine are fixed, so the answer is the same in
+    Runs the transfer engine from the all-receive start: the run balances
+    exactly when such an allocation exists, and otherwise its witness is
+    the properness violation extracted from the stuck tree. The start and
+    every choice of the engine are fixed, so the answer is the same in
     every process.
     """
-    res = run_ptt(cfg, AllocationPolicy.all_rx(cfg))
-    return (res.alloc, None) if res.balanced else (None, res.witness)
+    return run_ptt(cfg, AllocationPolicy.all_rx(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +537,26 @@ def verify_allocation(cfg: NetworkConfig, alloc: AllocationPolicy) -> Allocation
         rx_overloads=rx_over,
         tx_overloads=tx_over,
     )
+
+
+
+def report_allocation(cfg: NetworkConfig, run: PttResult | None = None, verify=verify_allocation):
+    """The allocation ``check`` reports and ``alloc`` prints: (run, report, variant).
+
+    The first try is ``run``, :func:`flow_feasibility`'s run, made here
+    unless the caller's necessary chain made it. Where it balanced into no
+    certificate on the divisible family, the bundled run takes its place,
+    and ``variant`` turns from "plain" to "bundled". ``report`` is
+    ``verify`` applied once to the returned allocation (None for a stuck
+    run); the report hands in the name it looks up, where a tracer can
+    wrap it.
+    """
+    if run is None:
+        run = flow_feasibility(cfg)
+    if not run.balanced:
+        return run, None, "plain"
+    report = verify(cfg, run.alloc)
+    if report.certificate or not bundle_axis(cfg)[0]:
+        return run, report, "plain"
+    run = run_ptt_symmetric(cfg)
+    return run, verify(cfg, run.alloc), "bundled"

@@ -15,14 +15,13 @@ Four subcommands:
 * ``hall CONFIG.json``: sample channels and print the alignment
   coefficient matrix in the text dump format (``--prime`` implies
   ``--field prime``); exit 3 when some pair cannot carry its streams.
-* ``alloc CONFIG.json``: run the pressure-transfer allocator, bundled on
-  the divisible family unless ``--plain`` is given, plain elsewhere;
-  balanced runs print the allocation map and exit 0, stuck runs print
-  the witness and exit 1.
+* ``alloc CONFIG.json``: the pressure-transfer run behind ``check``'s
+  allocation; balanced runs print the allocation map and exit 0, stuck
+  runs print the witness and exit 1.
 
-Seed precedence everywhere: ``--seed`` flag, then the config file's
-``seed`` entry, then the ``IA_KIT_SEED`` environment variable, then 0; a
-negative seed exits 3. A configuration too large to draw channels for in
+Seed precedence in ``check``, ``sweep`` and ``hall``: ``--seed`` flag, then
+the config file's ``seed`` entry, then the ``IA_KIT_SEED`` environment
+variable, then 0; a negative seed exits 3. A configuration too large to draw channels for in
 memory exits 3 with its size. A closed stdout ends any command quietly,
 exit 0.
 """
@@ -36,9 +35,8 @@ import sys
 import traceback
 from contextlib import contextmanager
 
-from .allocation import init_allocation, run_ptt, run_ptt_symmetric, verify_allocation
+from .allocation import report_allocation
 from .channels import sample_channels
-from .conditions import bundle_axis
 from .config import NetworkConfig, load_config_file, read_json, system_shape
 from .fields import COMPLEX, DEFAULT_PRIME, validate_field
 from .jacobian import build_jacobian
@@ -238,15 +236,9 @@ def _cmd_hall(ns) -> int:
 
 
 def _cmd_alloc(ns) -> int:
-    cfg, file_seed, _ = load_config_file(ns.config)
-    seed = _resolve_seed(ns.seed, file_seed)
-    axis, _ = bundle_axis(cfg)
-    if axis and not ns.plain:
-        res, variant = run_ptt_symmetric(cfg, seed=seed), "bundled"
-    else:
-        res, variant = run_ptt(cfg, init_allocation(cfg, seed=seed)), "plain"
+    cfg, _, _ = load_config_file(ns.config)
+    res, report, variant = report_allocation(cfg)
     if res.balanced:
-        report = verify_allocation(cfg, res.alloc)
         out = {
             "verdict": "balanced",
             "variant": variant,
@@ -315,12 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_alloc = sub.add_parser("alloc", help="run the pressure-transfer allocator")
     p_alloc.add_argument("config", help="configuration JSON file")
-    p_alloc.add_argument("--seed", type=int, default=None)
-    p_alloc.add_argument(
-        "--plain",
-        action="store_true",
-        help="skip the bundled variant even when it applies",
-    )
     p_alloc.set_defaults(func=_cmd_alloc)
 
     return parser

@@ -10,7 +10,9 @@
    exactly on their domains; on the divisible family properness decides,
    so the chain's properness run is its answer;
 3. an allocation certificate: a capacity-respecting, stream-uniform
-   constraint allocation, taken from the properness run;
+   constraint allocation, as :func:`~iafeas.allocation.report_allocation`
+   picks it from the properness run and, on the divisible family, the
+   bundled run;
 4. the randomized rank test on the alignment system's coefficient matrix,
    which certifies generic feasibility when any trial has full row rank.
 
@@ -33,7 +35,9 @@ from dataclasses import dataclass
 from .allocation import (
     AllocationPolicy,
     AllocationReport,
+    PttResult,
     flow_feasibility,
+    report_allocation,
     verify_allocation,
 )
 from .conditions import (
@@ -62,16 +66,16 @@ class NecessaryReport:
 
     ``witness`` carries the first violation (None when all pass).
     ``skipped`` lists the checks after a violation, which are not run.
-    ``policy`` is the capacity-respecting allocation the properness run
-    found, when all checks pass; it is a by-product for the allocation
-    certificate and stays out of :meth:`to_dict`.
+    ``run`` is the properness run, when the chain got to it; it is the
+    first try for the allocation certificate and stays out of
+    :meth:`to_dict`.
     """
 
     passed: bool
     witness: SubsetWitness | None
     checks: tuple
     skipped: tuple
-    policy: AllocationPolicy | None = None
+    run: PttResult | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -89,14 +93,15 @@ def necessary_verdict(cfg: NetworkConfig) -> NecessaryReport:
     and lists the checks after it as skipped.
     """
     # the checks are looked up at call time, where a tracer can wrap them
-    policy = None
+    run = None
     witness = check_stream_support(cfg)
     if witness is None:
         witness = check_antenna_budget(cfg)
     if witness is None:
-        policy, witness = flow_feasibility(cfg)
+        run = flow_feasibility(cfg)
+        witness = run.witness
     ran = CHAIN if witness is None else CHAIN[: CHAIN.index(witness.kind) + 1]
-    return NecessaryReport(witness is None, witness, ran, CHAIN[len(ran):], policy)
+    return NecessaryReport(witness is None, witness, ran, CHAIN[len(ran):], run)
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class VerdictReport:
     """Everything the pipeline concluded about one configuration.
 
     ``allocation`` and ``allocation_report`` are set together, exactly
-    when the necessary chain passes.
+    when the necessary chain passes, as ``report_allocation`` returns them.
     """
 
     cfg: NetworkConfig
@@ -112,6 +117,7 @@ class VerdictReport:
     rule: str
     necessary: NecessaryReport
     closed_forms: tuple
+    allocation: AllocationPolicy | None
     allocation_report: AllocationReport | None
     rank: RankVerdict
     sound: bool
@@ -121,11 +127,6 @@ class VerdictReport:
     def witness(self) -> SubsetWitness | None:
         """The necessary chain's first violation, None when it passed."""
         return self.necessary.witness
-
-    @property
-    def allocation(self) -> AllocationPolicy | None:
-        """The allocation the chain's properness run found."""
-        return self.necessary.policy
 
     def to_dict(self) -> dict:
         c, v = system_shape(self.cfg)
@@ -201,11 +202,12 @@ def feasibility_report(
     necessary = necessary_verdict(cfg)
 
     closed: tuple = ()
-    alloc_report = None
+    alloc = alloc_report = None
     if necessary.passed:
         # the chain's properness run, which balanced, decides the family
         closed = (symmetric_feasible(cfg), divisible_feasible(cfg, necessary.witness))
-        alloc_report = verify_allocation(cfg, necessary.policy)
+        run, alloc_report, _ = report_allocation(cfg, necessary.run, verify_allocation)
+        alloc = run.alloc
 
     # a witness already decides: one draw cross-checks it (module docstring)
     rank = generic_full_row_rank(
@@ -254,6 +256,7 @@ def feasibility_report(
         rule=rule,
         necessary=necessary,
         closed_forms=closed,
+        allocation=alloc,
         allocation_report=alloc_report,
         rank=rank,
         sound=sound,

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from iafeas import (
+    AllocationPolicy,
     ChannelSet,
     NetworkConfig,
     RankVerdict,
@@ -19,7 +20,8 @@ from iafeas import (
     scale_config,
     system_shape,
 )
-from iafeas.allocation import PressureTree, PttDefect
+from iafeas.allocation import PressureTree, PttDefect, _items, _run
+from iafeas.conditions import bundle_axis
 from iafeas.fields import COMPLEX
 from iafeas.rank import DEFAULT_PRIME, _svd_rank
 from iafeas.transceivers import block_starts
@@ -37,6 +39,28 @@ def random_config(rng, k_lo=2, k_hi=4, mn_hi=6, d_hi=2):
         d = int(rng.integers(1, min(M, N, d_hi) + 1))
         pairs.append((M, N, d))
     return NetworkConfig.from_tuples(pairs)
+
+
+def coin_flips(items, seed):
+    """One fair coin per item, in order: item -> "r" | "t"."""
+    rng = np.random.default_rng(seed)
+    return {item: "r" if int(rng.integers(0, 2)) else "t" for item in items}
+
+
+def init_allocation(cfg, seed=0):
+    """Random starting allocation, one fair coin per constraint."""
+    return AllocationPolicy(cfg=cfg, sides=coin_flips(cfg.quads(), seed))
+
+
+def random_bundled_run(cfg, seed):
+    """The bundled transfer run from one fair coin per bundle.
+
+    For d = 1 this is ``run_ptt`` from ``init_allocation(cfg, seed)``.
+    """
+    axis, reason = bundle_axis(cfg)
+    if not axis:
+        raise ValueError(f"bundled allocation needs the divisible family: {reason}")
+    return _run(cfg, axis, coin_flips(_items(cfg, axis), seed))
 
 
 def reciprocal_pairs(pairs):

@@ -20,7 +20,6 @@ from iafeas import (
     flow_feasibility,
     gauss_newton_multistart,
     generic_full_row_rank,
-    init_allocation,
     residual_jacobian,
     run_ptt,
     run_ptt_symmetric,
@@ -34,7 +33,9 @@ from iafeas.cli import main as cli_main
 from helpers import (
     enumerate_properness_violation,
     fd_jacobian,
+    init_allocation,
     max_allocation,
+    random_bundled_run,
     random_config,
     scaling_check,
 )
@@ -113,7 +114,7 @@ def test_criterion_4_transfer_flow_enumeration_equivalence():
         balanced = run_ptt(cfg, init_allocation(cfg, seed=i)).balanced
         by_oracle = max_allocation(cfg) == len(list(cfg.quads()))
         by_enum = enumerate_properness_violation(cfg) is None
-        by_package = flow_feasibility(cfg)[0] is not None
+        by_package = flow_feasibility(cfg).balanced
         assert balanced == by_oracle == by_enum == by_package, cfg.describe()
 
 
@@ -121,19 +122,12 @@ def test_criterion_5_certificates_imply_full_rank():
     """Every certified allocation must come with a full-rank system."""
     certified = 0
     for i, cfg in enumerate(shared_random_grid()):
-        allocations = []
-        flow, _ = flow_feasibility(cfg)
-        if flow is not None:
-            allocations.append(flow)
-        ptt = run_ptt(cfg, init_allocation(cfg, seed=i))
-        if ptt.balanced:
-            allocations.append(ptt.alloc)
+        runs = [flow_feasibility(cfg), run_ptt(cfg, init_allocation(cfg, seed=i))]
         try:
-            bundled = run_ptt_symmetric(cfg, seed=i)
+            runs += [run_ptt_symmetric(cfg), random_bundled_run(cfg, seed=i)]
         except ValueError:
-            bundled = None
-        if bundled is not None and bundled.balanced:
-            allocations.append(bundled.alloc)
+            pass
+        allocations = [run.alloc for run in runs if run.balanced]
 
         for alloc in allocations:
             if verify_allocation(cfg, alloc).certificate:
@@ -215,7 +209,7 @@ def test_criterion_9_divisible_family_matches_rank():
             M = int(rng.integers(d, 10))
             pairs.append((M, N, d))
         cfg = NetworkConfig.from_tuples(pairs)
-        cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
+        cf = divisible_feasible(cfg, flow_feasibility(cfg).witness)
         assert cf.applicable, cfg.describe()
         rank = generic_full_row_rank(cfg, seed=0)
         assert cf.feasible == rank.full_row_rank, cfg.describe()

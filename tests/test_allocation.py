@@ -11,18 +11,22 @@ from iafeas import (
     allocation_from_json_dict,
     config_from_dict,
     flow_feasibility,
-    init_allocation,
     pressures,
+    report_allocation,
     run_ptt,
     run_ptt_symmetric,
     verify_allocation,
 )
 
-from iafeas.allocation import _coin_flips, _instance, _items, _run_transfer_engine
+import iafeas.allocation
+from iafeas.allocation import _instance, _items, _run_transfer_engine
 
 from helpers import (
+    coin_flips,
     enumerate_properness_violation,
+    init_allocation,
     max_allocation,
+    random_bundled_run,
     random_config,
     transfer_engine_reference,
 )
@@ -196,44 +200,45 @@ def test_run_ptt_agrees_with_flow_and_enumeration():
 
         assert res.balanced == (max_allocation(cfg) == len(list(cfg.quads())))
         assert res.balanced == (enumerate_properness_violation(cfg) is None)
-        alloc_flow, wit_flow = flow_feasibility(cfg)
-        assert res.balanced == (alloc_flow is not None)
+        flow = flow_feasibility(cfg)
+        assert res.balanced == flow.balanced
 
         if res.balanced:
             assert res.transfers == deficit
             assert pressures(cfg, res.alloc).all_nonnegative()
             assert verify_allocation(cfg, res.alloc).capacities_ok
-            assert verify_allocation(cfg, alloc_flow).capacities_ok
+            assert verify_allocation(cfg, flow.alloc).capacities_ok
         else:
             assert res.witness.holds(cfg)
-            assert wit_flow is not None and wit_flow.holds(cfg)
+            assert flow.witness is not None and flow.witness.holds(cfg)
 
 
 def test_run_ptt_symmetric_bundles_over_q():
     cfg = NetworkConfig.symmetric(3, 6, 4, 2)
-    res = run_ptt_symmetric(cfg, seed=0)
-    assert res.balanced
-    rep = verify_allocation(cfg, res.alloc)
-    assert rep.certificate
-    assert rep.uniform_over_q
+    # from the all-receive start and from a random one
+    for res in (run_ptt_symmetric(cfg), random_bundled_run(cfg, seed=0)):
+        assert res.balanced
+        rep = verify_allocation(cfg, res.alloc)
+        assert rep.certificate
+        assert rep.uniform_over_q
 
 
 def test_run_ptt_symmetric_bundles_over_p():
     # d divides the transmit antennas only, so the mirrored variant runs
     cfg = NetworkConfig.symmetric(3, 4, 5, 2)
-    res = run_ptt_symmetric(cfg, seed=0)
-    assert res.balanced
-    rep = verify_allocation(cfg, res.alloc)
-    assert rep.certificate
-    assert rep.uniform_over_p
+    for res in (run_ptt_symmetric(cfg), random_bundled_run(cfg, seed=0)):
+        assert res.balanced
+        rep = verify_allocation(cfg, res.alloc)
+        assert rep.certificate
+        assert rep.uniform_over_p
 
 
 def test_run_ptt_symmetric_stuck_has_stream_level_witness():
     cfg = NetworkConfig.symmetric(4, 2, 4, 2)
-    res = run_ptt_symmetric(cfg, seed=0)
-    assert not res.balanced
-    assert res.witness is not None
-    assert res.witness.holds(cfg)
+    for res in (run_ptt_symmetric(cfg), random_bundled_run(cfg, seed=0)):
+        assert not res.balanced
+        assert res.witness is not None
+        assert res.witness.holds(cfg)
 
 
 def test_run_ptt_symmetric_guards():
@@ -248,11 +253,16 @@ def test_run_ptt_symmetric_guards():
 def test_run_ptt_symmetric_single_stream_matches_plain():
     for cfg in (RING, RING4, NetworkConfig.from_tuples([(3, 2, 1), (2, 4, 1), (2, 2, 1)])):
         for seed in range(5):
-            bundled = run_ptt_symmetric(cfg, seed=seed)
+            bundled = random_bundled_run(cfg, seed=seed)
             plain = run_ptt(cfg, init_allocation(cfg, seed=seed))
             assert bundled.balanced == plain.balanced
             assert bundled.transfers == plain.transfers
             assert bundled.alloc.sides == plain.alloc.sides
+        # from the all-receive start it moves what the properness run moves
+        bundled, plain = run_ptt_symmetric(cfg), flow_feasibility(cfg)
+        assert bundled.balanced == plain.balanced
+        assert bundled.transfers == plain.transfers
+        assert bundled.alloc.sides == plain.alloc.sides
 
 
 @st.composite
@@ -293,21 +303,21 @@ def test_transfer_engine_matches_reference(case, start):
     cfg, bundle = case
     inst = _instance(cfg, bundle)
     items = list(_items(cfg, bundle))
-    assign = dict.fromkeys(items, "r") if start is None else _coin_flips(items, start)
+    assign = dict.fromkeys(items, "r") if start is None else coin_flips(items, start)
     expected = dict(assign)
     assert _run_transfer_engine(inst, assign) == transfer_engine_reference(inst, expected)
     assert assign == expected
 
 
 def test_flow_feasibility_witness_numbers():
-    alloc, wit = flow_feasibility(RING)
-    assert wit is None
-    assert verify_allocation(RING, alloc).capacities_ok
+    res = flow_feasibility(RING)
+    assert res.balanced and res.witness is None
+    assert verify_allocation(RING, res.alloc).capacities_ok
 
-    alloc, wit = flow_feasibility(RING4)
-    assert alloc is None
-    assert wit.holds(RING4)
-    assert (wit.lhs, wit.rhs) == (8, 12)
+    res = flow_feasibility(RING4)
+    assert not res.balanced
+    assert res.witness.holds(RING4)
+    assert (res.witness.lhs, res.witness.rhs) == (8, 12)
 
 
 def test_init_allocation_modes():
@@ -316,3 +326,52 @@ def test_init_allocation_modes():
         init_allocation(RING, seed=0).sides != init_allocation(RING, seed=s).sides
         for s in range(1, 6)
     )
+
+
+def counted_verify(monkeypatch):
+    """Patch the verification ``report_allocation`` defaults to; list its calls."""
+    calls = []
+
+    def counted(cfg, alloc):
+        calls.append(alloc)
+        return verify_allocation(cfg, alloc)
+
+    monkeypatch.setattr(iafeas.allocation, "verify_allocation", counted)
+    return counted, calls
+
+
+def test_report_allocation_keeps_the_properness_run(monkeypatch):
+    verify, calls = counted_verify(monkeypatch)
+    for cfg in (RING, NetworkConfig.symmetric(3, 6, 4, 2), NetworkConfig.symmetric(3, 5, 5, 2)):
+        calls.clear()
+        run, report, variant = report_allocation(cfg, verify=verify)
+        assert variant == "plain"
+        assert run == flow_feasibility(cfg)
+        assert report == verify_allocation(cfg, run.alloc)
+        assert calls == [run.alloc]
+    # outside the divisible family a run that is no certificate stays
+    assert not report.certificate
+
+
+def test_report_allocation_retries_bundled_on_the_divisible_family(monkeypatch):
+    # the smallest divisible network whose all-receive allocation is no
+    # certificate
+    cfg = NetworkConfig.from_tuples([(3, 4, 2), (3, 4, 2), (6, 4, 2)])
+    plain = flow_feasibility(cfg)
+    assert plain.balanced and not verify_allocation(cfg, plain.alloc).certificate
+
+    verify, calls = counted_verify(monkeypatch)
+    run, report, variant = report_allocation(cfg, plain, verify)
+    assert variant == "bundled"
+    assert run == run_ptt_symmetric(cfg)
+    assert report.certificate and report.uniform_over_q
+    assert calls == [plain.alloc, run.alloc]
+
+
+def test_report_allocation_returns_a_stuck_run_unverified(monkeypatch):
+    verify, calls = counted_verify(monkeypatch)
+    for cfg in (RING4, NetworkConfig.symmetric(4, 2, 4, 2)):
+        run, report, variant = report_allocation(cfg, verify=verify)
+        assert (report, variant) == (None, "plain")
+        assert run == flow_feasibility(cfg)
+    assert calls == []

@@ -303,21 +303,23 @@ def test_hall_inadmissible_exits_three(tmp_path, capsys):
 
 
 def test_alloc_balanced(tmp_path, capsys):
-    cfg_file = write_cfg(tmp_path, "div.json", [(6, 4, 2)] * 3)
-    code, out, _ = run(capsys, "alloc", cfg_file)
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["verdict"] == "balanced"
-    assert blob["variant"] == "bundled"
-    assert blob["certificate"] is True
+    # (6x4,2)^3's all-receive allocation certifies it; the other network's
+    # is no certificate, so the bundled run takes its place
+    for pairs, variant in (
+        ([(6, 4, 2)] * 3, "plain"),
+        ([(3, 4, 2), (3, 4, 2), (6, 4, 2)], "bundled"),
+    ):
+        cfg_file = write_cfg(tmp_path, "div.json", pairs)
+        code, out, _ = run(capsys, "alloc", cfg_file)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["verdict"] == "balanced"
+        assert blob["variant"] == variant
+        assert blob["certificate"] is True
 
-    cfg = NetworkConfig.symmetric(3, 6, 4, 2)
-    alloc = allocation_from_json_dict(cfg, blob["allocation"])
-    assert verify_allocation(cfg, alloc).certificate
-
-    code, out, _ = run(capsys, "alloc", cfg_file, "--plain")
-    assert code == 0
-    assert json.loads(out)["variant"] == "plain"
+        cfg = NetworkConfig.from_tuples(pairs)
+        alloc = allocation_from_json_dict(cfg, blob["allocation"])
+        assert verify_allocation(cfg, alloc).certificate
 
 
 def test_alloc_stuck(tmp_path, capsys):
@@ -339,13 +341,22 @@ def test_alloc_inadmissible_exits_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_alloc_takes_no_seed(tmp_path, capsys, monkeypatch):
+    # nothing in the run is drawn at random, so no seed source reaches it
+    pairs = [(2, 2, 1), (4, 5, 2), (3, 3, 1)]
+    _, expected, _ = run(capsys, "alloc", write_cfg(tmp_path, "a.json", pairs))
+    seeded = write_cfg(tmp_path, "seeded.json", pairs, seed=3)
+    monkeypatch.setenv("IA_KIT_SEED", "5")
+    assert run(capsys, "alloc", seeded) == (0, expected, "")
+
+
 def test_alloc_outside_divisible_family_runs_plain(tmp_path, capsys, monkeypatch):
     # the variant comes from the family's domain test, not from a failed
     # bundled run
     def refuse(*args, **kwargs):
         raise AssertionError("bundled run outside the divisible family")
 
-    monkeypatch.setattr(iafeas.cli, "run_ptt_symmetric", refuse)
+    monkeypatch.setattr(iafeas.allocation, "run_ptt_symmetric", refuse)
     cfg_file = write_cfg(tmp_path, "odd.json", [(5, 5, 2)] * 3)
     code, out, _ = run(capsys, "alloc", cfg_file)
     assert code == 0

@@ -63,6 +63,8 @@ def test_deeply_nested_json_exits_three(tmp_path, capsys, command):
         ["check", "CONFIG", "--tol", "1e-9"],
         ["check", "CONFIG", "--trials", "3"],
         ["sweep", "--K", "3", "--M", "2", "--d", "1", "--trials", "3"],
+        ["alloc", "CONFIG", "--seed", "3"],
+        ["alloc", "CONFIG", "--plain"],
     ],
 )
 def test_removed_solver_and_trial_flags_exit_three(tmp_path, capsys, argv):
@@ -244,14 +246,13 @@ def invocation(draw):
                 if name == "N" or draw(st.integers(0, 5)):
                     argv += [f"--{name}", draw(values)]
         argv += draw(workers_flag)
-    argv += draw(seed_flag)
+    if command != "alloc":
+        argv += draw(seed_flag)
     if command in ("check", "sweep"):
         argv += draw(mode_flag) + draw(prime_flag) + draw(removed_flag)
     elif command == "hall":
         argv += draw(mostly([[], ["--field", "prime"], ["--field", "complex"]]))
         argv += draw(prime_flag)
-    else:
-        argv += draw(st.sampled_from([[], ["--plain"]]))
     text = draw(draw(mostly([document], bad_document)))
     return argv, draw(env_seed), text
 

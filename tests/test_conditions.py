@@ -16,6 +16,7 @@ from iafeas import (
     generic_full_row_rank,
     necessary_verdict,
     symmetric_feasible,
+    verify_allocation,
 )
 
 from helpers import (
@@ -124,7 +125,7 @@ def test_properness_flow_and_enumeration_agree():
     for _ in range(40):
         cfg = random_config(rng)
         enum = enumerate_properness_violation(cfg)
-        _, flow = flow_feasibility(cfg)
+        flow = flow_feasibility(cfg).witness
         assert (enum is None) == (flow is None), cfg.describe()
         if enum is not None:
             assert enum.holds(cfg)
@@ -138,9 +139,9 @@ def test_enumeration_caps_network_size():
 
 
 def test_properness_witness_serializes():
-    alloc, w = flow_feasibility(NetworkConfig.symmetric(4, 2, 2, 1))
-    assert alloc is None
-    d = w.to_dict()
+    res = flow_feasibility(NetworkConfig.symmetric(4, 2, 2, 1))
+    assert not res.balanced
+    d = res.witness.to_dict()
     assert d["kind"] == "properness"
     assert d["lhs"] < d["rhs"]
     assert d["links"]
@@ -150,9 +151,9 @@ def test_necessary_verdict_order_and_skips():
     rep = necessary_verdict(NetworkConfig.symmetric(3, 2, 2, 1))
     assert rep.passed and rep.witness is None
     assert rep.checks == ("stream_support", "antenna_budget", "properness")
-    # the properness run's allocation rides along but stays out of the JSON
-    assert rep.policy == flow_feasibility(NetworkConfig.symmetric(3, 2, 2, 1))[0]
-    assert "policy" not in rep.to_dict()
+    # the properness run rides along but stays out of the JSON
+    assert rep.run == flow_feasibility(NetworkConfig.symmetric(3, 2, 2, 1))
+    assert "run" not in rep.to_dict()
 
     # stream violation wins and the properness check is skipped
     rep = necessary_verdict(NetworkConfig.from_tuples([(1, 1, 2), (3, 3, 1)]))
@@ -168,13 +169,13 @@ def test_necessary_verdict_order_and_skips():
 def test_necessary_verdict_stops_at_first_violation():
     # budget and properness both fail; the chain reports the budget witness
     cfg = NetworkConfig.from_tuples([(6, 2, 2), (6, 2, 2), (2, 6, 2), (2, 2, 2)])
-    assert flow_feasibility(cfg)[1] is not None
+    assert flow_feasibility(cfg).witness is not None
     rep = necessary_verdict(cfg)
     assert not rep.passed
     assert rep.witness == check_antenna_budget(cfg)
     assert rep.checks == ("stream_support", "antenna_budget")
     assert rep.skipped == ("properness",)
-    assert rep.policy is None
+    assert rep.run is None
 
 
 @pytest.mark.parametrize(
@@ -211,27 +212,27 @@ def test_symmetric_closed_form_guards():
 
 def test_divisible_closed_form():
     cfg = NetworkConfig.symmetric(3, 6, 4, 2)
-    cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
+    cf = divisible_feasible(cfg, flow_feasibility(cfg).witness)
     assert cf.applicable and cf.feasible
 
     cfg = NetworkConfig.symmetric(4, 2, 4, 2)
-    cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
+    cf = divisible_feasible(cfg, flow_feasibility(cfg).witness)
     assert cf.applicable and cf.feasible is False
     assert cf.witness is not None
     assert cf.witness.holds(NetworkConfig.symmetric(4, 2, 4, 2))
 
     # d = 1 always qualifies
     cfg = NetworkConfig.from_tuples([(2, 3, 1), (3, 2, 1)])
-    assert divisible_feasible(cfg, flow_feasibility(cfg)[1]).applicable
+    assert divisible_feasible(cfg, flow_feasibility(cfg).witness).applicable
 
     # 2 divides neither 3 nor 3: outside the family (and properness alone
     # would wrongly pass the proper-but-infeasible (3x3,2)^2)
     cfg = NetworkConfig.symmetric(2, 3, 3, 2)
-    cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
+    cf = divisible_feasible(cfg, flow_feasibility(cfg).witness)
     assert not cf.applicable
 
     cfg = NetworkConfig.from_tuples([(4, 4, 2), (3, 3, 1)])
-    assert not divisible_feasible(cfg, flow_feasibility(cfg)[1]).applicable
+    assert not divisible_feasible(cfg, flow_feasibility(cfg).witness).applicable
 
 
 def test_divisible_closed_form_matches_rank_spot_checks():
@@ -242,7 +243,7 @@ def test_divisible_closed_form_matches_rank_spot_checks():
         [(3, 2, 1), (2, 2, 1), (2, 3, 1)],
     ]:
         cfg = NetworkConfig.from_tuples(pairs)
-        cf = divisible_feasible(cfg, flow_feasibility(cfg)[1])
+        cf = divisible_feasible(cfg, flow_feasibility(cfg).witness)
         assert cf.applicable
         rank = generic_full_row_rank(cfg, seed=3)
         assert cf.feasible == rank.full_row_rank, cfg.describe()
@@ -257,7 +258,9 @@ def test_divisible_closed_form_matches_rank_spot_checks():
     ],
 )
 def test_report_runs_the_transfer_engine_once(pairs, monkeypatch):
-    # the divisible family is decided by the chain's properness run
+    # the divisible family is decided by the chain's properness run; only
+    # where its allocation is no certificate, as on (6x4,2)^4, does the
+    # bundled run follow for the allocation section
     runs = []
     engine = iafeas.allocation._run_transfer_engine
 
@@ -269,7 +272,10 @@ def test_report_runs_the_transfer_engine_once(pairs, monkeypatch):
     rep = feasibility_report(NetworkConfig.from_tuples(pairs), seed=0)
     assert rep.necessary.passed
     assert rep.closed_forms[1].applicable and rep.closed_forms[1].feasible
-    assert len(runs) == 1
+    plain_certifies = verify_allocation(rep.cfg, rep.necessary.run.alloc).certificate
+    assert plain_certifies == (pairs != [(6, 4, 2)] * 4)
+    assert rep.allocation_report.certificate
+    assert len(runs) == (1 if plain_certifies else 2)
 
 
 def test_solver_section_reads_stream_support_off_the_chain(monkeypatch):

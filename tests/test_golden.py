@@ -7,7 +7,8 @@ same. The list covers every rule, the budget check at K = 13
 ((8x8,1)^13), and two rank tests over many receivers: a K = 14 network
 with streams 1 to 3 (C = 668) and (8x8,2)^6 (C = 120). Three entries pin
 the divisible closed form, which the report reads off the necessary
-chain's properness run: (6x4,2)^4, whose allocation is no certificate;
+chain's properness run: (6x4,2)^4, whose properness run's allocation is
+no certificate, so its allocation section holds the bundled run's;
 {(4x5,2),(4x5,2),(6x3,2)}, where d divides every M_k but not every N_k;
 and a d = 1 network with K = 4. An allocation section carries the
 certificate bit, the certificate conditions and the policy, nothing

@@ -14,7 +14,6 @@ from iafeas import (
     feasibility_report,
     flow_feasibility,
     generic_full_row_rank,
-    init_allocation,
     necessary_verdict,
     pressures,
     row_index,
@@ -27,7 +26,7 @@ from iafeas import (
 
 from iafeas.rank import DEFAULT_PRIME
 
-from helpers import max_allocation
+from helpers import init_allocation, max_allocation, random_bundled_run
 
 pairs = st.tuples(
     st.integers(1, 8), st.integers(1, 8), st.integers(1, 3)
@@ -94,11 +93,12 @@ def test_all_receive_transfer_run_matches_max_flow_oracle(cfg):
         assert res.witness.holds(cfg)
 
     # the properness decision is this very run
-    alloc, witness = flow_feasibility(cfg)
+    flow = flow_feasibility(cfg)
+    assert flow.balanced == res.balanced
     if res.balanced:
-        assert witness is None and alloc.sides == res.alloc.sides
+        assert flow.witness is None and flow.alloc.sides == res.alloc.sides
     else:
-        assert alloc is None and witness == res.witness
+        assert flow.witness == res.witness
 
 
 @st.composite
@@ -119,12 +119,12 @@ def divisible_networks(draw):
 def test_bundled_run_agrees_with_plain_properness_run(cfg, seed):
     # on these networks properness is sufficient, so the bundled run from
     # any start balances exactly when the plain properness run does
-    bundled = run_ptt_symmetric(cfg, seed=seed)
-    _, witness = flow_feasibility(cfg)
-    assert bundled.balanced == (witness is None)
-    if not bundled.balanced:
-        assert bundled.witness.holds(cfg)
-        assert witness.holds(cfg)
+    witness = flow_feasibility(cfg).witness
+    for bundled in (run_ptt_symmetric(cfg), random_bundled_run(cfg, seed=seed)):
+        assert bundled.balanced == (witness is None)
+        if not bundled.balanced:
+            assert bundled.witness.holds(cfg)
+            assert witness.holds(cfg)
 
 
 @st.composite
