@@ -539,7 +539,6 @@ def verify_allocation(cfg: NetworkConfig, alloc: AllocationPolicy) -> Allocation
     )
 
 
-
 def report_allocation(cfg: NetworkConfig, run: PttResult | None = None, verify=verify_allocation):
     """The allocation ``check`` reports and ``alloc`` prints: (run, report, variant).
 

@@ -19,11 +19,11 @@ Four subcommands:
   allocation; balanced runs print the allocation map and exit 0, stuck
   runs print the witness and exit 1.
 
-Seed precedence in ``check``, ``sweep`` and ``hall``: ``--seed`` flag, then
-the config file's ``seed`` entry, then the ``IA_KIT_SEED`` environment
-variable, then 0; a negative seed exits 3. A configuration too large to draw channels for in
-memory exits 3 with its size. A closed stdout ends any command quietly,
-exit 0.
+Seed precedence in ``check``, ``sweep`` and ``hall``: ``--seed`` flag,
+then the config file's ``seed`` entry, then the ``IA_KIT_SEED``
+environment variable, then 0; a negative seed exits 3. A configuration
+too large to draw channels for in memory exits 3 with its size. A closed
+stdout ends any command quietly, exit 0.
 """
 
 from __future__ import annotations

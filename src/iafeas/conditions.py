@@ -302,8 +302,8 @@ def divisible_feasible(cfg: NetworkConfig, properness) -> ClosedForm:
     Applies when every pair carries the same stream count d and d divides
     every N_k (or every M_k); see :func:`bundle_axis`. Properness is then
     sufficient as well as necessary, so the properness run decides it.
-    ``properness`` is that run's witness, as
-    :func:`~iafeas.allocation.flow_feasibility` returns it: None when the
+    ``properness`` is the witness of that run, as
+    :func:`~iafeas.allocation.flow_feasibility` makes it: None when the
     run balanced, else a properness violation, which the infeasible
     verdict ships.
     """

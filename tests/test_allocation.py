@@ -18,7 +18,6 @@ from iafeas import (
     verify_allocation,
 )
 
-import iafeas.allocation
 from iafeas.allocation import _instance, _items, _run_transfer_engine
 
 from helpers import (
@@ -328,20 +327,19 @@ def test_init_allocation_modes():
     )
 
 
-def counted_verify(monkeypatch):
-    """Patch the verification ``report_allocation`` defaults to; list its calls."""
+def counted_verify():
+    """``verify_allocation`` that lists the allocations it is given."""
     calls = []
 
     def counted(cfg, alloc):
         calls.append(alloc)
         return verify_allocation(cfg, alloc)
 
-    monkeypatch.setattr(iafeas.allocation, "verify_allocation", counted)
     return counted, calls
 
 
-def test_report_allocation_keeps_the_properness_run(monkeypatch):
-    verify, calls = counted_verify(monkeypatch)
+def test_report_allocation_keeps_the_properness_run():
+    verify, calls = counted_verify()
     for cfg in (RING, NetworkConfig.symmetric(3, 6, 4, 2), NetworkConfig.symmetric(3, 5, 5, 2)):
         calls.clear()
         run, report, variant = report_allocation(cfg, verify=verify)
@@ -353,14 +351,14 @@ def test_report_allocation_keeps_the_properness_run(monkeypatch):
     assert not report.certificate
 
 
-def test_report_allocation_retries_bundled_on_the_divisible_family(monkeypatch):
-    # the smallest divisible network whose all-receive allocation is no
-    # certificate
+def test_report_allocation_retries_bundled_on_the_divisible_family():
+    # the smallest network of the K = 3, M, N <= 6 census that is divisible
+    # and whose all-receive allocation is no certificate
     cfg = NetworkConfig.from_tuples([(3, 4, 2), (3, 4, 2), (6, 4, 2)])
     plain = flow_feasibility(cfg)
     assert plain.balanced and not verify_allocation(cfg, plain.alloc).certificate
 
-    verify, calls = counted_verify(monkeypatch)
+    verify, calls = counted_verify()
     run, report, variant = report_allocation(cfg, plain, verify)
     assert variant == "bundled"
     assert run == run_ptt_symmetric(cfg)
@@ -368,8 +366,8 @@ def test_report_allocation_retries_bundled_on_the_divisible_family(monkeypatch):
     assert calls == [plain.alloc, run.alloc]
 
 
-def test_report_allocation_returns_a_stuck_run_unverified(monkeypatch):
-    verify, calls = counted_verify(monkeypatch)
+def test_report_allocation_returns_a_stuck_run_unverified():
+    verify, calls = counted_verify()
     for cfg in (RING4, NetworkConfig.symmetric(4, 2, 4, 2)):
         run, report, variant = report_allocation(cfg, verify=verify)
         assert (report, variant) == (None, "plain")

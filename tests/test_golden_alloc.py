@@ -2,8 +2,9 @@
 
 ``data/golden_alloc.json`` holds, for each case, the exit code and the
 exact stdout of ``iafeas alloc CONFIG``. The cases cover balanced
-all-receive runs on the divisible family ((6x4,2)^3 over q, (4x5,2)^3
-over p), the bundled run that replaces an all-receive allocation which
+all-receive runs on the divisible family ((6x4,2)^3, where d divides
+every N_k, and (4x5,2)^3, where it divides every M_k), the bundled run
+that replaces an all-receive allocation which
 is no certificate ({(3x4,2),(3x4,2),(6x4,2)}), a stuck divisible network
 ((2x4,2)^4), the d = 1 ring in both outcomes ((2x2,1)^3 and (2x2,1)^4)
 and two mixed-stream networks (one balances, one gets stuck). A stuck
