@@ -9,7 +9,9 @@ is no certificate ({(3x4,2),(3x4,2),(6x4,2)}), a stuck divisible network
 ((2x4,2)^4), the d = 1 ring in both outcomes ((2x2,1)^3 and (2x2,1)^4)
 and two mixed-stream networks (one balances, one gets stuck). A stuck
 all-receive run is printed as it stands, so no case prints a stuck
-bundled run. Regenerate the file with ``PYTHONPATH=src python
+bundled run. ``alloc`` reads no seed, so each case is also run at seeds 0
+and 3, given through the config file and ``IA_KIT_SEED``, and must print
+the same bytes. Regenerate the file with ``PYTHONPATH=src python
 tests/test_golden_alloc.py`` only when an output change is intended.
 """
 
@@ -36,9 +38,15 @@ CASES = (
 )
 
 
-def run_alloc(tmp_dir, pairs):
+SEEDS = (0, 3)
+
+
+def run_alloc(tmp_dir, pairs, seed=None):
     path = Path(tmp_dir) / "cfg.json"
-    path.write_text(json.dumps({"pairs": [{"M": m, "N": n, "d": d} for m, n, d in pairs]}))
+    obj = {"pairs": [{"M": m, "N": n, "d": d} for m, n, d in pairs]}
+    if seed is not None:
+        obj["seed"] = seed
+    path.write_text(json.dumps(obj))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["alloc", str(path)])
@@ -57,11 +65,23 @@ def golden_entries(tmp_dir):
 ENTRIES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
 
 
+RUNS = [(e, seed) for e in ENTRIES for seed in (None, *SEEDS)]
+
+
 @pytest.mark.parametrize(
-    "entry", ENTRIES, ids=[f"{e['pairs']}".replace(" ", "") for e in ENTRIES]
+    "entry,seed",
+    RUNS,
+    ids=[
+        f"{e['pairs']}".replace(" ", "") + ("" if seed is None else f"--seed{seed}")
+        for e, seed in RUNS
+    ],
 )
-def test_alloc_output_is_byte_identical(entry, tmp_path):
-    code, out = run_alloc(tmp_path, [tuple(p) for p in entry["pairs"]])
+def test_alloc_output_is_byte_identical(entry, seed, tmp_path, monkeypatch):
+    if seed is None:
+        monkeypatch.delenv("IA_KIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("IA_KIT_SEED", str(seed))
+    code, out = run_alloc(tmp_path, [tuple(p) for p in entry["pairs"]], seed)
     assert out == entry["stdout"]
     assert code == entry["exit"]
 
