@@ -27,7 +27,7 @@ C, V = system_shape(cfg)
 print(f"network {cfg.describe()}: {C} constraints, {V} free variables")
 
 channels = sample_channels(cfg, seed=7)
-jac = build_jacobian(cfg, channels)
+jac = build_jacobian(channels)
 
 # Each cross constraint (k, j, p, q) owns one row. The row touches the
 # receive variables of stream (k, p) and the transmit variables of

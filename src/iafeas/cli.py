@@ -230,7 +230,7 @@ def _cmd_hall(ns) -> int:
     # sample_channels validates the field
     with _fits_in_memory(cfg):
         channels = sample_channels(cfg, seed=seed, field=field)
-        jac = build_jacobian(cfg, channels)
+        jac = build_jacobian(channels)
     jac.dump(sys.stdout)
     return 0
 

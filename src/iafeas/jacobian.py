@@ -8,6 +8,11 @@ residual map at the identity-pinned origin. Its generic row rank decides
 whether the constraints are independent enough to be solvable, which is
 what the rank engine tests.
 
+Every function here takes a channel set, which carries its network, and
+works on the set's one :class:`AlignmentSystem`
+(:attr:`~iafeas.channels.ChannelSet.system`), built and checked on first
+use.
+
 Row order: constraints sorted by (k, j, p, q) with the transmit stream q
 fastest. Column order: the variable order that
 :mod:`~iafeas.transceivers` owns (all decorrelator blocks, then all
@@ -18,13 +23,16 @@ index maps are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import ChannelSet
 from .config import NetworkConfig, system_shape, validate_config
 from .fields import COMPLEX, field_token
 from .transceivers import ReducedTransceivers, block_starts
+
+if TYPE_CHECKING:
+    from .channels import ChannelSet
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +141,15 @@ class AlignmentSystem:
     links' residual rows and the positions of their variables in the
     variable vector, so that a solver evaluates :meth:`residuals` and
     :meth:`jacobian` many times without checking or indexing again. A
-    reduced point is its variable vector x (``to_vector`` order).
+    reduced point is its variable vector x (``to_vector`` order). Each
+    channel set builds its own, as :attr:`~iafeas.channels.ChannelSet.system`.
     """
 
-    def __init__(self, cfg: NetworkConfig, channels: ChannelSet):
+    def __init__(self, channels: ChannelSet):
+        cfg = channels.cfg
         if validate_config(cfg):
             # a pair with d_k > min(M_k, N_k) has no free block to place
             raise ValueError("the coefficient matrix needs a stream-admissible network")
-        if channels.cfg != cfg:
-            raise ValueError("channel set was sampled for a different configuration")
         self.channels = channels
         self.batches = channels.batches
         self.C, self.V = system_shape(cfg)
@@ -243,7 +251,7 @@ def _place(system: AlignmentSystem, blocks) -> np.ndarray:
     return A
 
 
-def build_jacobian(cfg: NetworkConfig, channels: ChannelSet) -> AlignmentJacobian:
+def build_jacobian(channels: ChannelSet) -> AlignmentJacobian:
     """Assemble the coefficient matrix from sampled channels.
 
     Works for complex and prime-field channels alike; placement only reads
@@ -252,13 +260,11 @@ def build_jacobian(cfg: NetworkConfig, channels: ChannelSet) -> AlignmentJacobia
     transmitter.
     """
     return AlignmentJacobian(
-        cfg=cfg, field=channels.field, matrix=AlignmentSystem(cfg, channels).jacobian()
+        cfg=channels.cfg, field=channels.field, matrix=channels.system.jacobian()
     )
 
 
-def residuals(
-    cfg: NetworkConfig, channels: ChannelSet, tilde: ReducedTransceivers
-) -> np.ndarray:
+def residuals(channels: ChannelSet, tilde: ReducedTransceivers) -> np.ndarray:
     """Evaluate all C constraint polynomials at a reduced point.
 
     Each value is constant + decorrelator term + precoder term + bilinear
@@ -273,21 +279,19 @@ def residuals(
     link, and the terms are summed in the same order: the result is the
     per-link loop's, bit for bit.
     """
-    system = AlignmentSystem(cfg, channels)
+    system = channels.system
     channels.require_complex()
     return system.residuals(tilde.to_vector(), tilde.row_major)
 
 
-def residual_jacobian(
-    cfg: NetworkConfig, channels: ChannelSet, tilde: ReducedTransceivers
-) -> np.ndarray:
+def residual_jacobian(channels: ChannelSet, tilde: ReducedTransceivers) -> np.ndarray:
     """Jacobian of :func:`residuals` at a reduced point (complex C x V).
 
     The residual is a polynomial in the stored variables, so this is an
     exact derivative, not a numerical estimate. At the all-zeros point it
-    coincides with ``build_jacobian(cfg, channels).matrix``.
+    coincides with ``build_jacobian(channels).matrix``.
     """
-    system = AlignmentSystem(cfg, channels)
+    system = channels.system
     channels.require_complex()
     return system.jacobian(tilde.to_vector(), tilde.row_major)
 

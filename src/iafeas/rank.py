@@ -510,10 +510,9 @@ def _left_null_basis(G: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     return r, A[r:, n:]
 
 
-def _project_decorrelators(
-    cfg: NetworkConfig, channels: ChannelSet, p: int, orbits=None
-) -> tuple[int, np.ndarray]:
-    """Split the coefficient matrix's rank into a sum over GF(p).
+def _project_decorrelators(channels: ChannelSet, orbits=None) -> tuple[int, np.ndarray]:
+    """Split the coefficient matrix's rank into a sum over GF(p), the
+    prime field the channels were drawn over.
 
     Returns ``sum_k d_k * rank G_k`` and the reduced precoder matrix R (see
     the module docstring); the rank of the full matrix is the first plus
@@ -528,6 +527,7 @@ def _project_decorrelators(
     orbit, and the one slab holds the precoder blocks in pair order, the
     order of :func:`~iafeas.transceivers.block_starts`.
     """
+    cfg, p = channels.cfg, channels.field
     d = [pair.d for pair in cfg.pairs]
     orbits = orbits or [(k,) for k in range(1, cfg.K + 1)]
     # precoder block v_j spans R's columns starts[j]:starts[j] + d_j (M_j - d_j)
@@ -663,7 +663,7 @@ def _fold(R: np.ndarray, orders: tuple, p: int) -> np.ndarray:
     return folded.reshape(n, rows, width)
 
 
-def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, group=None) -> int:
+def _gf_rank_at(channels: ChannelSet, group=None) -> int:
     """Rank of the coefficient matrix at ``channels``, over the prime field
     GF(p) they were drawn over.
 
@@ -676,10 +676,10 @@ def _gf_rank_at(cfg: NetworkConfig, channels: ChannelSet, group=None) -> int:
     """
     p = channels.field
     if not group:
-        projected, R = _project_decorrelators(cfg, channels, p)
+        projected, R = _project_decorrelators(channels)
         return projected + gf_rank(R, p)
     orders, orbits = group[:2]
-    projected, R = _project_decorrelators(cfg, channels, p, orbits)
+    projected, R = _project_decorrelators(channels, orbits)
     return prod(orders) * projected + sum(_stack_ranks(_fold(R, orders, p), p))
 
 
@@ -806,16 +806,16 @@ def generic_full_row_rank(
     for ts in seeds:
         if mode == "numeric":
             ch = sample_channels(cfg, ts, field=COMPLEX)
-            r, tol = _svd_rank(build_jacobian(cfg, ch).matrix)
+            r, tol = _svd_rank(build_jacobian(ch).matrix)
         else:
             ch = sample_channels(cfg, ts, field=group[2] if group else modulus)
-            r = _gf_rank_at(cfg, ch, group)
+            r = _gf_rank_at(ch, group)
             if group is not None and r < C:
                 # only a full group point decides (module docstring)
                 group, note = None, "the group point is deficient; random draws decide"
                 if ch.field != modulus:
                     ch = sample_channels(cfg, ts, field=modulus)
-                r = _gf_rank_at(cfg, ch)
+                r = _gf_rank_at(ch)
         ranks.append(r)
         if r == C:
             break

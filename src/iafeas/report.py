@@ -155,8 +155,8 @@ class VerdictReport:
 
 def _solver_section(cfg, seed, verdict) -> dict:
     channels = sample_channels(cfg, seed=seed, include_direct=True)
-    am = alt_min(cfg, channels)
-    gn = gauss_newton_multistart(cfg, channels, seed=seed)
+    am = alt_min(channels)
+    gn = gauss_newton_multistart(channels, seed=seed)
     solved = am.converged or gn.converged
     if verdict == FEASIBLE:
         agrees = solved

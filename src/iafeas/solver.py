@@ -16,6 +16,11 @@ sampled complex channel set:
 Neither solver ever decides feasibility on its own; a solver failure is
 evidence, not proof. The verdict pipeline treats them as corroboration.
 
+Every function here takes the channel set alone and reads its network
+from it. Gauss-Newton drives the set's one
+:attr:`~iafeas.channels.ChannelSet.system`, so a multistart builds and
+checks the alignment system once for all its starts.
+
 Both work on the channel set's :attr:`~iafeas.channels.ChannelSet.batches`,
 stacks of the links of one shape (N_k, M_j, d_k, d_j): each product runs
 once per batch on (B, ., .) stacks, not link by link. Every float is the
@@ -41,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSet
-from .config import NetworkConfig, system_shape
-from .jacobian import AlignmentSystem
+from .config import system_shape
 from .transceivers import ReducedTransceivers, TransceiverSet
 
 DEFAULT_STARTS = 5
@@ -173,9 +177,7 @@ def _direct_margin(channels: ChannelSet, U, V):
     return margin
 
 
-def verify_ia(
-    cfg: NetworkConfig, channels: ChannelSet, tx: TransceiverSet, tol: float = 1e-8
-) -> AlignmentCheck:
+def verify_ia(channels: ChannelSet, tx: TransceiverSet, tol: float = 1e-8) -> AlignmentCheck:
     """Check a transceiver set against the alignment conditions.
 
     Aligned means every cross term has Frobenius norm below ``tol``; when
@@ -263,22 +265,19 @@ class _Covariances:
         ]
 
 
-def alt_min(
-    cfg: NetworkConfig,
-    channels: ChannelSet,
-    max_iters: int = 500,
-    seed: int = 0,
-) -> SolveResult:
+def alt_min(channels: ChannelSet, max_iters: int = 500, seed: int = 0) -> SolveResult:
     """Alternating leakage minimization with orthonormal transceivers.
 
     Receive filters are the d_k least eigenvectors of the interference
     covariance, H_kj V_j V_j^H H_kj^H summed over the links (k, j) into
     receiver k; transmit filters come from the reciprocal step with the
     roles swapped. Leakage is recorded after every half-step and never
-    increases. Stops when leakage drops below ``ALT_MIN_TOL``.
+    increases. Stops when leakage drops below ``ALT_MIN_TOL``. ``seed``
+    draws the random orthonormal precoders it starts from.
     """
     channels.require_complex()
     channels.require_direct()
+    cfg = channels.cfg
     K = cfg.K
     rng = np.random.default_rng(seed)
 
@@ -329,25 +328,22 @@ def alt_min(
     )
 
 
-def gauss_newton(
-    cfg: NetworkConfig,
-    channels: ChannelSet,
-    init: ReducedTransceivers | None = None,
-) -> SolveResult:
+def gauss_newton(channels: ChannelSet, init: ReducedTransceivers | None = None) -> SolveResult:
     """Damped Gauss-Newton on the reduced alignment residual.
 
     Minimum-norm step delta = -J^H (J J^H + lam I)^{-1} F with the damping
     halved after an accepted step and doubled after a rejected one; it
     starts at 1e-3 times the mean squared row norm of the first Jacobian.
     Converged when the residual's max modulus falls below ``GN_TOL``, within
-    ``GN_MAX_ITERS`` iterations. The configuration and the channels are
-    checked once per run, in :class:`AlignmentSystem`.
+    ``GN_MAX_ITERS`` iterations. The network is checked once per channel
+    set, when its :attr:`~iafeas.channels.ChannelSet.system` is built.
     """
     channels.require_complex()
+    cfg = channels.cfg
     if init is None:
         init = ReducedTransceivers.zeros(cfg)
-    C, V_dim = system_shape(cfg)
-    system = AlignmentSystem(cfg, channels)
+    C, _ = system_shape(cfg)
+    system = channels.system
 
     x = init.to_vector()
     F = system.residuals(x, init.row_major)
@@ -413,18 +409,16 @@ def gauss_newton(
 
 
 def gauss_newton_multistart(
-    cfg: NetworkConfig,
-    channels: ChannelSet,
-    starts: int = DEFAULT_STARTS,
-    seed: int = 0,
+    channels: ChannelSet, starts: int = DEFAULT_STARTS, seed: int = 0
 ) -> SolveResult:
     """Gauss-Newton from the origin plus ``starts - 1`` random inits.
 
     Each run takes at most ``GN_MAX_ITERS`` iterations. Returns the best
     run: converged beats not, then smaller residual. Random initial points
     are drawn from one seeded generator, so the whole sweep is
-    reproducible.
+    reproducible. Every run drives the channel set's one alignment system.
     """
+    cfg = channels.cfg
     rng = np.random.default_rng(seed)
     results = []
     for s in range(max(1, starts)):
@@ -432,7 +426,7 @@ def gauss_newton_multistart(
             init = ReducedTransceivers.zeros(cfg)
         else:
             init = ReducedTransceivers.random(cfg, rng, scale=0.5)
-        results.append(gauss_newton(cfg, channels, init=init))
+        results.append(gauss_newton(channels, init=init))
         if results[-1].converged:
             break
 

@@ -118,8 +118,8 @@ def fd_jacobian(cfg, channels, tilde, h=1e-4):
     for i in range(V):
         e = np.zeros_like(x0)
         e[i] = h
-        fp = residuals(cfg, channels, ReducedTransceivers.from_vector(cfg, x0 + e))
-        fm = residuals(cfg, channels, ReducedTransceivers.from_vector(cfg, x0 - e))
+        fp = residuals(channels, ReducedTransceivers.from_vector(cfg, x0 + e))
+        fm = residuals(channels, ReducedTransceivers.from_vector(cfg, x0 - e))
         J[:, i] = (fp - fm) / (2 * h)
     return J
 

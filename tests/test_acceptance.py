@@ -76,7 +76,7 @@ def test_criterion_2_square_boundary_network():
     for mode in ("gf", "numeric"):
         rank = generic_full_row_rank(cfg, mode=mode, seed=0)
         assert rank.full_row_rank, mode
-    res = gauss_newton_multistart(cfg, sample_channels(cfg, seed=0), starts=5, seed=0)
+    res = gauss_newton_multistart(sample_channels(cfg, seed=0), starts=5, seed=0)
     assert res.converged and res.residual_norm < 1e-8
     assert time.monotonic() - t0 < 30.0
 
@@ -97,7 +97,7 @@ def test_criterion_3_overloaded_ring_infeasible():
 
     channels = sample_channels(cfg, seed=0, include_direct=True)
     for seed in range(20):
-        res = alt_min(cfg, channels, seed=seed)
+        res = alt_min(channels, seed=seed)
         assert not res.converged
         assert res.leakage > 1e-6
 
@@ -161,7 +161,7 @@ def test_criterion_7_jacobian_matches_finite_differences():
         cfg = random_config(rng)
         channels = sample_channels(cfg, seed=i)
         origin = ReducedTransceivers.zeros(cfg)
-        J = residual_jacobian(cfg, channels, origin)
+        J = residual_jacobian(channels, origin)
         F = fd_jacobian(cfg, channels, origin)
         rel = np.linalg.norm(F - J) / max(np.linalg.norm(J), 1.0)
         assert rel < 1e-6, cfg.describe()

@@ -72,7 +72,7 @@ def test_col_index_covers_all_variables():
 def test_build_jacobian_sparsity_and_values():
     cfg = NetworkConfig.symmetric(3, 2, 2, 1)
     ch = sample_channels(cfg, seed=3)
-    jac = build_jacobian(cfg, ch)
+    jac = build_jacobian(ch)
     assert (jac.C, jac.V) == (6, 6)
     trips = list(jac.triplets())
     assert len(trips) == 12
@@ -90,7 +90,7 @@ def test_nonzeros_per_row():
     for _ in range(10):
         cfg = random_config(rng)
         ch = sample_channels(cfg, seed=11)
-        A = build_jacobian(cfg, ch).matrix
+        A = build_jacobian(ch).matrix
         for quad in cfg.quads():
             k, j, p, q = quad
             r = row_index(cfg, *quad) - 1
@@ -101,7 +101,7 @@ def test_nonzeros_per_row():
 def test_residuals_at_origin_are_direct_coefficients():
     cfg = NetworkConfig.from_tuples([(3, 4, 2), (2, 3, 1), (4, 2, 1)])
     ch = sample_channels(cfg, seed=2)
-    F = residuals(cfg, ch, ReducedTransceivers.zeros(cfg))
+    F = residuals(ch, ReducedTransceivers.zeros(cfg))
     base = 0
     for k, j in cfg.cross_pairs():
         block = ch.cross[(k, j)][: cfg.d(k), : cfg.d(j)].ravel()
@@ -117,7 +117,7 @@ def test_residuals_match_full_matrix_products():
         cfg = random_config(rng)
         ch = sample_channels(cfg, seed=int(rng.integers(1 << 16)))
         tilde = ReducedTransceivers.random(cfg, rng)
-        F = residuals(cfg, ch, tilde)
+        F = residuals(ch, tilde)
         assert np.allclose(F, stacked_residual_oracle(cfg, ch, tilde), atol=1e-12)
 
 
@@ -126,8 +126,8 @@ def test_residual_jacobian_at_origin_matches_build():
     for _ in range(8):
         cfg = random_config(rng)
         ch = sample_channels(cfg, seed=int(rng.integers(1 << 16)))
-        A = build_jacobian(cfg, ch).matrix
-        J = residual_jacobian(cfg, ch, ReducedTransceivers.zeros(cfg))
+        A = build_jacobian(ch).matrix
+        J = residual_jacobian(ch, ReducedTransceivers.zeros(cfg))
         assert np.allclose(A, J)
 
 
@@ -136,7 +136,7 @@ def test_residual_jacobian_against_finite_differences():
     cfg = NetworkConfig.from_tuples([(3, 3, 1), (2, 4, 1), (4, 2, 1)])
     ch = sample_channels(cfg, seed=6)
     tilde = ReducedTransceivers.random(cfg, rng, scale=0.7)
-    J = residual_jacobian(cfg, ch, tilde)
+    J = residual_jacobian(ch, tilde)
     J_fd = fd_jacobian(cfg, ch, tilde)
     assert np.linalg.norm(J - J_fd) / np.linalg.norm(J) < 1e-8
 
@@ -144,7 +144,7 @@ def test_residual_jacobian_against_finite_differences():
 def test_dump_parse_round_trip_complex():
     cfg = NetworkConfig.symmetric(3, 3, 2, 1)
     ch = sample_channels(cfg, seed=8)
-    jac = build_jacobian(cfg, ch)
+    jac = build_jacobian(ch)
     buf = io.StringIO()
     jac.dump(buf)
     text = buf.getvalue()
@@ -161,7 +161,7 @@ def test_dump_parse_round_trip_complex():
 def test_dump_parse_round_trip_prime():
     cfg = NetworkConfig.symmetric(3, 3, 2, 1)
     ch = sample_channels(cfg, seed=8, field=PRIME)
-    jac = build_jacobian(cfg, ch)
+    jac = build_jacobian(ch)
     buf = io.StringIO()
     jac.dump(buf)
     lines = buf.getvalue().splitlines()
@@ -180,6 +180,6 @@ def test_dump_deterministic():
     out = []
     for _ in range(2):
         buf = io.StringIO()
-        build_jacobian(cfg, sample_channels(cfg, seed=5)).dump(buf)
+        build_jacobian(sample_channels(cfg, seed=5)).dump(buf)
         out.append(buf.getvalue())
     assert out[0] == out[1]

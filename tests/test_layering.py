@@ -6,7 +6,9 @@ the closed forms in ``conditions`` sit below the transfer engine in
 other way round. The top-level API holds only names that the demos, the
 tests or the benchmark import from ``iafeas``. Only ``witnesses`` states a
 witness inequality: other modules build witnesses from index data alone.
-Only ``channels`` stacks links: other modules read a channel set's stacks.
+Only ``channels`` stacks links and builds alignment systems: other modules
+read a channel set's stacks and its system. A channel set carries its
+network, so no function takes both.
 """
 
 import ast
@@ -95,3 +97,27 @@ def test_only_witnesses_calls_the_witness_constructor():
 
 def test_only_channels_constructs_link_batches():
     assert _calls("LinkBatch", "channels.py") == []
+
+
+def test_only_channels_builds_an_alignment_system():
+    assert _calls("AlignmentSystem", "channels.py") == []
+
+
+def _annotated(node, name):
+    return node.annotation is not None and name in ast.unparse(node.annotation)
+
+
+def test_no_function_takes_a_channel_set_and_its_network():
+    takes_channels, takes_both = [], []
+    for path in MODULES:
+        for node in _nodes(path):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if any(_annotated(a, "ChannelSet") for a in params):
+                takes_channels.append(node.name)
+                if any(_annotated(a, "NetworkConfig") for a in params):
+                    takes_both.append((path.name, node.name))
+    assert {"build_jacobian", "gauss_newton", "_gf_rank_at"} <= set(takes_channels)
+    assert takes_both == []

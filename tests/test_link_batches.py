@@ -144,13 +144,13 @@ def test_placement_and_residuals_match_the_per_link_code(net, seed):
     with links_of(kept):
         ch = sample_channels(cfg, seed)
         for tilde in points(cfg, seed):
-            assert same(residuals(cfg, ch, tilde), residuals_reference(cfg, ch, tilde))
+            assert same(residuals(ch, tilde), residuals_reference(cfg, ch, tilde))
             assert same(
-                residual_jacobian(cfg, ch, tilde), place_reference(cfg, ch, tilde)
+                residual_jacobian(ch, tilde), place_reference(cfg, ch, tilde)
             )
-        assert same(build_jacobian(cfg, ch).matrix, place_reference(cfg, ch, None))
+        assert same(build_jacobian(ch).matrix, place_reference(cfg, ch, None))
         gf = sample_channels(cfg, seed, field=PRIME)
-        assert same(build_jacobian(cfg, gf).matrix, place_reference(cfg, gf, None))
+        assert same(build_jacobian(gf).matrix, place_reference(cfg, gf, None))
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +162,7 @@ def test_alt_min_matches_the_per_link_code(net, seed, max_iters):
     cfg, kept = net
     with links_of(kept):
         ch = sample_channels(cfg, seed, include_direct=True)
-        run = alt_min(cfg, ch, max_iters=max_iters, seed=seed % 7)
+        run = alt_min(ch, max_iters=max_iters, seed=seed % 7)
         U, V, history, iterations, margin = alt_min_reference(
             cfg, ch, max_iters=max_iters, seed=seed % 7
         )
@@ -173,7 +173,7 @@ def test_alt_min_matches_the_per_link_code(net, seed, max_iters):
         assert all(same(a, b) for a, b in zip(run.transceivers.V, V))
         assert same(run.direct_rank_margin, margin)
 
-        check = verify_ia(cfg, ch, run.transceivers)
+        check = verify_ia(ch, run.transceivers)
         assert same(check.max_cross, max_cross_reference(cfg, ch, U, V))
         assert same(check.min_margin, margin)
 
@@ -189,7 +189,7 @@ def test_gauss_newton_matches_the_per_link_code(net, seed):
         ch = sample_channels(cfg, seed, include_direct=True)
         rng = np.random.default_rng(seed)
         for init in (ReducedTransceivers.zeros(cfg), ReducedTransceivers.random(cfg, rng, 0.5)):
-            run = gauss_newton(cfg, ch, init=init)
+            run = gauss_newton(ch, init=init)
             iterations, history, residual_norm, x, note = gauss_newton_reference(cfg, ch, init)
             assert run.iterations == iterations
             assert same_floats(run.leakage_history, history)
@@ -200,6 +200,6 @@ def test_gauss_newton_matches_the_per_link_code(net, seed):
             tx = ReducedTransceivers.from_vector(cfg, x).reconstruct()
             margin = direct_margin_reference(cfg, ch, tx.U, tx.V)
             assert same(run.direct_rank_margin, margin)
-            check = verify_ia(cfg, ch, run.transceivers)
+            check = verify_ia(ch, run.transceivers)
             assert same(check.max_cross, max_cross_reference(cfg, ch, tx.U, tx.V))
             assert same(check.min_margin, margin)

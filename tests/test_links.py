@@ -71,8 +71,8 @@ def test_every_layer_follows_the_link_set(monkeypatch, seed):
     ch = sample_channels(cfg, seed, field=PRIME)
     assert list(ch.cross) == kept
 
-    projected, R = _project_decorrelators(cfg, ch, PRIME)
-    A = build_jacobian(cfg, ch).matrix
+    projected, R = _project_decorrelators(ch)
+    A = build_jacobian(ch).matrix
     assert A.shape == (C, V)
     assert projected + gf_rank(R, PRIME) == gf_rank_reference(A, PRIME)
 
@@ -84,7 +84,7 @@ def test_every_layer_follows_the_link_set(monkeypatch, seed):
         assert w.links <= set(kept) and w.holds(cfg)
 
     # each half-step minimizes the leakage over the kept links
-    run = alt_min(cfg, sample_channels(cfg, seed, include_direct=True), max_iters=10)
+    run = alt_min(sample_channels(cfg, seed, include_direct=True), max_iters=10)
     history = np.array(run.leakage_history)
     assert (np.diff(history) <= 1e-9 * (1 + history[:-1])).all()
 
@@ -100,7 +100,7 @@ def test_row_index_follows_the_link_set(monkeypatch):
 
     monkeypatch.setattr(NetworkConfig, "cross_pairs", subset)
     ch = sample_channels(cfg, 0, field=PRIME)
-    A = build_jacobian(cfg, ch).matrix
+    A = build_jacobian(ch).matrix
     assert A.shape[0] == 2
     for k, j, p, q in cfg.quads():
         row = A[row_index(cfg, k, j, p, q) - 1]

@@ -378,7 +378,7 @@ def test_blocks_that_disagree_on_a_pivot_column_are_ranked_alone(monkeypatch):
 
 def test_gf_rank_matches_reference_on_ladder_jacobian():
     cfg = NetworkConfig.symmetric(9, 10, 10, 2)  # C = V = 288
-    A = build_jacobian(cfg, sample_channels(cfg, seed=4, field=PRIME)).matrix
+    A = build_jacobian(sample_channels(cfg, seed=4, field=PRIME)).matrix
     assert A.shape == (288, 288)
     assert gf_rank(A, PRIME) == gf_rank_reference(A, PRIME) == 288
     # the same rows twice over: rank-deficient, tall
@@ -525,12 +525,12 @@ def test_projected_rank_equals_full_matrix_rank(cfg, binary, seed, p):
         ch = ChannelSet(cfg=cfg, field=p, seed=seed, cross=cross, direct={})
     else:
         ch = sample_channels(cfg, seed, field=p)
-    projected, R = _project_decorrelators(cfg, ch, p)
+    projected, R = _project_decorrelators(ch)
     C, _ = system_shape(cfg)
     precoder_cols = sum((cfg.M(j) - cfg.d(j)) * cfg.d(j) for j in range(1, cfg.K + 1))
     assert projected == _g_rank_sum(cfg, ch, p)
     assert R.shape == (C - projected, precoder_cols)
-    full = gf_rank_reference(build_jacobian(cfg, ch).matrix, p)
+    full = gf_rank_reference(build_jacobian(ch).matrix, p)
     assert projected + gf_rank(R, p) == full
 
 
@@ -553,14 +553,14 @@ def test_reduced_matrix_rows_are_null_combinations_of_precoder_rows(pairs, seed)
     # columns of the same rows
     cfg = NetworkConfig.from_tuples(pairs)
     ch = sample_channels(cfg, seed, field=PRIME)
-    A = build_jacobian(cfg, ch).matrix
+    A = build_jacobian(ch).matrix
     precoder = [
         col_index(cfg, ("v", j, m, q)) - 1
         for j in range(1, cfg.K + 1)
         for q in range(1, cfg.d(j) + 1)
         for m in range(1, cfg.M(j) - cfg.d(j) + 1)
     ]
-    _, R = _project_decorrelators(cfg, ch, PRIME)
+    _, R = _project_decorrelators(ch)
     top = 0
     for k in range(1, cfg.K + 1):
         slots = [(j, q) for i, j in cfg.cross_pairs() if i == k for q in range(1, cfg.d(j) + 1)]
@@ -592,7 +592,7 @@ def test_generic_gf_rank_pinned_draws(pairs, ranks):
     v = generic_full_row_rank(cfg, mode="gf", seed=0)
     assert v.trial_ranks == ranks
     for ts, r in zip(v.trial_seeds, v.trial_ranks):
-        A = build_jacobian(cfg, sample_channels(cfg, ts, field=PRIME)).matrix
+        A = build_jacobian(sample_channels(cfg, ts, field=PRIME)).matrix
         assert gf_rank_reference(A, PRIME) == r
 
 
@@ -741,7 +741,7 @@ def test_fold_matches_the_character_sums(orders, p):
 def test_a_full_group_point_ranks_its_blocks_in_one_elimination(cfg, monkeypatch):
     # every column of a full block gets a pivot, so the blocks never split
     orders, orbits, prime = _group_point(cfg, PRIME)
-    _, R = _project_decorrelators(cfg, sample_channels(cfg, 7, field=prime), prime, orbits)
+    _, R = _project_decorrelators(sample_channels(cfg, 7, field=prime), orbits)
     stack = _fold(R, orders, prime)
     calls = _counting_stack_ranks(monkeypatch)
     ranks = iafeas.rank._stack_ranks(stack, prime)
@@ -807,8 +807,8 @@ def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p
         as_json["prime"] = prime
     point = structured_channels(cfg, seed, as_json, p)
     assert point.field == prime
-    full = gf_rank_reference(build_jacobian(cfg, point).matrix, prime)
-    assert _gf_rank_at(cfg, sample_channels(cfg, seed, field=prime), group) == full
+    full = gf_rank_reference(build_jacobian(point).matrix, prime)
+    assert _gf_rank_at(sample_channels(cfg, seed, field=prime), group) == full
 
     # a full group point is rebuilt from the rank section's JSON alone, its
     # own prime included
@@ -817,7 +817,7 @@ def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p
     if "group" in section:
         assert section["group"] == as_json and section["trial_ranks"] == [C]
         point = structured_channels(cfg, section["trial_seeds"][0], section["group"], p)
-        assert gf_rank_reference(build_jacobian(cfg, point).matrix, point.field) == C
+        assert gf_rank_reference(build_jacobian(point).matrix, point.field) == C
 
 
 def _outcome(cfg, seed):

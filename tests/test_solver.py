@@ -20,7 +20,7 @@ RING4 = NetworkConfig.symmetric(4, 2, 2, 1)
 
 def test_alt_min_aligns_feasible_ring():
     ch = sample_channels(RING, seed=0, include_direct=True)
-    res = alt_min(RING, ch, seed=1)
+    res = alt_min(ch, seed=1)
     assert res.method == "alt_min"
     assert res.converged
     assert res.leakage < 1e-10
@@ -31,7 +31,7 @@ def test_alt_min_aligns_feasible_ring():
 
     # orthonormal eigenvector filters align only up to sqrt(leakage), so
     # the alignment check needs a matching tolerance
-    chk = verify_ia(RING, ch, res.transceivers, tol=1e-4)
+    chk = verify_ia(ch, res.transceivers, tol=1e-4)
     assert chk.ok
     assert chk.aligned and chk.rank_ok
     assert chk.max_cross < 1e-4
@@ -41,7 +41,7 @@ def test_alt_min_aligns_feasible_ring():
 def test_alt_min_monotone_on_asymmetric_network():
     cfg = NetworkConfig.from_tuples([(3, 2, 1), (2, 4, 1), (4, 3, 1)])
     ch = sample_channels(cfg, seed=5, include_direct=True)
-    res = alt_min(cfg, ch, seed=2)
+    res = alt_min(ch, seed=2)
     h = res.leakage_history
     assert len(h) >= 3
     assert all(h[i + 1] <= h[i] + 1e-12 for i in range(len(h) - 1))
@@ -51,7 +51,7 @@ def test_alt_min_monotone_on_asymmetric_network():
 def test_alt_min_stalls_on_improper_ring():
     ch = sample_channels(RING4, seed=0, include_direct=True)
     for seed in range(5):
-        res = alt_min(RING4, ch, seed=seed, max_iters=300)
+        res = alt_min(ch, seed=seed, max_iters=300)
         assert not res.converged
         assert res.leakage > 1e-6
 
@@ -59,23 +59,23 @@ def test_alt_min_stalls_on_improper_ring():
 def test_alt_min_channel_requirements():
     no_direct = sample_channels(RING, seed=0)
     with pytest.raises(ValueError):
-        alt_min(RING, no_direct)
+        alt_min(no_direct)
     finite = sample_channels(RING, seed=0, field=(1 << 31) - 1, include_direct=True)
     with pytest.raises(ValueError):
-        alt_min(RING, finite)
+        alt_min(finite)
     with pytest.raises(ValueError):
-        verify_ia(RING, finite, alt_min(RING, sample_channels(RING, 0, include_direct=True)).transceivers)
+        verify_ia(finite, alt_min(sample_channels(RING, 0, include_direct=True)).transceivers)
 
 
 def test_gauss_newton_drives_residual_to_zero():
     ch = sample_channels(RING, seed=3)
-    res = gauss_newton(RING, ch)
+    res = gauss_newton(ch)
     assert res.method == "gauss_newton"
     assert res.converged
     assert res.residual_norm < 1e-9
     assert res.tilde is not None
 
-    chk = verify_ia(RING, ch, res.transceivers, tol=1e-6)
+    chk = verify_ia(ch, res.transceivers, tol=1e-6)
     assert chk.aligned
     assert chk.rank_ok is None and chk.min_margin is None
     assert chk.ok
@@ -84,15 +84,15 @@ def test_gauss_newton_drives_residual_to_zero():
 def test_gauss_newton_multistart_large_network():
     cfg = NetworkConfig.symmetric(4, 7, 8, 3)
     ch = sample_channels(cfg, seed=0)
-    res = gauss_newton_multistart(cfg, ch, starts=5, seed=0)
+    res = gauss_newton_multistart(ch, starts=5, seed=0)
     assert res.converged
     assert res.residual_norm < 1e-8
-    assert verify_ia(cfg, ch, res.transceivers, tol=1e-6).aligned
+    assert verify_ia(ch, res.transceivers, tol=1e-6).aligned
 
 
 def test_gauss_newton_stalls_on_improper_ring():
     ch = sample_channels(RING4, seed=2)
-    res = gauss_newton_multistart(RING4, ch, starts=3, seed=0)
+    res = gauss_newton_multistart(ch, starts=3, seed=0)
     assert not res.converged
     assert res.residual_norm > 1e-6
 
@@ -107,9 +107,25 @@ def test_a_gauss_newton_run_checks_its_network_once(monkeypatch):
         return validate(cfg)
 
     monkeypatch.setattr(iafeas.jacobian, "validate_config", counting)
-    res = gauss_newton(RING4, sample_channels(RING4, seed=2))
+    res = gauss_newton(sample_channels(RING4, seed=2))
     assert res.iterations > 1
     assert calls == [RING4]
+
+
+@pytest.mark.parametrize("cfg, builds", [(RING4, 1), (NetworkConfig.symmetric(10, 8, 8, 1), 2)])
+def test_a_report_builds_one_alignment_system_per_channel_set(monkeypatch, cfg, builds):
+    # the stalled ring's five Gauss-Newton starts share one system; (8x8,1)^10
+    # builds one for its numeric rank trial and one for the solvers
+    calls = []
+    build = iafeas.channels.AlignmentSystem
+
+    def counting(channels):
+        calls.append(channels.seed)
+        return build(channels)
+
+    monkeypatch.setattr(iafeas.channels, "AlignmentSystem", counting)
+    feasibility_report(cfg, seed=3, mode="numeric", solve=True)
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("cfg, builds", [(RING4, 2), (NetworkConfig.symmetric(10, 8, 8, 1), 3)])
@@ -132,14 +148,14 @@ def test_single_pair_needs_no_solving():
     cfg = NetworkConfig.from_tuples([(4, 4, 2)])
     ch = sample_channels(cfg, seed=0, include_direct=True)
 
-    res = alt_min(cfg, ch)
+    res = alt_min(ch)
     assert res.converged and res.iterations == 0
     assert res.leakage == 0.0
 
-    gn = gauss_newton(cfg, ch)
+    gn = gauss_newton(ch)
     assert gn.converged and gn.iterations == 0
     assert gn.note == "no cross constraints"
-    assert verify_ia(cfg, ch, gn.transceivers).ok
+    assert verify_ia(ch, gn.transceivers).ok
 
 
 def test_verify_ia_flags_misalignment():
@@ -150,7 +166,7 @@ def test_verify_ia_flags_misalignment():
     for k in range(1, RING.K + 1):
         U.append(np.linalg.qr(rng.standard_normal((RING.N(k), RING.d(k))))[0])
         V.append(np.linalg.qr(rng.standard_normal((RING.M(k), RING.d(k))))[0])
-    chk = verify_ia(RING, ch, TransceiverSet(U=tuple(U), V=tuple(V)))
+    chk = verify_ia(ch, TransceiverSet(U=tuple(U), V=tuple(V)))
     assert not chk.aligned
     assert chk.max_cross > 1e-2
     assert not chk.ok
@@ -158,12 +174,12 @@ def test_verify_ia_flags_misalignment():
 
 def test_solver_runs_are_reproducible():
     ch = sample_channels(RING, seed=0, include_direct=True)
-    a = alt_min(RING, ch, seed=4)
-    b = alt_min(RING, ch, seed=4)
+    a = alt_min(ch, seed=4)
+    b = alt_min(ch, seed=4)
     assert a.leakage_history == b.leakage_history
 
     ch_nd = sample_channels(RING, seed=1)
-    g1 = gauss_newton_multistart(RING, ch_nd, starts=3, seed=9)
-    g2 = gauss_newton_multistart(RING, ch_nd, starts=3, seed=9)
+    g1 = gauss_newton_multistart(ch_nd, starts=3, seed=9)
+    g2 = gauss_newton_multistart(ch_nd, starts=3, seed=9)
     assert g1.leakage_history == g2.leakage_history
     assert g1.residual_norm == g2.residual_norm
