@@ -555,7 +555,9 @@ def report_allocation(cfg: NetworkConfig, run: PttResult | None = None, verify=v
     if not run.balanced:
         return run, None, "plain"
     report = verify(cfg, run.alloc)
-    if report.certificate or not bundle_axis(cfg)[0]:
+    axis = "" if report.certificate else bundle_axis(cfg)[0]
+    if not axis:
         return run, report, "plain"
-    run = run_ptt_symmetric(cfg)
+    # run_ptt_symmetric's run, on the axis found here
+    run = _run(cfg, axis, dict.fromkeys(_items(cfg, axis), "r"))
     return run, verify(cfg, run.alloc), "bundled"

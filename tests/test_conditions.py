@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import iafeas.allocation
+import iafeas.conditions
 import iafeas.report
 from iafeas import (
     NetworkConfig,
@@ -276,6 +277,23 @@ def test_report_runs_the_transfer_engine_once(pairs, monkeypatch):
     assert plain_certifies == (pairs != [(6, 4, 2)] * 4)
     assert rep.allocation_report.certificate
     assert len(runs) == (1 if plain_certifies else 2)
+
+
+def test_report_finds_the_bundle_axis_once_per_layer(monkeypatch):
+    # the closed form and the bundled retry each find it; the retry runs
+    # the engine on the axis it found, not through run_ptt_symmetric
+    calls = []
+    axis = iafeas.conditions.bundle_axis
+
+    def counted(cfg):
+        calls.append(cfg)
+        return axis(cfg)
+
+    monkeypatch.setattr(iafeas.conditions, "bundle_axis", counted)
+    monkeypatch.setattr(iafeas.allocation, "bundle_axis", counted)
+    rep = feasibility_report(NetworkConfig.symmetric(4, 6, 4, 2), seed=0)
+    assert rep.allocation_report.certificate
+    assert len(calls) == 2
 
 
 def test_solver_section_reads_stream_support_off_the_chain(monkeypatch):
