@@ -17,7 +17,9 @@ Four subcommands:
   ``--field prime``); exit 3 when some pair cannot carry its streams.
 * ``alloc CONFIG.json``: the pressure-transfer run behind ``check``'s
   allocation; balanced runs print the allocation map and exit 0, stuck
-  runs print the witness and exit 1.
+  runs print the witness and exit 1. It runs only the properness engine,
+  so a network that another necessary check rules out (the antenna
+  budget, say) can still print a balanced run with no certificate.
 
 Seed precedence in ``check``, ``sweep`` and ``hall``: ``--seed`` flag,
 then the config file's ``seed`` entry, then the ``IA_KIT_SEED``

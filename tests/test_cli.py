@@ -353,14 +353,31 @@ def test_alloc_takes_no_seed(tmp_path, capsys, monkeypatch):
 def test_alloc_outside_divisible_family_runs_plain(tmp_path, capsys, monkeypatch):
     # the variant comes from the family's domain test, not from a failed
     # bundled run
-    def refuse(*args, **kwargs):
-        raise AssertionError("bundled run outside the divisible family")
+    run_engine = iafeas.allocation._run
 
-    monkeypatch.setattr(iafeas.allocation, "run_ptt_symmetric", refuse)
+    def refuse(cfg, bundle, assign):
+        assert not bundle, "bundled run outside the divisible family"
+        return run_engine(cfg, bundle, assign)
+
+    monkeypatch.setattr(iafeas.allocation, "_run", refuse)
     cfg_file = write_cfg(tmp_path, "odd.json", [(5, 5, 2)] * 3)
     code, out, _ = run(capsys, "alloc", cfg_file)
     assert code == 0
     assert json.loads(out)["variant"] == "plain"
+
+
+def test_alloc_runs_only_the_properness_engine(tmp_path, capsys):
+    # alloc decides balanced or stuck, not feasibility: this network fails
+    # the antenna budget, which check reports, yet its properness run
+    # balances, into no certificate
+    cfg_file = write_cfg(tmp_path, "budget.json", [(1, 3, 1), (3, 4, 2), (4, 4, 2)])
+    code, out, _ = run(capsys, "check", cfg_file)
+    assert code == 1
+    assert json.loads(out)["rule"] == "necessary:antenna_budget"
+    code, out, _ = run(capsys, "alloc", cfg_file)
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["verdict"], blob["variant"], blob["certificate"]) == ("balanced", "plain", False)
 
 
 def test_sweep_grid(capsys):
