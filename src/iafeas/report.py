@@ -155,7 +155,7 @@ class VerdictReport:
 
 def _solver_section(cfg, seed, verdict) -> dict:
     channels = sample_channels(cfg, seed=seed, include_direct=True)
-    am = alt_min(channels)
+    am = alt_min(channels, seed=seed)
     gn = gauss_newton_multistart(channels, seed=seed)
     solved = am.converged or gn.converged
     if verdict == FEASIBLE:

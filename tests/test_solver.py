@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import iafeas.channels
 import iafeas.jacobian
+import iafeas.report
 from iafeas import (
     NetworkConfig,
     TransceiverSet,
@@ -110,6 +113,26 @@ def test_a_gauss_newton_run_checks_its_network_once(monkeypatch):
     res = gauss_newton(sample_channels(RING4, seed=2))
     assert res.iterations > 1
     assert calls == [RING4]
+
+
+def test_two_report_seeds_start_alt_min_from_two_points(monkeypatch):
+    seeds = []
+    run = iafeas.report.alt_min
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(run).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seeds.append(bound.arguments["seed"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(iafeas.report, "alt_min", recording)
+    for seed in (1, 2):
+        feasibility_report(RING, seed=seed, mode="numeric", solve=True)
+    assert seeds == [1, 2]
+    # on one channel set, the two seeds start from two precoder sets
+    ch = sample_channels(RING, seed=0, include_direct=True)
+    one, two = (alt_min(ch, max_iters=0, seed=s).transceivers.V for s in seeds)
+    assert not any(np.array_equal(a, b) for a, b in zip(one, two))
 
 
 @pytest.mark.parametrize("cfg, builds", [(RING4, 1), (NetworkConfig.symmetric(10, 8, 8, 1), 2)])
