@@ -558,6 +558,5 @@ def report_allocation(cfg: NetworkConfig, run: PttResult | None = None, verify=v
     axis = "" if report.certificate else bundle_axis(cfg)[0]
     if not axis:
         return run, report, "plain"
-    # run_ptt_symmetric's run, on the axis found here
     run = _run(cfg, axis, dict.fromkeys(_items(cfg, axis), "r"))
     return run, verify(cfg, run.alloc), "bundled"

@@ -12,14 +12,12 @@ first link, row by row, the next ones the second link's, and so on, and
 each block is a view of that one array. A complex block takes twice as
 many normals, its real parts row by row and then its imaginary parts.
 
-A channel set is the numeric layer's one input: it carries the network
-it was drawn for, so no function that takes a channel set takes the
-network as well. The numeric layers work on :attr:`ChannelSet.batches`
-and :attr:`ChannelSet.direct_batches`: the links of one shape (N_k, M_j,
-d_k, d_j), in link order, with their channels in one stack, so that one
-product serves every link of a shape. :attr:`ChannelSet.system` holds
-the alignment equations over those stacks, checked and indexed once.
-Each is built on first use and shared read-only.
+The numeric layers take a channel set alone, since it carries its
+network. They work on :attr:`ChannelSet.batches` and
+:attr:`ChannelSet.direct_batches`: the links of one shape (N_k, M_j, d_k,
+d_j), in link order, with their channels in one stack, so that one product
+serves every link of a shape; and on :attr:`ChannelSet.system`, the
+alignment equations. Each is built once and shared read-only.
 """
 
 from __future__ import annotations
@@ -55,9 +53,9 @@ class ChannelSet:
         was sampled with ``include_direct=True``.
 
     Instances are treated as immutable; never write into the arrays.
-    :attr:`batches` stacks the cross links, :attr:`direct_batches` the
-    direct ones, and :attr:`system` holds the alignment equations over
-    the cross links, each built on first use and shared read-only.
+    :attr:`batches` stacks the cross links and :attr:`direct_batches` the
+    direct ones, each built on first use and shared read-only, like
+    :attr:`system`.
     """
 
     cfg: NetworkConfig
@@ -92,11 +90,7 @@ class ChannelSet:
 
     @cached_property
     def system(self) -> AlignmentSystem:
-        """The :class:`~iafeas.jacobian.AlignmentSystem` of the cross links.
-
-        Raises ValueError, on every access, when some pair cannot carry
-        its streams.
-        """
+        """The :class:`~iafeas.jacobian.AlignmentSystem` of the cross links."""
         return AlignmentSystem(self)
 
 

@@ -6,12 +6,8 @@ transceiver variables. Collecting the linear-term coefficients of all C
 constraints over all V variables gives a C x V matrix: the Jacobian of the
 residual map at the identity-pinned origin. Its generic row rank decides
 whether the constraints are independent enough to be solvable, which is
-what the rank engine tests.
-
-Every function here takes a channel set, which carries its network, and
-works on the set's one :class:`AlignmentSystem`
-(:attr:`~iafeas.channels.ChannelSet.system`), built and checked on first
-use.
+what the rank engine tests. The functions here take a channel set alone
+and work on its one :class:`AlignmentSystem`.
 
 Row order: constraints sorted by (k, j, p, q) with the transmit stream q
 fastest. Column order: the variable order that
@@ -141,8 +137,8 @@ class AlignmentSystem:
     links' residual rows and the positions of their variables in the
     variable vector, so that a solver evaluates :meth:`residuals` and
     :meth:`jacobian` many times without checking or indexing again. A
-    reduced point is its variable vector x (``to_vector`` order). Each
-    channel set builds its own, as :attr:`~iafeas.channels.ChannelSet.system`.
+    reduced point is its variable vector x (``to_vector`` order). A
+    channel set builds its own, :attr:`~iafeas.channels.ChannelSet.system`.
     """
 
     def __init__(self, channels: ChannelSet):
@@ -279,9 +275,8 @@ def residuals(channels: ChannelSet, tilde: ReducedTransceivers) -> np.ndarray:
     link, and the terms are summed in the same order: the result is the
     per-link loop's, bit for bit.
     """
-    system = channels.system
     channels.require_complex()
-    return system.residuals(tilde.to_vector(), tilde.row_major)
+    return channels.system.residuals(tilde.to_vector(), tilde.row_major)
 
 
 def residual_jacobian(channels: ChannelSet, tilde: ReducedTransceivers) -> np.ndarray:
@@ -291,9 +286,8 @@ def residual_jacobian(channels: ChannelSet, tilde: ReducedTransceivers) -> np.nd
     exact derivative, not a numerical estimate. At the all-zeros point it
     coincides with ``build_jacobian(channels).matrix``.
     """
-    system = channels.system
     channels.require_complex()
-    return system.jacobian(tilde.to_vector(), tilde.row_major)
+    return channels.system.jacobian(tilde.to_vector(), tilde.row_major)
 
 
 def parse_dump(text: str):

@@ -15,11 +15,8 @@ sampled complex channel set:
 
 Neither solver ever decides feasibility on its own; a solver failure is
 evidence, not proof. The verdict pipeline treats them as corroboration.
-
-Every function here takes the channel set alone and reads its network
-from it. Gauss-Newton drives the set's one
-:attr:`~iafeas.channels.ChannelSet.system`, so a multistart builds and
-checks the alignment system once for all its starts.
+Every function here takes a channel set alone; every Gauss-Newton start
+drives its one :attr:`~iafeas.channels.ChannelSet.system`.
 
 Both work on the channel set's :attr:`~iafeas.channels.ChannelSet.batches`,
 stacks of the links of one shape (N_k, M_j, d_k, d_j): each product runs
@@ -430,7 +427,4 @@ def gauss_newton_multistart(
         if results[-1].converged:
             break
 
-    def order(r: SolveResult):
-        return (not r.converged, r.residual_norm)
-
-    return min(results, key=order)
+    return min(results, key=lambda r: (not r.converged, r.residual_norm))
