@@ -146,7 +146,9 @@ class AlignmentSystem:
         if validate_config(cfg):
             # a pair with d_k > min(M_k, N_k) has no free block to place
             raise ValueError("the coefficient matrix needs a stream-admissible network")
-        self.channels = channels
+        # no reference back to the channel set, which holds this system:
+        # a cycle would keep both alive until the cyclic collector runs
+        self.dtype = np.complex128 if channels.is_complex else np.int64
         self.batches = channels.batches
         self.C, self.V = system_shape(cfg)
         starts = np.array(block_starts(cfg))
@@ -226,8 +228,7 @@ def _place(system: AlignmentSystem, blocks) -> np.ndarray:
     stacked products: each makes, per link, the BLAS call of the 2-d
     product, so every entry keeps its bits.
     """
-    dtype = np.complex128 if system.channels.is_complex else np.int64
-    A = np.zeros((system.C, system.V), dtype=dtype)
+    A = np.zeros((system.C, system.V), dtype=system.dtype)
     cells = A.reshape(-1)
     if blocks is None:
         blocks = ((None, None) for _ in system.batches)

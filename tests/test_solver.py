@@ -1,4 +1,6 @@
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -113,6 +115,21 @@ def test_a_gauss_newton_run_checks_its_network_once(monkeypatch):
     res = gauss_newton(sample_channels(RING4, seed=2))
     assert res.iterations > 1
     assert calls == [RING4]
+
+
+def test_a_channel_set_and_its_system_form_no_cycle():
+    # reference counting alone frees a solved channel set
+    ch = sample_channels(RING, seed=0)
+    gauss_newton(ch)
+    ref = weakref.ref(ch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del ch
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_two_report_seeds_start_alt_min_from_two_points(monkeypatch):
