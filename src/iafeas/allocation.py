@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import product
 
 from .conditions import bundle_axis
 from .config import NetworkConfig, validate_config
@@ -158,26 +159,15 @@ def pressures(cfg: NetworkConfig, alloc: AllocationPolicy) -> PressureState:
 # (k, j, p, q); a bundle over q is the item (k, j, p, 0) and a bundle over
 # p the item (k, j, 0, q). A cell is ("r", k, p) or ("t", j, q); q == 0
 # stands for "all transmit streams of j", and similarly p == 0 on the
-# receive side.
+# receive side. The engine sees only their numbers.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Instance:
-    ends: dict  # item -> (r_cell, t_cell), in item order
-    caps: dict  # cell -> capacity
-
-
-def _items(cfg: NetworkConfig, bundle: str):
-    """Engine items in order; ``bundle`` is "", "q" or "p" (see above).
-
-    With ``bundle == ""`` these are the constraints in ``cfg.quads()`` order.
-    """
-    d = [0] + [pair.d for pair in cfg.pairs]
-    for k, j in cfg.cross_pairs():
-        for p in (0,) if bundle == "p" else range(1, d[k] + 1):
-            for q in (0,) if bundle == "q" else range(1, d[j] + 1):
-                yield (k, j, p, q)
+    cells: tuple  # cell number -> cell, in sorted order
+    caps: list  # cell number -> capacity
+    ends: list  # item number -> (r cell number, t cell number), in item order
 
 
 def _instance(cfg: NetworkConfig, bundle: str) -> _Instance:
@@ -189,28 +179,35 @@ def _instance(cfg: NetworkConfig, bundle: str) -> _Instance:
     (N_k - d) / d in bundles, or the whole transmitter ("t", j, 0), of
     capacity M_j - d. Bundled over p is the mirror image. The caller makes
     sure d divides the antenna counts of the split side.
+
+    Cells are numbered in sorted order: the receive cells, pair by pair and
+    stream by stream, then the transmit cells. Items come link by link in
+    ``cfg.cross_pairs()`` order, then by p, then by q, which for
+    ``bundle == ""`` is the order of ``cfg.quads()``; item (k, j, p, q)
+    ends at receiver k's first cell plus p - 1 and transmitter j's first
+    cell plus q - 1 (plus 0 on a merged side).
     """
     if validate_config(cfg):
         # a stream with d_k > min(M_k, N_k) has a negative cap, which no
         # allocation meets and no link subset need expose
         raise ValueError("allocation needs a stream-admissible network")
-    caps = {}
-    for k, pair in enumerate(cfg.pairs, 1):
-        d = pair.d
-        for side, cap, merged in (
-            ("r", pair.N - d, bundle == "p"),
-            ("t", pair.M - d, bundle == "q"),
-        ):
-            if merged:
-                caps[(side, k, 0)] = cap
-            else:
-                for s in range(1, d + 1):
-                    caps[(side, k, s)] = cap // d if bundle else cap
-    ends = {
-        item: (("r", item[0], item[2]), ("t", item[1], item[3]))
-        for item in _items(cfg, bundle)
-    }
-    return _Instance(ends=ends, caps=caps)
+    cells, caps, first = [], [], {}
+    for side, merged in (("r", bundle == "p"), ("t", bundle == "q")):
+        for k, pair in enumerate(cfg.pairs, 1):
+            cap = (pair.N if side == "r" else pair.M) - pair.d
+            streams = (0,) if merged else range(1, pair.d + 1)
+            first[side, k] = len(cells)
+            cells += [(side, k, s) for s in streams]
+            caps += [cap // pair.d if bundle and not merged else cap] * len(streams)
+    d = [0] + [pair.d for pair in cfg.pairs]
+    ends = []
+    for k, j in cfg.cross_pairs():
+        r, t = first["r", k], first["t", j]
+        ends += product(
+            range(r, r + (1 if bundle == "p" else d[k])),
+            range(t, t + (1 if bundle == "q" else d[j])),
+        )
+    return _Instance(cells=tuple(cells), caps=caps, ends=ends)
 
 
 @dataclass(frozen=True)
@@ -239,38 +236,43 @@ class PttDefect(RuntimeError):
     """Internal invariant violation in the transfer engine."""
 
 
-def _run_transfer_engine(inst: _Instance, assign: dict):
-    """Rebalance ``assign`` in place. Returns (balanced, tree_or_None, transfers).
+def _run_transfer_engine(inst: _Instance, on_r: list):
+    """Rebalance ``on_r`` in place. Returns (balanced, tree_or_None, transfers).
 
-    Every choice is the lowest one. Roots are the overloaded cells, lowest
-    first. A tree grows one level per round, scanning its nodes in the
-    order they joined and each node's items in item order, so a cell joins
-    under the first node and item that reach it. A drain moves one unit
-    from the root to the lowest tree cell with slack and detaches the
-    subtree below the flipped path.
+    ``on_r[i]`` is True while item i sits on its receive cell. Every choice
+    is the lowest one. Roots are the overloaded cells, lowest first. A tree
+    grows one level per round, scanning its nodes in the order they joined
+    and each node's items in item order, so a cell joins under the first
+    node and item that reach it. A drain moves one unit from the root to
+    the lowest tree cell with slack and detaches the subtree below the
+    flipped path.
 
-    No step scans the whole tree or instance. Cells are numbered in sorted
-    order and items in item order, so comparing numbers makes the choices
-    that comparing the tuples would. ``held[c]`` lists the (item, other
-    end) pairs of the items cell c absorbs, in item order, so a round
-    visits only live items, and a flip moves one pair between two lists.
-    ``children`` mirrors ``parent``, so a detach walks only the detached
-    subtree. ``slack`` is a heap of the tree cells with positive pressure,
-    checked when they reach its top: a tree cell's pressure changes only
-    when it is the drained target, which leaves the tree, so the top is
-    the lowest such cell. Only a root gains pressure and only a cell with
-    slack loses it, so the cells overloaded at the start are the roots.
+    No step scans the whole tree or instance. Cells and items are numbered
+    as in :func:`_instance`, so comparing numbers makes the choices that
+    comparing the tuples would. ``held[c]`` lists the (item, other end)
+    pairs of the items cell c absorbs, in item order, so a round visits
+    only live items, and a flip moves one pair between two lists.
+    ``reach[c]`` is a bitmask of those other ends and ``tree`` one of the
+    tree's cells; a round skips a node with ``reach & ~tree == 0``. A flip
+    sets the new holder's bit and clears none, so ``reach`` may hold cells
+    that no live item leads to any more: a superset costs at most a scan
+    that attaches nothing, and a node whose superset lies in the tree has
+    no child to attach, so every choice stays. ``children`` mirrors
+    ``parent``, so a detach walks only the detached subtree. ``slack`` is a
+    heap of the tree cells with positive pressure, checked when they reach
+    its top: a tree cell's pressure changes only when it is the drained
+    target, which leaves the tree, so the top is the lowest such cell. Only
+    a root gains pressure and only a cell with slack loses it, so the cells
+    overloaded at the start are the roots.
     """
-    cells = sorted(inst.caps)
-    index = {cell: i for i, cell in enumerate(cells)}
-    items = list(inst.ends)
-    ends = [(index[r], index[t]) for r, t in inst.ends.values()]
-    on_r = [assign[item] == "r" for item in items]
-    pressure = [inst.caps[cell] for cell in cells]
+    cells, ends = inst.cells, inst.ends
+    pressure = list(inst.caps)
     held = [[] for _ in cells]
+    reach = [0] * len(cells)
     for i, (r, t) in enumerate(ends):
         cell, other = (r, t) if on_r[i] else (t, r)
         held[cell].append((i, other))
+        reach[cell] |= 1 << other
         pressure[cell] -= 1
 
     overloaded = [c for c, v in enumerate(pressure) if v < 0]
@@ -287,6 +289,7 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
         via = [-1] * len(cells)
         children = [[] for _ in cells]
         parent[root] = root
+        tree = 1 << root
         order = [root]
         slack = []
 
@@ -299,7 +302,7 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
             grew = False
             for i in range(len(order)):
                 node = order[i]
-                if parent[node] < 0:
+                if parent[node] < 0 or not reach[node] & ~tree:
                     continue
                 for item, child in held[node]:
                     if parent[child] < 0:
@@ -307,6 +310,7 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
                         via[child] = item
                         children[node].append(child)
                         order.append(child)
+                        tree |= 1 << child
                         if pressure[child] > 0:
                             heapq.heappush(slack, child)
                         grew = True
@@ -326,6 +330,7 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
                         raise PttDefect("tree edge lost its live constraint")
                     held[par].remove((item, cur))
                     bisect.insort(held[cur], (item, par))
+                    reach[cur] |= 1 << par
                     on_r[item] = not on_r[item]
                     pressure[par] += 1
                     pressure[cur] -= 1
@@ -339,17 +344,15 @@ def _run_transfer_engine(inst: _Instance, assign: dict):
                     stack.extend(children[cur])
                     children[cur] = []
                     parent[cur] = -1
+                    tree ^= 1 << cur
 
             if pressure[root] >= 0 or not (grew or drained):
                 break
         if pressure[root] < 0:
             break
     else:
-        root = None
-
-    assign.update((item, "r" if r else "t") for item, r in zip(items, on_r))
-    if root is None:
         return True, None, transfers
+
     nodes = [c for c, par in enumerate(parent) if par >= 0]
     tree = PressureTree(
         root=cells[root],
@@ -381,16 +384,21 @@ class PttResult:
     witness: SubsetWitness | None = None
 
 
-def _run(cfg: NetworkConfig, bundle: str, assign: dict) -> PttResult:
-    """Run the engine from ``assign`` (item -> side, rebalanced in place)
-    and give every constraint its item's side."""
-    balanced, tree, transfers = _run_transfer_engine(_instance(cfg, bundle), assign)
+def _run(cfg: NetworkConfig, bundle: str, on_r: list | None) -> PttResult:
+    """Run the engine from ``on_r`` (one bool per item, True on the receive
+    side, rebalanced in place; None for the all-receive start) and give
+    every constraint its item's side."""
+    inst = _instance(cfg, bundle)
+    if on_r is None:
+        on_r = [True] * len(inst.ends)
+    balanced, tree, transfers = _run_transfer_engine(inst, on_r)
+    # a bundle's constraints share its side; every pair carries d streams
+    d = cfg.pairs[0].d
     if bundle == "q":
-        sides = {(k, j, p, q): assign[k, j, p, 0] for k, j, p, q in cfg.quads()}
+        on_r = [on_r[i // d] for i in range(len(on_r) * d)]
     elif bundle == "p":
-        sides = {(k, j, p, q): assign[k, j, 0, q] for k, j, p, q in cfg.quads()}
-    else:
-        sides = assign
+        on_r = [on_r[i // (d * d) * d + i % d] for i in range(len(on_r) * d)]
+    sides = dict(zip(cfg.quads(), ["r" if r else "t" for r in on_r]))
     witness = None if balanced else _witness_from_tree(cfg, tree.nodes)
     return PttResult(balanced, AllocationPolicy(cfg, sides), transfers, tree, witness)
 
@@ -417,7 +425,7 @@ def run_ptt(cfg: NetworkConfig, alloc: AllocationPolicy) -> PttResult:
     deterministic (lowest cell first). The engine works on a copy, so the
     input policy is not modified.
     """
-    return _run(cfg, "", dict(alloc.sides))
+    return _run(cfg, "", [alloc.sides[quad] == "r" for quad in cfg.quads()])
 
 
 def run_ptt_symmetric(cfg: NetworkConfig) -> PttResult:
@@ -436,7 +444,7 @@ def run_ptt_symmetric(cfg: NetworkConfig) -> PttResult:
     axis, reason = bundle_axis(cfg)
     if not axis:
         raise ValueError(f"bundled allocation needs the divisible family: {reason}")
-    return _run(cfg, axis, dict.fromkeys(_items(cfg, axis), "r"))
+    return _run(cfg, axis, None)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +461,7 @@ def flow_feasibility(cfg: NetworkConfig) -> PttResult:
     every choice of the engine are fixed, so the answer is the same in
     every process.
     """
-    return run_ptt(cfg, AllocationPolicy.all_rx(cfg))
+    return _run(cfg, "", None)
 
 
 # ---------------------------------------------------------------------------
@@ -558,5 +566,5 @@ def report_allocation(cfg: NetworkConfig, run: PttResult | None = None, verify=v
     axis = "" if report.certificate else bundle_axis(cfg)[0]
     if not axis:
         return run, report, "plain"
-    run = _run(cfg, axis, dict.fromkeys(_items(cfg, axis), "r"))
+    run = _run(cfg, axis, None)
     return run, verify(cfg, run.alloc), "bundled"

@@ -11,13 +11,17 @@ pair. Over a prime field the first N_k * M_j entries are H_kj of the
 first link, row by row, the next ones the second link's, and so on, and
 each block is a view of that one array. A complex block takes twice as
 many normals, its real parts row by row and then its imaginary parts.
+A draw for some receivers takes only the links into them, in the same
+order and with the same one call; the rank test's group point reads no
+others.
 
 The numeric layers take a channel set alone, since it carries its
 network. They work on :attr:`ChannelSet.batches` and
 :attr:`ChannelSet.direct_batches`: the links of one shape (N_k, M_j, d_k,
 d_j), in link order, with their channels in one stack, so that one product
 serves every link of a shape; and on :attr:`ChannelSet.system`, the
-alignment equations. Each is built once and shared read-only.
+alignment equations. Each is built once and shared read-only, and only
+for a set that holds every cross link.
 """
 
 from __future__ import annotations
@@ -47,10 +51,14 @@ class ChannelSet:
         Master seed the draw derived from.
     cross : dict
         cross[(k, j)] is the N_k x M_j matrix of the link from transmitter
-        j into receiver k, for every ordered pair k != j.
+        j into receiver k, for every ordered pair k != j, or only for those
+        into ``receivers``.
     direct : dict
         direct[k] is the N_k x M_k direct link, present only when the set
         was sampled with ``include_direct=True``.
+    receivers : tuple or None
+        The receivers a set drawn for some receivers holds the cross links
+        into; None when it holds every cross link.
 
     Instances are treated as immutable; never write into the arrays.
     :attr:`batches` stacks the cross links and :attr:`direct_batches` the
@@ -63,6 +71,7 @@ class ChannelSet:
     seed: int
     cross: dict
     direct: dict
+    receivers: tuple | None = None
 
     @property
     def is_complex(self) -> bool:
@@ -81,6 +90,8 @@ class ChannelSet:
     @cached_property
     def batches(self) -> tuple:
         """The cross links, in the order of ``cross``, as :class:`LinkBatch` stacks."""
+        if self.receivers is not None:
+            raise ValueError("this operation needs every cross link; sample without receivers")
         return _stack_links(self.cfg, self.cross)
 
     @cached_property
@@ -154,6 +165,7 @@ def sample_channels(
     seed: int,
     field=COMPLEX,
     include_direct: bool = False,
+    receivers=None,
 ) -> ChannelSet:
     """Draw one channel realization.
 
@@ -170,6 +182,10 @@ def sample_channels(
     include_direct : bool
         Also draw the K direct links H_kk. The direct draw uses a spawned
         substream, so the cross links are identical with or without it.
+    receivers : collection of int, optional
+        Draw only the cross links into these 1-based receivers (module
+        docstring). Such a set refuses :attr:`ChannelSet.batches` and
+        :attr:`ChannelSet.system`.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
@@ -178,7 +194,7 @@ def sample_channels(
     root = np.random.SeedSequence(seed)
     cross_ss, direct_ss = root.spawn(2)
 
-    links = list(cfg.cross_pairs())
+    links = [(k, j) for k, j in cfg.cross_pairs() if receivers is None or k in receivers]
     shapes = [(cfg.N(k), cfg.M(j)) for k, j in links]
     cross = dict(zip(links, _draw(np.random.default_rng(cross_ss), shapes, field)))
 
@@ -188,4 +204,7 @@ def sample_channels(
         blocks = _draw(np.random.default_rng(direct_ss), shapes, field)
         direct = dict(enumerate(blocks, start=1))
 
-    return ChannelSet(cfg=cfg, field=field, seed=seed, cross=cross, direct=direct)
+    return ChannelSet(
+        cfg=cfg, field=field, seed=seed, cross=cross, direct=direct,
+        receivers=None if receivers is None else tuple(receivers),
+    )

@@ -105,9 +105,10 @@ class NetworkConfig:
     def quads(self):
         """Ordered constraint labels (k, j, p, q): receiver k, transmitter j,
         receive stream p, transmit stream q."""
+        d = [0] + [pair.d for pair in self.pairs]
         for k, j in self.cross_pairs():
-            for p in range(1, self.d(k) + 1):
-                for q in range(1, self.d(j) + 1):
+            for p in range(1, d[k] + 1):
+                for q in range(1, d[j] + 1):
                     yield (k, j, p, q)
 
     def describe(self) -> str:

@@ -82,12 +82,13 @@ G = prod_q (Z_q)^{a_q} be the largest elementary abelian group with
 every q dividing both p' - 1 and g, and let it act freely on the pairs:
 each type's pairs, in pair order, fall into consecutive orbits of |G|
 pairs, element x taking a representative to the orbit's x-th pair. The
-group point keeps the drawn links out of each representative and sets
-H_{gk,gj} = H_kj for the rest. Then G_gk is G_k with its rows permuted,
-and the rows of R for receiver gk are those for k with the transmitters
-shifted by g, so R is block circulant over G: its block between receivers
-g k and transmitters h j is T_{h - g}, the representatives' rows at
-transmitters (h - g) j.
+trial seed draws only the links into the representatives, in link order
+(:func:`~iafeas.channels.sample_channels` with ``receivers``), and the
+group point takes those and sets H_{gk,gj} = H_kj for the rest. Then
+G_gk is G_k with its rows permuted, and the rows of R for receiver gk are
+those for k with the transmitters shifted by g, so R is block circulant
+over G: its block between receivers g k and transmitters h j is T_{h - g},
+the representatives' rows at transmitters (h - g) j.
 Over GF(p'), where q | p' - 1 gives each Z_q the characters x -> w^(c x)
 for a primitive q-th root w, the character transform splits R into one
 block R_chi = sum_x chi(x) T_x per character chi, each |G| times smaller
@@ -104,8 +105,9 @@ A full rank over GF(p') certifies like one over GF(p), since a minor that
 is nonzero mod p' is a nonzero integer polynomial. A deficient group
 point is no evidence of deficiency: the point is a special one, and its
 rank may fall below a full generic rank. So a deficient group point falls
-back to random draws over GF(p), and a test that looks for deficiency
-(the cross-check of a counting witness) never uses one.
+back to random draws over GF(p), the first of them a full draw of the same
+trial seed, and a test that looks for deficiency (the cross-check of a
+counting witness) never uses one.
 
 Full row rank of one generic draw implies the constraint system is solvable
 for almost every channel realization. In characteristic zero generic
@@ -669,10 +671,10 @@ def _gf_rank_at(channels: ChannelSet, group=None) -> int:
 
     A random draw ranks its reduced matrix R with :func:`gf_rank`. With
     ``group`` from :func:`_group_point`, the rank is taken at the group
-    point those channels define, which are drawn over the group's prime:
-    only the representatives' links are read, and the character blocks
-    are ranked as one stack, without :func:`gf_rank` and its check of the
-    prime, which the draw has made already.
+    point those channels define, drawn over the group's prime and for the
+    orbit representatives' receivers: only their links are read, and the
+    character blocks are ranked as one stack, without :func:`gf_rank` and
+    its check of the prime, which the draw has made already.
     """
     p = channels.field
     if not group:
@@ -694,9 +696,11 @@ class RankVerdict:
     ``error_bound`` additionally bounds the probability that a deficient
     verdict is a sampling artifact, by (C/p)^trials; a cross-check takes
     one draw, so its bound is C/p. ``group`` is ``(orders, orbits, prime)``
-    of :func:`_group_point` when the one trial was a full-rank group point,
-    drawn from its trial seed over GF(prime); the JSON records the prime
-    only where it differs from ``modulus``.
+    of :func:`_group_point` when the one trial was a full-rank group point:
+    its trial seed drew the links into the orbits' first pairs, in link
+    order, over GF(prime), and H_{gk,gj} = H_kj gives the rest (module
+    docstring). The JSON records the prime only where it differs from
+    ``modulus``.
     """
 
     mode: str
@@ -773,11 +777,10 @@ def generic_full_row_rank(
     its group point, over the group's own prime p' (module docstring). If
     that is full, the one trial decides and the verdict records the group
     and p'; if not, the random draws over GF(p) decide, the first of them
-    that same draw when p' = p and a redraw of the seed at p otherwise,
-    and ``note`` says so. ``cross_check`` asks for one draw and no group
-    point: the cross-check of a counting witness (see
-    :mod:`~iafeas.report`) looks for deficiency, and a deficient group
-    point proves none.
+    a draw of every link from that same seed, and ``note`` says so.
+    ``cross_check`` asks for one draw and no group point: the cross-check
+    of a counting witness (see :mod:`~iafeas.report`) looks for
+    deficiency, and a deficient group point proves none.
 
     Shortcuts: C > V is deficient without sampling (more constraints than
     variables); so is a pair with d_k > min(M_k, N_k), whose transceivers
@@ -807,15 +810,17 @@ def generic_full_row_rank(
         if mode == "numeric":
             ch = sample_channels(cfg, ts, field=COMPLEX)
             r, tol = _svd_rank(build_jacobian(ch).matrix)
+        elif group is None:
+            r = _gf_rank_at(sample_channels(cfg, ts, field=modulus))
         else:
-            ch = sample_channels(cfg, ts, field=group[2] if group else modulus)
+            reps = [orbit[0] for orbit in group[1]]
+            ch = sample_channels(cfg, ts, field=group[2], receivers=reps)
             r = _gf_rank_at(ch, group)
-            if group is not None and r < C:
-                # only a full group point decides (module docstring)
+            if r < C:
+                # only a full group point decides; the random draw takes
+                # every link (module docstring)
                 group, note = None, "the group point is deficient; random draws decide"
-                if ch.field != modulus:
-                    ch = sample_channels(cfg, ts, field=modulus)
-                r = _gf_rank_at(ch)
+                r = _gf_rank_at(sample_channels(cfg, ts, field=modulus))
         ranks.append(r)
         if r == C:
             break

@@ -20,7 +20,7 @@ from iafeas import (
     scale_config,
     system_shape,
 )
-from iafeas.allocation import PressureTree, PttDefect, _items, _run
+from iafeas.allocation import PressureTree, PttDefect, _run
 from iafeas.conditions import bundle_axis
 from iafeas.fields import COMPLEX
 from iafeas.rank import DEFAULT_PRIME, _svd_rank
@@ -38,6 +38,17 @@ def random_config(rng, k_lo=2, k_hi=4, mn_hi=6, d_hi=2):
         N = int(rng.integers(1, mn_hi + 1))
         d = int(rng.integers(1, min(M, N, d_hi) + 1))
         pairs.append((M, N, d))
+    return NetworkConfig.from_tuples(pairs)
+
+
+def mixed_rung(k, ds):
+    """The benchmark ladder's mixed networks, unshuffled: streams cycle
+    through ``ds`` and M + N = (K + 1) d + 1."""
+    pairs = []
+    for i in range(k):
+        d = ds[i % len(ds)]
+        m = ((k + 1) * d + 1) // 2 + i % 2
+        pairs.append((m, (k + 1) * d + 1 - m, d))
     return NetworkConfig.from_tuples(pairs)
 
 
@@ -60,7 +71,8 @@ def random_bundled_run(cfg, seed):
     axis, reason = bundle_axis(cfg)
     if not axis:
         raise ValueError(f"bundled allocation needs the divisible family: {reason}")
-    return _run(cfg, axis, coin_flips(_items(cfg, axis), seed))
+    coins = coin_flips(engine_items(cfg, axis), seed)
+    return _run(cfg, axis, [side == "r" for side in coins.values()])
 
 
 def reciprocal_pairs(pairs):
@@ -183,12 +195,12 @@ def structured_channels(cfg, seed, group, p=DEFAULT_PRIME):
     ``group`` is the section's ``"group"`` entry: the orders of G's cyclic
     factors and the 1-based orbits. Pair x of an orbit is element x of G,
     written in the mixed radix of the orders with the first factor's digit
-    most significant, applied to the orbit's first pair. The links out of
-    each first pair come from the prime-field draw of ``seed``, and
-    H_{gk,gj} = H_kj defines the rest: H_{k,j} = H_{r,j'} for k = g r, r
-    the first pair of k's orbit, and j' = (-g) j. The draw is over the
-    group's own prime, the entry's ``"prime"``, which is recorded only
-    where it differs from the report's modulus ``p``.
+    most significant, applied to the orbit's first pair. ``seed`` draws
+    only the links into the first pairs, in link order, and H_{gk,gj} =
+    H_kj defines the rest: H_{k,j} = H_{r,j'} for k = g r, r the first
+    pair of k's orbit, and j' = (-g) j. The draw is over the group's own
+    prime, the entry's ``"prime"``, which is recorded only where it
+    differs from the report's modulus ``p``.
     """
     p = group.get("prime", p)
     orders = group["orders"]
@@ -210,7 +222,8 @@ def structured_channels(cfg, seed, group, p=DEFAULT_PRIME):
             x = x * q + digit % q
         return x
 
-    drawn = sample_channels(cfg, seed, field=p).cross
+    reps = [orbit[0] for orbit in group["orbits"]]
+    drawn = sample_channels(cfg, seed, field=p, receivers=reps).cross
     cross = {}
     for k, j in cfg.cross_pairs():
         orbit_k, g = place[k]
@@ -415,6 +428,54 @@ def scaling_check(cfg, c, seed=0):
     c1, v1 = system_shape(scaled_cfg)
     dims = c1 == c * c * c0 and v1 == c * c * v0
     return ScalingReport(c=c, base=base, scaled=scaled, dims_consistent=dims)
+
+
+def engine_items(cfg, bundle):
+    """The transfer engine's items as quads, in item order.
+
+    ``bundle`` is "", "q" or "p": a bundle over q is the item (k, j, p, 0)
+    and one over p the item (k, j, 0, q). With ``bundle == ""`` these are
+    the constraints in ``cfg.quads()`` order.
+    """
+    d = [0] + [pair.d for pair in cfg.pairs]
+    for k, j in cfg.cross_pairs():
+        for p in (0,) if bundle == "p" else range(1, d[k] + 1):
+            for q in (0,) if bundle == "q" else range(1, d[j] + 1):
+                yield (k, j, p, q)
+
+
+@dataclass(frozen=True)
+class ReferenceInstance:
+    """The instance :func:`transfer_engine_reference` reads, keyed by tuples."""
+
+    ends: dict  # item -> (r_cell, t_cell), in item order
+    caps: dict  # cell -> capacity
+
+
+def reference_instance(cfg, bundle):
+    """The engine's instance with tuple keys, built from the network.
+
+    Cells are ("r", k, p) and ("t", j, q), with stream 0 for a merged side:
+    bundled over q, the receive cells hold (N_k - d) / d bundles and the
+    transmitter ("t", j, 0) M_j - d; bundled over p is the mirror image.
+    """
+    caps = {}
+    for k, pair in enumerate(cfg.pairs, 1):
+        d = pair.d
+        for side, cap, merged in (
+            ("r", pair.N - d, bundle == "p"),
+            ("t", pair.M - d, bundle == "q"),
+        ):
+            if merged:
+                caps[(side, k, 0)] = cap
+            else:
+                for s in range(1, d + 1):
+                    caps[(side, k, s)] = cap // d if bundle else cap
+    ends = {
+        item: (("r", item[0], item[2]), ("t", item[1], item[3]))
+        for item in engine_items(cfg, bundle)
+    }
+    return ReferenceInstance(ends=ends, caps=caps)
 
 
 def transfer_engine_reference(inst, assign):

@@ -18,15 +18,17 @@ from iafeas import (
     verify_allocation,
 )
 
-from iafeas.allocation import _instance, _items, _run_transfer_engine
+from iafeas.allocation import _instance, _run_transfer_engine
 
 from helpers import (
     coin_flips,
     enumerate_properness_violation,
     init_allocation,
     max_allocation,
+    mixed_rung,
     random_bundled_run,
     random_config,
+    reference_instance,
     transfer_engine_reference,
 )
 
@@ -291,21 +293,31 @@ def engine_instances(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(engine_instances(), st.one_of(st.none(), st.integers(0, 2**16)))
-# the two largest ladder rungs, from the all-receive start and from coins
+# the ladder's rungs, from the all-receive start and from coins
+@example((NetworkConfig.symmetric(15, 8, 8, 1), ""), None)
+@example((mixed_rung(12, (1, 2)), ""), None)
+@example((mixed_rung(14, (1, 2, 3)), ""), None)
 @example((NetworkConfig.symmetric(16, 17, 17, 2), ""), None)
 @example((NetworkConfig.symmetric(20, 21, 21, 2), ""), None)
+@example((mixed_rung(12, (1, 2)), ""), 11)
+@example((mixed_rung(14, (1, 2, 3)), ""), 11)
 @example((NetworkConfig.symmetric(16, 17, 17, 2), ""), 11)
 @example((NetworkConfig.symmetric(20, 21, 21, 2), ""), 11)
 def test_transfer_engine_matches_reference(case, start):
     # start None is the all-receive start of the properness run, an integer
-    # the coin flips of a random start
+    # the coin flips of a random start; the reference runs on the instance
+    # keyed by cell and item tuples
     cfg, bundle = case
-    inst = _instance(cfg, bundle)
-    items = list(_items(cfg, bundle))
+    ref = reference_instance(cfg, bundle)
+    items = list(ref.ends)
     assign = dict.fromkeys(items, "r") if start is None else coin_flips(items, start)
-    expected = dict(assign)
-    assert _run_transfer_engine(inst, assign) == transfer_engine_reference(inst, expected)
-    assert assign == expected
+    on_r = [side == "r" for side in assign.values()]
+    inst = _instance(cfg, bundle)
+    assert inst.cells == tuple(sorted(ref.caps))
+    assert inst.caps == [ref.caps[cell] for cell in inst.cells]
+    assert [tuple(inst.cells[c] for c in end) for end in inst.ends] == list(ref.ends.values())
+    assert _run_transfer_engine(inst, on_r) == transfer_engine_reference(ref, assign)
+    assert on_r == [side == "r" for side in assign.values()]
 
 
 def test_flow_feasibility_witness_numbers():

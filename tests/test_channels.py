@@ -107,6 +107,30 @@ def test_draw_matches_the_per_link_reference(cfg, seed, field, include_direct):
             assert got[key].dtype == H.dtype and got[key].tobytes() == H.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(networks, st.integers(0, 2**32), st.sets(st.integers(1, 4)))
+def test_a_draw_for_some_receivers_is_one_array_of_their_links(cfg, seed, receivers):
+    ch = sample_channels(cfg, seed=seed, field=PRIME, receivers=receivers)
+    links = [(k, j) for k, j in cfg.cross_pairs() if k in receivers]
+    assert list(ch.cross) == links
+    cross_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    total = sum(cfg.N(k) * cfg.M(j) for k, j in links)
+    flat = np.random.default_rng(cross_ss).integers(0, PRIME, size=total, dtype=np.int64)
+    got = [H.ravel() for H in ch.cross.values()]
+    assert np.array_equal(np.concatenate(got) if got else flat[:0], flat)
+
+
+def test_a_draw_for_some_receivers_refuses_batches_and_system():
+    cfg = NetworkConfig.symmetric(3, 2, 2, 1)
+    for field in ("complex", PRIME):
+        ch = sample_channels(cfg, seed=0, field=field, receivers=[1, 3])
+        assert list(ch.cross) == [(1, 2), (1, 3), (3, 1), (3, 2)]
+        for name in ("batches", "system"):
+            with pytest.raises(ValueError, match="every cross link"):
+                getattr(ch, name)
+        assert ch.receivers == (1, 3)
+
+
 def test_require_direct():
     cfg = NetworkConfig.symmetric(2, 2, 2, 1)
     ch = sample_channels(cfg, seed=0)

@@ -39,6 +39,7 @@ from iafeas.rank import (
 
 from helpers import (
     gf_rank_reference,
+    mixed_rung,
     numeric_rank,
     random_config,
     structured_channels,
@@ -624,16 +625,6 @@ def test_gf_mode_ranks_the_reduced_matrix_once_per_trial(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _mixed_rung(k, ds):
-    """The ladder's mixed networks: streams cycle through ``ds``."""
-    pairs = []
-    for i in range(k):
-        d = ds[i % len(ds)]
-        m = ((k + 1) * d + 1) // 2 + i % 2
-        pairs.append((m, (k + 1) * d + 1 - m, d))
-    return NetworkConfig.from_tuples(pairs)
-
-
 @pytest.mark.parametrize(
     "cfg, orders",
     [
@@ -641,8 +632,8 @@ def _mixed_rung(k, ds):
         (NetworkConfig.symmetric(20, 21, 21, 2), (2, 2, 5)),
         (NetworkConfig.symmetric(16, 17, 17, 2), (2, 2, 2, 2)),
         (NetworkConfig.symmetric(15, 8, 8, 1), (3, 5)),
-        (_mixed_rung(12, (1, 2)), (2, 3)),
-        (_mixed_rung(14, (1, 2, 3)), None),
+        (mixed_rung(12, (1, 2)), (2, 3)),
+        (mixed_rung(14, (1, 2, 3)), None),
         (NetworkConfig.symmetric(13, 8, 8, 1), (13,)),
         (NetworkConfig.symmetric(5, 3, 3, 1), (5,)),
         (NetworkConfig.from_tuples([(2, 2, 1), (3, 3, 1), (2, 2, 1)]), None),
@@ -735,7 +726,7 @@ def test_fold_matches_the_character_sums(orders, p):
         NetworkConfig.symmetric(20, 21, 21, 2),
         NetworkConfig.symmetric(16, 17, 17, 2),
         NetworkConfig.symmetric(15, 8, 8, 1),
-        _mixed_rung(12, (1, 2)),
+        mixed_rung(12, (1, 2)),
     ],
 )
 def test_a_full_group_point_ranks_its_blocks_in_one_elimination(cfg, monkeypatch):
@@ -808,7 +799,8 @@ def test_folded_rank_equals_the_full_matrix_rank_at_the_group_point(cfg, seed, p
     point = structured_channels(cfg, seed, as_json, p)
     assert point.field == prime
     full = gf_rank_reference(build_jacobian(point).matrix, prime)
-    assert _gf_rank_at(sample_channels(cfg, seed, field=prime), group) == full
+    reps = [orbit[0] for orbit in orbits]
+    assert _gf_rank_at(sample_channels(cfg, seed, field=prime, receivers=reps), group) == full
 
     # a full group point is rebuilt from the rank section's JSON alone, its
     # own prime included
@@ -870,45 +862,67 @@ def test_a_deficient_group_point_falls_back_to_the_random_draws():
     assert json.dumps(got) == json.dumps(_random_draw_report(cfg, 0))
 
 
-def test_a_deficient_group_point_reuses_its_draw(monkeypatch):
-    # the fallback ranks the first trial's own draw: three trials, three draws
-    cfg = NetworkConfig.from_tuples([(2, 1, 1), (2, 1, 1), (5, 5, 2), (5, 5, 2)])
-    seeds = []
+def counted_draws(monkeypatch):
+    """Patch the rank test's draw to list (seed, field, receivers) per call."""
+    draws = []
     draw = iafeas.rank.sample_channels
 
-    def counting(cfg, seed, **kwargs):
-        seeds.append(seed)
-        return draw(cfg, seed, **kwargs)
+    def counting(cfg, seed, field, receivers=None):
+        draws.append((seed, field, receivers))
+        return draw(cfg, seed, field=field, receivers=receivers)
 
     monkeypatch.setattr(iafeas.rank, "sample_channels", counting)
-    rank = feasibility_report(cfg, seed=0).rank
-    assert rank.note == _FALLBACK_NOTE and rank.trials == 3
-    assert tuple(seeds) == rank.trial_seeds
+    return draws
+
+
+def test_the_group_point_draws_only_the_representatives_links(monkeypatch):
+    # one orbit of all 20 pairs: the draw holds the 19 links into pair 1
+    cfg = NetworkConfig.symmetric(20, 21, 21, 2)
+    draws = counted_draws(monkeypatch)
+    v = generic_full_row_rank(cfg)
+    assert v.group[1] == (tuple(range(1, 21)),) and v.full_row_rank
+    [ts] = v.trial_seeds
+    assert draws == [(ts, v.group[2], [1])]
+    ch = sample_channels(cfg, ts, field=v.group[2], receivers=[1])
+    assert list(ch.cross) == [(1, j) for j in range(2, 21)]
+
+
+def test_a_forced_deficient_group_point_at_p_redraws_every_link(monkeypatch):
+    # the group point's draw holds only the representatives' links, so the
+    # fallback draws the trial seed again, every link at p, and ranks that
+    cfg = NetworkConfig.from_tuples(((6, 4, 2),) * 4)
+    orders, orbits, prime = _group_point(cfg, PRIME)
+    assert orders == (2, 2) and prime == PRIME
+    draws = counted_draws(monkeypatch)
+    fold = iafeas.rank._fold
+    monkeypatch.setattr(iafeas.rank, "_fold", lambda R, orders, p: fold(R, orders, p) * 0)
+    rank = generic_full_row_rank(cfg, seed=0)
+    assert rank.note == _FALLBACK_NOTE and rank.group is None
+    [ts] = rank.trial_seeds
+    assert draws == [(ts, PRIME, [1]), (ts, PRIME, None)]
+    assert rank.trial_ranks == (_gf_rank_at(sample_channels(cfg, ts, field=PRIME)),)
+    assert rank.full_row_rank
 
 
 def test_a_deficient_group_point_at_its_own_prime_redraws_at_p(monkeypatch):
-    # the group point's draw is over p', so the fallback draws the first
-    # trial seed again at p: three trials, four draws
+    # the group point's draw is over p' and holds only the representatives'
+    # links, so the fallback draws the first trial seed again, every link
+    # at p: three trials, four draws
     cfg = NetworkConfig.symmetric(5, 4, 4, 1)
     orders, _, prime = _group_point(cfg, PRIME)
     assert orders == (5,) and prime != PRIME
-    draws = []
-    draw = iafeas.rank.sample_channels
+    draws = counted_draws(monkeypatch)
     rank_at = iafeas.rank._gf_rank_at
-
-    def counting(cfg, seed, field):
-        draws.append((seed, field))
-        return draw(cfg, seed, field=field)
 
     def deficient(*args):
         # every point loses one rank, so every trial runs
         return rank_at(*args) - 1
 
-    monkeypatch.setattr(iafeas.rank, "sample_channels", counting)
     monkeypatch.setattr(iafeas.rank, "_gf_rank_at", deficient)
     rank = generic_full_row_rank(cfg, seed=0)
     assert rank.note == _FALLBACK_NOTE and rank.trials == 3 and rank.group is None
-    assert draws == [(rank.trial_seeds[0], prime)] + [(ts, PRIME) for ts in rank.trial_seeds]
+    first = (rank.trial_seeds[0], prime, [1])
+    assert draws == [first] + [(ts, PRIME, None) for ts in rank.trial_seeds]
 
 
 @pytest.mark.parametrize(
