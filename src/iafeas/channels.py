@@ -182,14 +182,18 @@ def sample_channels(
     include_direct : bool
         Also draw the K direct links H_kk. The direct draw uses a spawned
         substream, so the cross links are identical with or without it.
-    receivers : collection of int, optional
+    receivers : iterable of int, optional
         Draw only the cross links into these 1-based receivers (module
-        docstring). Such a set refuses :attr:`ChannelSet.batches` and
-        :attr:`ChannelSet.system`.
+        docstring), each an int in 1..K. Such a set refuses
+        :attr:`ChannelSet.batches` and :attr:`ChannelSet.system`.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     field = validate_field(field)
+    if receivers is not None:
+        receivers = tuple(receivers)
+        if not all(type(k) is int and 1 <= k <= cfg.K for k in receivers):
+            raise ValueError(f"receivers must be pair indices 1..{cfg.K}, got {receivers!r}")
 
     root = np.random.SeedSequence(seed)
     cross_ss, direct_ss = root.spawn(2)
@@ -204,7 +208,5 @@ def sample_channels(
         blocks = _draw(np.random.default_rng(direct_ss), shapes, field)
         direct = dict(enumerate(blocks, start=1))
 
-    return ChannelSet(
-        cfg=cfg, field=field, seed=seed, cross=cross, direct=direct,
-        receivers=None if receivers is None else tuple(receivers),
-    )
+    return ChannelSet(cfg=cfg, field=field, seed=seed, cross=cross, direct=direct,
+                      receivers=receivers)

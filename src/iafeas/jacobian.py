@@ -169,27 +169,14 @@ class AlignmentSystem:
             self.ucols.append(ucols.reshape(B, dk, un))
             self.vcols.append(vcols.reshape(B, dj, vm))
 
-    def _blocks(self, x, row_major):
-        """Per batch, the stacks of W_k^T (B, d_k, N_k - d_k) and T_j (B, M_j - d_j, d_j).
-
-        Each stack has the strides of the 2-d blocks it replaces: the
-        column-major views of :meth:`ReducedTransceivers.from_vector`, or
-        row-major blocks when ``row_major``. A gather takes the layout of
-        its index array. The row-major gather and ``row_major`` stay: a
-        column-major gather moves a row-major start's first residual by an
-        ulp, which stalled Gauss-Newton runs amplify into other iteration
-        counts and convergence.
-        """
+    def _blocks(self, x):
+        """Per batch, the stacks of W_k^T (B, d_k, N_k - d_k) and T_j (B, M_j - d_j, d_j),
+        with the strides of the column-major blocks a reduced point stores:
+        a gather takes the layout of its index array."""
         for ucol, vcol in zip(self.ucols, self.vcols):
-            if row_major:
-                yield (
-                    x[np.ascontiguousarray(ucol.swapaxes(1, 2))].swapaxes(1, 2),
-                    x[np.ascontiguousarray(vcol.swapaxes(1, 2))],
-                )
-            else:
-                yield x[ucol], x[vcol].swapaxes(1, 2)
+            yield x[ucol], x[vcol].swapaxes(1, 2)
 
-    def residuals(self, x, row_major=False) -> np.ndarray:
+    def residuals(self, x) -> np.ndarray:
         """All C constraint polynomials at the point x.
 
         One batch at a time: the constant h_kj(p, q) plus the decorrelator,
@@ -197,7 +184,7 @@ class AlignmentSystem:
         (d_k, d_j) blocks, then scattered to the rows (k, j, p, q).
         """
         F = np.zeros(self.C, dtype=np.complex128)
-        for b, rows, (Wt, T) in zip(self.batches, self.rows, self._blocks(x, row_major)):
+        for b, rows, (Wt, T) in zip(self.batches, self.rows, self._blocks(x)):
             dk, dj = b.shape[2:]
             H = b.H
             F[rows] = (
@@ -208,9 +195,9 @@ class AlignmentSystem:
             )
         return F
 
-    def jacobian(self, x=None, row_major=False) -> np.ndarray:
+    def jacobian(self, x=None) -> np.ndarray:
         """The C x V linear coefficients at x; at the origin if None."""
-        return _place(self, None if x is None else self._blocks(x, row_major))
+        return _place(self, None if x is None else self._blocks(x))
 
 
 def _place(system: AlignmentSystem, blocks) -> np.ndarray:
@@ -271,13 +258,13 @@ def residuals(channels: ChannelSet, tilde: ReducedTransceivers) -> np.ndarray:
     reconstructed beamformers.
 
     The links are evaluated in stacks of equal shape. Each stacked block
-    keeps the memory layout of the 2-d block it replaces (W_k^T, T_j and
-    the channel's slices), so every product makes the same BLAS call per
-    link, and the terms are summed in the same order: the result is the
-    per-link loop's, bit for bit.
+    keeps the layout of the 2-d block it replaces (the point's column-major
+    W_k^T and T_j, the channel's slices), so every product makes the same
+    BLAS call per link, and the terms are summed in the same order: the
+    result is the per-link loop's, bit for bit.
     """
     channels.require_complex()
-    return channels.system.residuals(tilde.to_vector(), tilde.row_major)
+    return channels.system.residuals(tilde.to_vector())
 
 
 def residual_jacobian(channels: ChannelSet, tilde: ReducedTransceivers) -> np.ndarray:
@@ -288,7 +275,7 @@ def residual_jacobian(channels: ChannelSet, tilde: ReducedTransceivers) -> np.nd
     coincides with ``build_jacobian(channels).matrix``.
     """
     channels.require_complex()
-    return channels.system.jacobian(tilde.to_vector(), tilde.row_major)
+    return channels.system.jacobian(tilde.to_vector())
 
 
 def parse_dump(text: str):

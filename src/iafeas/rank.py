@@ -98,8 +98,7 @@ on each side (Davis, *Circulant Matrices*, 1979), and
 
 The blocks R_chi are ranked as one stack. At a full group point every
 block is full, so the |G| blocks take as many pivot steps as one: 38 for
-the twenty 38 x 38 blocks of (21x21,2)^20, where one kernel call per
-block took 20 x 38.
+the twenty 38 x 38 blocks of (21x21,2)^20.
 
 A full rank over GF(p') certifies like one over GF(p), since a minor that
 is nonzero mod p' is a nonzero integer polynomial. A deficient group
@@ -223,13 +222,12 @@ def _sub_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, p: int) -> None:
     and each slice's product is complete before the slice is written, so
     C may be B itself.
     """
-    k = A.shape[-1]
-    if not k:
+    k, n = A.shape[-1], C.shape[-1]
+    if not k or not n:
         return
     one, two = _inner_steps(p)
     step = k if k <= one else two
     hi, lo = _split(A)
-    n = C.shape[-1]
     w = min(n, _SLICE_COLUMNS)
     f_work, g_work = np.empty(C.shape[:-1] + (w,)), np.empty(C.shape[:-1] + (w,))
     for j in range(0, n, w):
@@ -617,13 +615,14 @@ def _group_point(cfg: NetworkConfig, p: int):
 
 
 @lru_cache(maxsize=64)
-def _characters(orders: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """G's character table over GF(p), centered and split into limbs.
+def _characters(orders: tuple, p: int) -> np.ndarray:
+    """G's character table over GF(p), negated and centered.
 
-    Row c, column x holds chi_c(x). For Z_q, chi_c(x) = w**(c x) with
+    Row c, column x holds -chi_c(x). For Z_q, chi_c(x) = w**(c x) with
     w = a**((p - 1) / q) for the smallest a >= 2 giving w != 1; G's table
-    is the Kronecker product of its factors'. The limbs are read-only,
-    since every caller shares them.
+    is the Kronecker product of its factors'. Negated, so that
+    :func:`_sub_product` into zeros makes the character sums; read-only,
+    since every caller shares it.
     """
     table = np.ones((1, 1), dtype=np.int64)
     for q in orders:
@@ -633,35 +632,27 @@ def _characters(orders: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
         w = pow(a, (p - 1) // q, p)
         powers = [[pow(w, c * x, p) for x in range(q)] for c in range(q)]
         table = np.kron(table, np.array(powers, dtype=np.int64)) % p
-    limbs = _split(_center(table.astype(np.float64), p))
-    for limb in limbs:
-        limb.setflags(write=False)
-    return limbs
+    table = _center(-table.astype(np.float64), p)
+    table.setflags(write=False)
+    return table
 
 
 def _fold(R: np.ndarray, orders: tuple, p: int) -> np.ndarray:
     """The blocks ``R_chi = sum_x chi(x) T_x``, one per character of G.
 
     ``T_x`` is slab x of R's columns (see :func:`_project_decorrelators`);
-    the sums are float64 products on the split character table. Returns
-    the blocks as one (|G|, rows, cols) stack of centered residues in
-    float64, in character order, which :func:`_stack_ranks` takes as it
-    is: the sums are never rounded to int64 and back.
+    the sums are one exact :func:`_sub_product` of the negated character
+    table into zeros. Returns the blocks as one (|G|, rows, cols) stack
+    of centered residues in float64, in character order, which
+    :func:`_stack_ranks` takes as it is: the sums are never rounded to
+    int64 and back.
     """
     n = prod(orders)
     rows, width = len(R), R.shape[1] // n
-    # S[x] is T_x flattened; folded[c] = sum_x table[c, x] * S[x], each
-    # block of inner terms as exact as in _sub_product (module docstring)
+    # S[x] is T_x flattened; folded[c] = 0 - sum_x -chi_c(x) S[x]
     S = (R % p).reshape(rows, n, width).transpose(1, 0, 2).reshape(n, -1)
-    S = _center(S.astype(np.float64), p)
-    S16 = _center(S * float(_LIMB), p)
-    hi, lo = _characters(orders, p)
-    folded = np.zeros_like(S)
-    step = _inner_steps(p)[0]
-    for i in range(0, n, step):
-        folded += hi[:, i : i + step] @ S16[i : i + step]
-        folded += lo[:, i : i + step] @ S[i : i + step]
-        _center(folded, p)
+    folded = np.zeros(S.shape)
+    _sub_product(folded, _characters(orders, p), _center(S.astype(np.float64), p), p)
     return folded.reshape(n, rows, width)
 
 

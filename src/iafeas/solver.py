@@ -343,7 +343,7 @@ def gauss_newton(channels: ChannelSet, init: ReducedTransceivers | None = None) 
     system = channels.system
 
     x = init.to_vector()
-    F = system.residuals(x, init.row_major)
+    F = system.residuals(x)
     history = [float(np.sum(np.abs(F) ** 2))]
     note = "" if C else "no cross constraints"
 

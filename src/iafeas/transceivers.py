@@ -10,7 +10,9 @@ This module is the one owner of the variable order: every decorrelator
 block first, pair ascending, then every precoder block the same way, each
 flattened column by column. :func:`block_starts` gives where each block
 starts; the coefficient matrix's columns follow it, but the rank test
-lays out the precoder columns of its reduced matrix R itself.
+lays out the precoder columns of its reduced matrix R itself. It owns the
+stored layout too: every block is held column-major, the layout of a
+:meth:`ReducedTransceivers.from_vector` view, whatever arrays it came from.
 
 Storage convention: for the decorrelators we store the conjugated lower
 block. Entry ``u[k-1][n-1, p-1]`` is the coefficient that constraint column
@@ -63,9 +65,9 @@ def block_starts(cfg: NetworkConfig) -> list:
 class ReducedTransceivers:
     """The free lower blocks of identity-pinned beamformers.
 
-    ``u[k-1]`` has shape (N_k - d_k, d_k) and holds the conjugated
-    decorrelator coefficients described in the module docstring. ``v[j-1]``
-    has shape (M_j - d_j, d_j) and holds plain precoder entries.
+    ``u[k-1]``, of shape (N_k - d_k, d_k), holds the conjugated decorrelator
+    coefficients of the module docstring and ``v[j-1]``, of shape
+    (M_j - d_j, d_j), plain precoder entries; both are stored column-major.
     """
 
     cfg: NetworkConfig
@@ -73,8 +75,8 @@ class ReducedTransceivers:
     v: tuple
 
     def __post_init__(self) -> None:
-        u = tuple(np.asarray(blk, dtype=np.complex128) for blk in self.u)
-        v = tuple(np.asarray(blk, dtype=np.complex128) for blk in self.v)
+        u = tuple(np.asfortranarray(blk, dtype=np.complex128) for blk in self.u)
+        v = tuple(np.asfortranarray(blk, dtype=np.complex128) for blk in self.v)
         K = self.cfg.K
         if len(u) != K or len(v) != K:
             raise ValueError("need one u block and one v block per pair")
@@ -86,13 +88,6 @@ class ReducedTransceivers:
                 )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    @property
-    def row_major(self) -> bool:
-        """Whether every block is stored row-major, as from :meth:`zeros`,
-        :meth:`random` or plain arrays; :meth:`from_vector` blocks are
-        column-major views."""
-        return all(blk.flags.c_contiguous for blk in self.u + self.v)
 
     @classmethod
     def zeros(cls, cfg: NetworkConfig) -> "ReducedTransceivers":

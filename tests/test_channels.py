@@ -110,6 +110,7 @@ def test_draw_matches_the_per_link_reference(cfg, seed, field, include_direct):
 @settings(max_examples=40, deadline=None)
 @given(networks, st.integers(0, 2**32), st.sets(st.integers(1, 4)))
 def test_a_draw_for_some_receivers_is_one_array_of_their_links(cfg, seed, receivers):
+    receivers = {k for k in receivers if k <= cfg.K}  # indices past K are refused
     ch = sample_channels(cfg, seed=seed, field=PRIME, receivers=receivers)
     links = [(k, j) for k, j in cfg.cross_pairs() if k in receivers]
     assert list(ch.cross) == links
@@ -129,6 +130,23 @@ def test_a_draw_for_some_receivers_refuses_batches_and_system():
             with pytest.raises(ValueError, match="every cross link"):
                 getattr(ch, name)
         assert ch.receivers == (1, 3)
+
+
+def test_a_draw_reads_its_receivers_once():
+    # an iterator is read once, not once per link
+    cfg = NetworkConfig.symmetric(4, 3, 3, 1)
+    ch = sample_channels(cfg, seed=0, field=PRIME, receivers=iter([1, 3]))
+    want = sample_channels(cfg, seed=0, field=PRIME, receivers=[1, 3])
+    assert ch.receivers == want.receivers == (1, 3)
+    assert list(ch.cross) == list(want.cross) == [(1, 2), (1, 3), (1, 4), (3, 1), (3, 2), (3, 4)]
+    assert all(np.array_equal(ch.cross[link], want.cross[link]) for link in want.cross)
+
+
+@pytest.mark.parametrize("receivers", [[0, 9], [1, 5], [-1], [True], [1.0], ["1"], [None]])
+def test_a_draw_refuses_receivers_that_are_not_pair_indices(receivers):
+    cfg = NetworkConfig.symmetric(4, 3, 3, 1)
+    with pytest.raises(ValueError, match="pair indices 1..4"):
+        sample_channels(cfg, seed=0, field=PRIME, receivers=receivers)
 
 
 def test_require_direct():

@@ -27,6 +27,7 @@ from iafeas import (
     sample_channels,
     verify_ia,
 )
+from iafeas.transceivers import _shapes
 
 from helpers import (
     alt_min_reference,
@@ -91,9 +92,9 @@ def same_floats(a, b):
 
 
 def points(cfg, seed):
-    """The origin, a row-major random point and a column-major one.
+    """The origin, a random point and one viewed from a vector.
 
-    ``zeros`` and ``random`` hold C-ordered blocks; ``from_vector`` holds
+    Every point stores its blocks column-major; ``from_vector`` holds
     F-ordered views of one vector, as ``gauss_newton`` makes them.
     """
     rng = np.random.default_rng(seed)
@@ -203,3 +204,46 @@ def test_gauss_newton_matches_the_per_link_code(net, seed):
             check = verify_ia(ch, run.transceivers)
             assert same(check.max_cross, max_cross_reference(cfg, ch, tx.U, tx.V))
             assert same(check.min_margin, margin)
+
+
+def row_major_point(cfg, seed):
+    """A reduced point built from plain C-ordered arrays."""
+    rng = np.random.default_rng(seed)
+    blocks = [0.5 * (rng.standard_normal(s) + 1j * rng.standard_normal(s)) for s in _shapes(cfg)]
+    return ReducedTransceivers(cfg, tuple(blocks[: cfg.K]), tuple(blocks[cfg.K :]))
+
+
+@pytest.mark.parametrize("tuples", [[(1, 1, 1), (2, 6, 2)], [(3, 5, 1), (6, 3, 2), (4, 5, 3)]])
+def test_a_point_computes_like_its_vector_copy_whatever_arrays_built_it(tuples):
+    # one stored layout: the numeric code never sees how the blocks arrived
+    cfg = NetworkConfig.from_tuples(tuples)
+    ch = sample_channels(cfg, 0, include_direct=True)
+    built = row_major_point(cfg, 0)
+    copy = ReducedTransceivers.from_vector(cfg, built.to_vector())
+    assert same(residuals(ch, built), residuals(ch, copy))
+    assert same(residual_jacobian(ch, built), residual_jacobian(ch, copy))
+    a, b = gauss_newton(ch, init=built), gauss_newton(ch, init=copy)
+    assert a.iterations == b.iterations and a.note == b.note
+    assert same_floats(a.leakage_history, b.leakage_history)
+    assert same(a.residual_norm, b.residual_norm)
+    assert same(a.tilde.to_vector(), b.tilde.to_vector())
+
+
+def test_every_stored_block_is_column_major():
+    cfg = NetworkConfig.from_tuples([(3, 5, 1), (6, 3, 2), (4, 5, 3)])
+    built = row_major_point(cfg, 1)
+    made = [
+        built,
+        ReducedTransceivers(cfg, tuple(map(np.asfortranarray, built.u)), built.v),
+        # strided views and nested lists
+        ReducedTransceivers(cfg, tuple(np.repeat(u, 2, axis=1)[:, ::2] for u in built.u),
+                            tuple(v.tolist() for v in built.v)),
+        ReducedTransceivers.zeros(cfg),
+        ReducedTransceivers.random(cfg, np.random.default_rng(1)),
+        ReducedTransceivers.from_vector(cfg, built.to_vector()),
+    ]
+    for point in made:
+        assert all(blk.flags.f_contiguous for blk in point.u + point.v)
+        assert all(blk.dtype == np.complex128 for blk in point.u + point.v)
+    for point in made[:3]:
+        assert same(point.to_vector(), built.to_vector())

@@ -25,6 +25,7 @@ from iafeas.rank import (
     _LIMB,
     _SLICE_COLUMNS,
     _center,
+    _characters,
     _fold,
     _gf_rank_at,
     _group_point,
@@ -718,6 +719,26 @@ def test_fold_matches_the_character_sums(orders, p):
             for r in range(rows)
         ]
         assert np.array_equal(block % p, np.array(want, dtype=np.int64))
+
+
+def test_the_character_table_is_one_shared_read_only_array():
+    table = _characters((2, 3), PRIME)
+    assert table is _characters((2, 3), PRIME) and table.shape == (6, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+    # negated and centered: the trivial character reads -1 everywhere
+    assert (table[0] == -1).all() and np.abs(table).max() <= (PRIME - 1) // 2
+
+
+def test_sub_product_into_no_columns_is_a_no_op():
+    # a group point whose blocks have no rows or columns folds into an empty C
+    for shape in ((3, 0), (2, 3, 0)):
+        C = np.empty(shape)
+        _sub_product(C, np.ones(shape[:-1] + (4,)), np.ones(shape[:-2] + (4, 0)), PRIME)
+        assert C.shape == shape
+    C = np.arange(6.0).reshape(2, 3)
+    _sub_product(C, np.ones((2, 0)), np.ones((0, 3)), PRIME)
+    assert np.array_equal(C, np.arange(6.0).reshape(2, 3))
 
 
 @pytest.mark.parametrize(
