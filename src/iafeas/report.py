@@ -164,24 +164,23 @@ def _solver_section(cfg, seed, verdict) -> dict:
         agrees = not solved
     else:
         agrees = None
-    gauss_newton = {
+    alt_min_part = {
+        "converged": am.converged,
+        "iterations": am.iterations,
+        "leakage": am.leakage,
+        "margin": am.direct_rank_margin,
+    }
+    gn_part = {
         "converged": gn.converged,
         "iterations": gn.iterations,
         "residual_norm": gn.residual_norm,
         "margin": gn.direct_rank_margin,
     }
-    if gn.note:
-        gauss_newton["note"] = gn.note
-    return {
-        "alt_min": {
-            "converged": am.converged,
-            "iterations": am.iterations,
-            "leakage": am.leakage,
-            "margin": am.direct_rank_margin,
-        },
-        "gauss_newton": gauss_newton,
-        "agrees": agrees,
-    }
+    # written only when non-empty, so a run without a note keeps its bytes
+    for part, result in ((alt_min_part, am), (gn_part, gn)):
+        if result.note:
+            part["note"] = result.note
+    return {"alt_min": alt_min_part, "gauss_newton": gn_part, "agrees": agrees}
 
 
 def feasibility_report(

@@ -15,6 +15,12 @@ sampled complex channel set:
 
 Neither solver ever decides feasibility on its own; a solver failure is
 evidence, not proof. The verdict pipeline treats them as corroboration.
+So each ends a run that has stopped making progress: :func:`alt_min`
+once its leakage fell by less than ``ALT_MIN_STALL_TOL`` of its value
+over the last ``ALT_MIN_STALL_WINDOW`` iterations, :func:`gauss_newton`
+once ||F||^2 fell by less than ``GN_STALL_TOL`` of its value over the
+last ``GN_STALL_WINDOW`` accepted iterations. Such a stop only ends a run
+that has not converged, and its result carries a ``note`` that says so.
 Every function here takes a channel set alone; every Gauss-Newton start
 drives its one :attr:`~iafeas.channels.ChannelSet.system`.
 
@@ -56,6 +62,21 @@ GN_MAX_ITERS = 100
 
 #: residual max modulus below which :func:`gauss_newton` stops
 GN_TOL = 1e-9
+
+#: iterations over which :func:`alt_min` looks for a leakage plateau
+ALT_MIN_STALL_WINDOW = 20
+
+#: relative leakage drop over ``ALT_MIN_STALL_WINDOW`` iterations below
+#: which :func:`alt_min` stops as stalled
+ALT_MIN_STALL_TOL = 1e-3
+
+#: accepted iterations over which :func:`gauss_newton` looks for a
+#: residual plateau
+GN_STALL_WINDOW = 5
+
+#: relative drop of ||F||^2 over ``GN_STALL_WINDOW`` accepted iterations
+#: below which :func:`gauss_newton` stops as stalled
+GN_STALL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -262,6 +283,11 @@ class _Covariances:
         ]
 
 
+def _plateau(history, back: int, tol: float) -> bool:
+    """Did the last value fall by less than ``tol`` of itself since ``history[-back]``?"""
+    return len(history) >= back and history[-back] - history[-1] < tol * history[-1]
+
+
 def alt_min(channels: ChannelSet, max_iters: int = 500, seed: int = 0) -> SolveResult:
     """Alternating leakage minimization with orthonormal transceivers.
 
@@ -269,7 +295,11 @@ def alt_min(channels: ChannelSet, max_iters: int = 500, seed: int = 0) -> SolveR
     covariance, H_kj V_j V_j^H H_kj^H summed over the links (k, j) into
     receiver k; transmit filters come from the reciprocal step with the
     roles swapped. Leakage is recorded after every half-step and never
-    increases. Stops when leakage drops below ``ALT_MIN_TOL``. ``seed``
+    increases. Converged when leakage drops below ``ALT_MIN_TOL``. A run
+    that has not converged stops at a plateau, once the leakage fell by
+    less than ``ALT_MIN_STALL_TOL`` of its value over the last
+    ``ALT_MIN_STALL_WINDOW`` iterations, with note "stalled: leakage
+    plateau"; otherwise it stops after ``max_iters`` iterations. ``seed``
     draws the random orthonormal precoders it starts from.
     """
     channels.require_complex()
@@ -298,6 +328,7 @@ def alt_min(channels: ChannelSet, max_iters: int = 500, seed: int = 0) -> SolveR
 
     history = [_leakage(batches, Us, Vs)]
     converged = history[0] < ALT_MIN_TOL
+    note = ""
     iterations = 0
     while not converged and iterations < max_iters:
         iterations += 1
@@ -310,6 +341,10 @@ def alt_min(channels: ChannelSet, max_iters: int = 500, seed: int = 0) -> SolveR
         Vs = transmit.stacks()
         history.append(_leakage(batches, Us, Vs))
         converged = history[-1] < ALT_MIN_TOL
+        # two history entries per iteration
+        if not converged and _plateau(history, 2 * ALT_MIN_STALL_WINDOW + 1, ALT_MIN_STALL_TOL):
+            note = "stalled: leakage plateau"
+            break
     if iterations:
         U, V = receive.filters(), transmit.filters()
 
@@ -322,6 +357,7 @@ def alt_min(channels: ChannelSet, max_iters: int = 500, seed: int = 0) -> SolveR
         leakage_history=tuple(history),
         transceivers=tx,
         direct_rank_margin=_direct_margin(channels, U, V),
+        note=note,
     )
 
 
@@ -332,8 +368,12 @@ def gauss_newton(channels: ChannelSet, init: ReducedTransceivers | None = None) 
     halved after an accepted step and doubled after a rejected one; it
     starts at 1e-3 times the mean squared row norm of the first Jacobian.
     Converged when the residual's max modulus falls below ``GN_TOL``, within
-    ``GN_MAX_ITERS`` iterations. The network is checked once per channel
-    set, when its :attr:`~iafeas.channels.ChannelSet.system` is built.
+    ``GN_MAX_ITERS`` iterations. A run that has not converged stops early
+    when no damping level reduces the residual, or at a plateau, once
+    ||F||^2 fell by less than ``GN_STALL_TOL`` of its value over the last
+    ``GN_STALL_WINDOW`` accepted iterations; ``note`` names the stop. The
+    network is checked once per channel set, when its
+    :attr:`~iafeas.channels.ChannelSet.system` is built.
     """
     channels.require_complex()
     cfg = channels.cfg
@@ -388,6 +428,9 @@ def gauss_newton(channels: ChannelSet, init: ReducedTransceivers | None = None) 
             note = "stalled: no damping level reduced the residual"
             break
         converged = float(np.max(np.abs(F))) < GN_TOL
+        if not converged and _plateau(history, GN_STALL_WINDOW + 1, GN_STALL_TOL):
+            note = "stalled: residual plateau"
+            break
 
     tilde = ReducedTransceivers.from_vector(cfg, x)
     tx = tilde.reconstruct()

@@ -24,6 +24,7 @@ from iafeas.allocation import PressureTree, PttDefect, _run
 from iafeas.conditions import bundle_axis
 from iafeas.fields import COMPLEX
 from iafeas.rank import DEFAULT_PRIME, _svd_rank
+from iafeas.solver import ALT_MIN_STALL_TOL, ALT_MIN_STALL_WINDOW, GN_STALL_TOL, GN_STALL_WINDOW
 from iafeas.transceivers import block_starts
 
 MAX_ENUM_PAIRS = 4
@@ -593,8 +594,9 @@ def _detach_subtree(node, parent, via):
 
 # ---------------------------------------------------------------------------
 # The numeric path as it stood link by link: the oracles for the stacked
-# solvers and the stacked placement. The loops are copied verbatim; the
-# argument checks are left to the package.
+# solvers and the stacked placement. The loops are copied verbatim, with
+# the solvers' plateau stops read from their constants; the argument
+# checks are left to the package.
 # ---------------------------------------------------------------------------
 
 
@@ -666,6 +668,13 @@ def alt_min_reference(cfg, channels, max_iters=500, seed=0):
             V[j - 1] = np.linalg.eigh(B[j - 1])[1][:, : cfg.d(j)]
         history.append(cross_leakage_reference(cfg, channels, U, V))
         converged = history[-1] < 1e-10
+        back = 2 * ALT_MIN_STALL_WINDOW + 1
+        if (
+            not converged
+            and len(history) >= back
+            and history[-back] - history[-1] < ALT_MIN_STALL_TOL * history[-1]
+        ):
+            break
 
     margin = direct_margin_reference(cfg, channels, U, V)
     return U, V, tuple(history), iterations, margin
@@ -776,6 +785,14 @@ def gauss_newton_reference(cfg, channels, init):
             note = "stalled: no damping level reduced the residual"
             break
         converged = float(np.max(np.abs(F))) < 1e-9
+        back = GN_STALL_WINDOW + 1
+        if (
+            not converged
+            and len(history) >= back
+            and history[-back] - history[-1] < GN_STALL_TOL * history[-1]
+        ):
+            note = "stalled: residual plateau"
+            break
 
     residual_norm = float(np.max(np.abs(F), initial=0.0))
     return iterations, tuple(history), residual_norm, x, note
