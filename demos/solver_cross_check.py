@@ -32,12 +32,15 @@ print("gauss_newton residual:", f"{gn.residual_norm:.2e}",
       "in", gn.iterations, "steps")
 
 # The overloaded ring has no solution to find. Both solvers stall at a
-# clearly positive floor, which corroborates the counting witness.
+# clearly positive floor, which corroborates the counting witness, and
+# stop once it has stopped falling.
 ring4 = NetworkConfig.symmetric(4, 2, 2, 1)
 channels4 = sample_channels(ring4, seed=0, include_direct=True)
 stall = alt_min(channels4, seed=0)
 gn4 = gauss_newton_multistart(sample_channels(ring4, seed=0), starts=3, seed=0)
 print()
-print("alt_min on", ring4.describe(), "stalls at leakage", f"{stall.leakage:.3f}")
-print("gauss_newton stalls at residual", f"{gn4.residual_norm:.3f}")
+print("alt_min on", ring4.describe(), "stalls at leakage", f"{stall.leakage:.3f}",
+      "after", stall.iterations, "steps:", stall.note)
+print("gauss_newton stalls at residual", f"{gn4.residual_norm:.3f}",
+      "after", gn4.iterations, "steps:", gn4.note)
 print("neither converges:", not stall.converged and not gn4.converged)

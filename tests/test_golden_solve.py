@@ -4,7 +4,7 @@
 and the JSON report that ``iafeas check CONFIG --seed 0 --mode numeric
 --solve`` printed when the file was made. The cases are the ring
 (2x2,1)^3, which the solvers align; (2x2,1)^4, which fails properness and
-on which both solvers stall and the Gauss-Newton section notes why; a
+on which both solvers stall at a plateau and both sections note it; a
 mixed-stream network; a single pair, whose Gauss-Newton section notes
 that there are no cross constraints; and (8x8,1)^10 and (3x4,1)^5, the
 slow tail of the benchmark's corroborate workload, which pin the iteration

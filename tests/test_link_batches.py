@@ -206,6 +206,28 @@ def test_gauss_newton_matches_the_per_link_code(net, seed):
             assert same(check.min_margin, margin)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_plateau_stops_match_the_per_link_code(seed):
+    # the improper ring stalls: both oracles must stop where the solvers do
+    cfg = NetworkConfig.symmetric(4, 2, 2, 1)
+    ch = sample_channels(cfg, seed, include_direct=True)
+    run = alt_min(ch, seed=seed)
+    U, V, history, iterations, _ = alt_min_reference(cfg, ch, seed=seed)
+    assert run.note == "stalled: leakage plateau" and run.iterations < 500
+    assert run.iterations == iterations
+    assert same_floats(run.leakage_history, history)
+    assert all(same(a, b) for a, b in zip(run.transceivers.V, V))
+
+    run = gauss_newton(ch)
+    iterations, history, _, x, note = gauss_newton_reference(
+        cfg, ch, ReducedTransceivers.zeros(cfg)
+    )
+    assert run.note == note == "stalled: residual plateau"
+    assert run.iterations == iterations
+    assert same_floats(run.leakage_history, history)
+    assert same(run.tilde.to_vector(), x)
+
+
 def row_major_point(cfg, seed):
     """A reduced point built from plain C-ordered arrays."""
     rng = np.random.default_rng(seed)

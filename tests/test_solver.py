@@ -18,9 +18,14 @@ from iafeas import (
     sample_channels,
     verify_ia,
 )
+from iafeas.solver import GN_MAX_ITERS
 
 RING = NetworkConfig.symmetric(3, 2, 2, 1)
 RING4 = NetworkConfig.symmetric(4, 2, 2, 1)
+# on the K = 3, M, N <= 4 census at report seed 1, one of the 9 networks
+# that only Gauss-Newton aligns and the one network that only alt_min aligns
+ONLY_GN = [(4, 4, 2)] * 3
+ONLY_ALT_MIN = [(2, 3, 2), (3, 3, 1), (3, 3, 1)]
 
 
 def test_alt_min_aligns_feasible_ring():
@@ -59,6 +64,9 @@ def test_alt_min_stalls_on_improper_ring():
         res = alt_min(ch, seed=seed, max_iters=300)
         assert not res.converged
         assert res.leakage > 1e-6
+        # the leakage plateau ends the run long before the cap
+        assert res.iterations < 200
+        assert res.note == "stalled: leakage plateau"
 
 
 def test_alt_min_channel_requirements():
@@ -100,6 +108,56 @@ def test_gauss_newton_stalls_on_improper_ring():
     res = gauss_newton_multistart(ch, starts=3, seed=0)
     assert not res.converged
     assert res.residual_norm > 1e-6
+    assert res.iterations < GN_MAX_ITERS
+    assert res.note in (
+        "stalled: residual plateau",
+        "stalled: no damping level reduced the residual",
+    )
+
+
+def test_the_plateau_stops_spare_the_slow_ring():
+    # alt_min takes 16-248 iterations on the ring; at channel seeds 7 and 13
+    # it still gains after 500, and no plateau stop may cut any of them
+    counts = []
+    for seed in range(20):
+        ch = sample_channels(RING, seed=seed, include_direct=True)
+        am = alt_min(ch)
+        assert am.note == ""
+        assert am.converged or am.iterations == 500
+        counts.append(am.iterations)
+        gn = gauss_newton_multistart(ch, seed=seed)
+        assert gn.converged and gn.note == ""
+    solved = [n for n in counts if n < 500]
+    assert len(solved) == 18 and max(solved) > 200
+
+
+def test_the_plateau_stop_spares_a_feasible_slow_alt_min():
+    # (6x6,2)^5 is feasible; alt_min gains too slowly to converge in 500
+    # iterations, yet it gains more than the plateau tolerance throughout
+    cfg = NetworkConfig.symmetric(5, 6, 6, 2)
+    for seed in range(6):
+        ch = sample_channels(cfg, seed=seed, include_direct=True)
+        am = alt_min(ch, seed=seed)
+        assert (am.converged, am.iterations, am.note) == (False, 500, "")
+        assert gauss_newton_multistart(ch, seed=seed).converged
+
+
+@pytest.mark.parametrize(
+    "pairs, alt_min_converged, gn_converged",
+    [
+        (ONLY_GN, False, True),
+        (ONLY_ALT_MIN, True, False),
+    ],
+)
+def test_census_networks_that_one_solver_alone_aligns(pairs, alt_min_converged, gn_converged):
+    # a plateau stop must not cut the one solver that converges
+    report = feasibility_report(
+        NetworkConfig.from_tuples(pairs), seed=1, mode="numeric", solve=True
+    ).to_dict()
+    solver = report["solver"]
+    assert report["verdict"] == "FEASIBLE" and solver["agrees"]
+    assert solver["alt_min"]["converged"] is alt_min_converged
+    assert solver["gauss_newton"]["converged"] is gn_converged
 
 
 def test_a_gauss_newton_run_checks_its_network_once(monkeypatch):
